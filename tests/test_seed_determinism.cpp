@@ -12,11 +12,14 @@
 #include <sstream>
 
 #include "api/simulation_builder.hpp"
+#include "ckpt/registry.hpp"
 #include "core/factory.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "obs/trace.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/events.hpp"
 #include "sim/metrics_io.hpp"
 #include "sim/timeline.hpp"
 #include "support/fixtures.hpp"
@@ -371,4 +374,159 @@ TEST(SeedDeterminism, GreedyRunsMatchPreSoAGoldenEventCore) {
 TEST(SeedDeterminism, GreedyRunsMatchPreSoAGoldenSlotCore) {
     EXPECT_TRUE(vt::matches_golden(greedy_run_blob(/*event_core=*/false),
                                    "seed_determinism_greedy_slot.txt"));
+}
+
+namespace {
+
+/// FNV-1a 64-bit digest: the event log and the trace export are pinned by
+/// digest plus size (verbatim they would dwarf the rest of the golden).
+std::string digest(const std::string& s) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    std::ostringstream os;
+    os << s.size() << " bytes, fnv1a " << std::hex << h;
+    return os.str();
+}
+
+/// An engine regime the greedy goldens above never reach: a scheduler
+/// class, the replica cap, a checkpoint policy sharing the transfer FIFO,
+/// or a zero-cost transfer path, each raced by a few specs.
+struct Regime {
+    std::string name;
+    vs::SchedulerClass plan_class = vs::SchedulerClass::Dynamic;
+    int p = 8;
+    int tasks = 6;
+    int ncom = 3;
+    int wmin = 2;
+    int replica_cap = 2;
+    int t_prog = -1; ///< -1: the scenario recipe's value
+    int t_data = -1; ///< -1: the scenario recipe's value
+    std::string checkpoint; ///< checkpoint spec; empty = none
+    int checkpoint_cost = 1;
+    std::vector<std::string> specs;
+};
+
+std::vector<Regime> golden_regimes() {
+    std::vector<Regime> rs;
+    Regime passive;
+    passive.name = "passive";
+    passive.plan_class = vs::SchedulerClass::Passive;
+    passive.specs = {"mct", "emct", "random"};
+    rs.push_back(passive);
+
+    Regime proactive;
+    proactive.name = "proactive";
+    proactive.plan_class = vs::SchedulerClass::Proactive;
+    proactive.specs = {"emct", "lw", "random1w"};
+    rs.push_back(proactive);
+
+    // Replica cap 2 with fewer tasks than UP workers: every round plans
+    // replicas, and completions cancel staged and computing siblings.
+    Regime replicas;
+    replicas.name = "replicas";
+    replicas.tasks = 3;
+    replicas.specs = {"emct*", "ud*", "random"};
+    rs.push_back(replicas);
+
+    // daly checkpoints at cost 4: multi-slot uploads queue in the same
+    // bandwidth FIFO as program and data downloads (ncom 2 keeps it busy).
+    Regime daly;
+    daly.name = "daly4";
+    daly.wmin = 4;
+    daly.ncom = 2;
+    daly.checkpoint = "daly";
+    daly.checkpoint_cost = 4;
+    daly.specs = {"emct", "mct", "random1w"};
+    rs.push_back(daly);
+
+    Regime free_prog;
+    free_prog.name = "tprog0";
+    free_prog.t_prog = 0;
+    free_prog.specs = {"mct", "emct*", "random"};
+    rs.push_back(free_prog);
+
+    Regime free_data;
+    free_data.name = "tdata0";
+    free_data.t_data = 0;
+    free_data.specs = {"mct", "emct*", "random"};
+    rs.push_back(free_data);
+
+    // One RNG draw per select: any change in select order shows.
+    Regime random;
+    random.name = "random";
+    random.ncom = 1;
+    random.specs = {"random", "random1w", "random3"};
+    rs.push_back(random);
+    return rs;
+}
+
+/// Serializes every golden regime's runs — full RunMetrics JSON, the exact
+/// action trace, the timeline, and digests of the event log and of the
+/// Perfetto trace export — for one stepping core.
+std::string regime_run_blob(bool event_core) {
+    std::string blob;
+    for (const Regime& r : golden_regimes()) {
+        auto sc = vt::small_scenario(91, r.p, r.tasks);
+        sc.ncom = r.ncom;
+        sc.wmin = r.wmin;
+        auto rs = ve::realize(sc);
+        if (r.t_prog >= 0) rs.platform.t_prog = r.t_prog;
+        if (r.t_data >= 0) rs.platform.t_data = r.t_data;
+        const auto policy =
+            r.checkpoint.empty()
+                ? nullptr
+                : volsched::ckpt::CheckpointRegistry::instance().make(
+                      r.checkpoint);
+        for (const auto& spec : r.specs) {
+            vs::ActionTrace trace;
+            vs::Timeline timeline;
+            vs::EventLog events;
+            volsched::obs::TraceRecorder tracer;
+            vs::EngineConfig cfg =
+                vt::audited_config(2, r.tasks, r.replica_cap);
+            cfg.plan_class = r.plan_class;
+            cfg.event_driven = event_core;
+            cfg.checkpoint = policy.get();
+            cfg.checkpoint_cost = r.checkpoint_cost;
+            cfg.actions = &trace;
+            cfg.timeline = &timeline;
+            cfg.events = &events;
+            cfg.tracer = &tracer;
+            const auto sim =
+                vs::Simulation::from_chains(rs.platform, rs.chains, cfg, 5);
+            const auto sched = vc::make_scheduler(spec);
+            const auto m = sim.run(*sched);
+            std::ostringstream csv;
+            events.write_csv(csv);
+            blob += "== " + r.name + "/" + spec + " ==\n";
+            blob += vs::metrics_to_json(m);
+            blob += "\n-- actions --\n";
+            blob += trace_to_text(trace);
+            blob += "-- timeline --\n";
+            blob += timeline_to_text(timeline);
+            blob += "-- events: " + digest(csv.str()) + "\n";
+            blob += "-- trace: " + digest(tracer.json()) + "\n";
+        }
+    }
+    return blob;
+}
+
+} // namespace
+
+// Pins the regimes the greedy goldens miss — Passive and Proactive plan
+// classes, replicas with fewer tasks than workers, daly uploads at cost 4
+// sharing the transfer FIFO, zero-cost program and data transfers, and the
+// RNG-drawing random specs — so an engine refactor that moves any decision,
+// RNG draw, counter, recorded slot, event or trace span shows as a diff.
+TEST(SeedDeterminism, EngineRegimesMatchGoldenEventCore) {
+    EXPECT_TRUE(vt::matches_golden(regime_run_blob(/*event_core=*/true),
+                                   "seed_determinism_regimes_event.txt"));
+}
+
+TEST(SeedDeterminism, EngineRegimesMatchGoldenSlotCore) {
+    EXPECT_TRUE(vt::matches_golden(regime_run_blob(/*event_core=*/false),
+                                   "seed_determinism_regimes_slot.txt"));
 }
