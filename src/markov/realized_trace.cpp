@@ -61,7 +61,7 @@ ProcState RealizedTrace::state_at(long long t) {
 // TraceCursor
 // ---------------------------------------------------------------------------
 
-ProcState TraceCursor::state_at(long long t) {
+ProcState TraceCursor::advance_to(long long t) {
     if (t >= trace_->realized_)
         trace_->ensure(grow_target(trace_->realized_, t));
     const auto& segs = trace_->segments_;

@@ -24,6 +24,7 @@
 /// skip used by simulators such as gacspp, without giving up the slot
 /// model).
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -96,8 +97,17 @@ public:
 
     /// State at slot t (t >= the previous query's t).  Extends the trace
     /// on demand with chunked doubling so n monotone queries cost O(n)
-    /// sampling total.
-    [[nodiscard]] ProcState state_at(long long t);
+    /// sampling total.  Inline for the engine's per-slot common case, a
+    /// query inside the current segment.
+    [[nodiscard]] ProcState state_at(long long t) {
+        const auto& segs = trace_->segments_;
+        if (seg_ < segs.size() && t < segs[seg_].end) {
+            assert(t >= segs[seg_].begin &&
+                   "TraceCursor queries must be monotone");
+            return segs[seg_].state;
+        }
+        return advance_to(t);
+    }
 
     /// First slot > t whose state differs from state_at(t), capped at
     /// `limit`: returns min(end of the segment containing t, limit).
@@ -109,6 +119,10 @@ public:
     void reset() noexcept { seg_ = 0; }
 
 private:
+    /// state_at's out-of-segment path: extends the trace if needed and
+    /// steps the cursor to the segment containing t.
+    ProcState advance_to(long long t);
+
     RealizedTrace* trace_;
     std::size_t seg_ = 0;
 };

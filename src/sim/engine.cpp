@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "ckpt/policy.hpp"
@@ -32,108 +33,28 @@ struct Instance {
     long long commit_slot = -1;
 };
 
-/// Runtime protocol state of the whole fleet, stored as structure-of-arrays:
-/// one parallel vector per field, indexed by processor, so the per-slot
-/// sweeps (state advancement, scheduler-view builds, compute advancement)
-/// read contiguous memory instead of striding over an array-of-structs.
-/// The platform's speed vector (`Platform::w`) and the RLE trace cursors
-/// are the remaining per-worker parallels, owned by their own containers.
-/// `operator[]` bundles one worker's fields as references — call sites keep
-/// the old `w.field` spelling while every load/store still hits the
-/// per-field array.
-struct WorkerSoA {
-    std::vector<ProcState> state;
-    std::vector<std::uint8_t> has_program;
-    std::vector<std::uint8_t> prog_in_flight;
-    std::vector<int> prog_remaining;
-    std::vector<long long> prog_start;
-    std::vector<int> staged;    ///< instance receiving / holding next data
-    std::vector<long long> data_start;
-    std::vector<int> computing; ///< instance with complete data, computing
-    std::vector<int> compute_remaining;
+/// One worker's runtime protocol state: a plain record per processor, used
+/// by reference.  The slot phases that touch a worker read several of its
+/// fields together, and the whole record fits one 64-byte cache line.
+struct Worker {
+    ProcState state = ProcState::Up;
+    bool has_program = false;
+    bool prog_in_flight = false;
+    bool ckpt_in_flight = false; ///< checkpoint upload in progress
+    int prog_remaining = 0;
+    int staged = -1;    ///< instance receiving / holding next data
+    int computing = -1; ///< instance with complete data, computing
+    int compute_remaining = 0;
     // Checkpoint upload state (only touched when a policy is attached).
-    std::vector<std::uint8_t> ckpt_in_flight; ///< upload in progress
-    std::vector<int> ckpt_remaining;  ///< transfer slots left for the upload
-    std::vector<long long> ckpt_start; ///< upload start slot (FIFO key)
-    std::vector<int> ckpt_progress; ///< q-scale progress the upload captured
-    std::vector<int> since_ckpt;    ///< compute slots since the last snapshot
-    std::vector<int> compute_credit; ///< q-scale progress at promotion
-    std::vector<int> ckpt_committed; ///< q-scale progress of the last
-                                     ///< snapshot THIS incarnation committed
-
-    void resize(int p) {
-        const auto n = static_cast<std::size_t>(p);
-        state.assign(n, ProcState::Up);
-        has_program.assign(n, 0);
-        prog_in_flight.assign(n, 0);
-        prog_remaining.assign(n, 0);
-        prog_start.assign(n, -1);
-        staged.assign(n, -1);
-        data_start.assign(n, -1);
-        computing.assign(n, -1);
-        compute_remaining.assign(n, 0);
-        ckpt_in_flight.assign(n, 0);
-        ckpt_remaining.assign(n, 0);
-        ckpt_start.assign(n, -1);
-        ckpt_progress.assign(n, 0);
-        since_ckpt.assign(n, 0);
-        compute_credit.assign(n, 0);
-        ckpt_committed.assign(n, 0);
-    }
-
-    struct Ref {
-        ProcState& state;
-        std::uint8_t& has_program;
-        std::uint8_t& prog_in_flight;
-        int& prog_remaining;
-        long long& prog_start;
-        int& staged;
-        long long& data_start;
-        int& computing;
-        int& compute_remaining;
-        std::uint8_t& ckpt_in_flight;
-        int& ckpt_remaining;
-        long long& ckpt_start;
-        int& ckpt_progress;
-        int& since_ckpt;
-        int& compute_credit;
-        int& ckpt_committed;
-    };
-    struct ConstRef {
-        const ProcState& state;
-        const std::uint8_t& has_program;
-        const std::uint8_t& prog_in_flight;
-        const int& prog_remaining;
-        const long long& prog_start;
-        const int& staged;
-        const long long& data_start;
-        const int& computing;
-        const int& compute_remaining;
-        const std::uint8_t& ckpt_in_flight;
-        const int& ckpt_remaining;
-        const long long& ckpt_start;
-        const int& ckpt_progress;
-        const int& since_ckpt;
-        const int& compute_credit;
-        const int& ckpt_committed;
-    };
-
-    Ref operator[](int q) noexcept {
-        return {state[q],          has_program[q],   prog_in_flight[q],
-                prog_remaining[q], prog_start[q],    staged[q],
-                data_start[q],     computing[q],     compute_remaining[q],
-                ckpt_in_flight[q], ckpt_remaining[q], ckpt_start[q],
-                ckpt_progress[q],  since_ckpt[q],    compute_credit[q],
-                ckpt_committed[q]};
-    }
-    ConstRef operator[](int q) const noexcept {
-        return {state[q],          has_program[q],   prog_in_flight[q],
-                prog_remaining[q], prog_start[q],    staged[q],
-                data_start[q],     computing[q],     compute_remaining[q],
-                ckpt_in_flight[q], ckpt_remaining[q], ckpt_start[q],
-                ckpt_progress[q],  since_ckpt[q],    compute_credit[q],
-                ckpt_committed[q]};
-    }
+    int ckpt_remaining = 0; ///< transfer slots left for the upload
+    int ckpt_progress = 0;  ///< q-scale progress the upload captured
+    int since_ckpt = 0;     ///< compute slots since the last snapshot
+    int compute_credit = 0; ///< q-scale progress at promotion
+    int ckpt_committed = 0; ///< q-scale progress of the last snapshot
+                            ///< THIS incarnation committed
+    long long prog_start = -1;
+    long long data_start = -1;
+    long long ckpt_start = -1; ///< upload start slot (FIFO key)
 };
 
 /// Per-logical-task checkpoint committed at the master: `done` compute
@@ -144,14 +65,23 @@ struct TaskCheckpoint {
     int w = 1;
 };
 
-/// Transfer descriptor used when ordering the slot's bandwidth allocation.
-/// Kind breaks (start, proc) ties when one worker both receives data and
-/// uploads a checkpoint committed in the same slot.
+/// Entry of the bandwidth FIFO, keyed (start, proc, kind).  A worker has at
+/// most one transfer of each kind in flight, so the key is unique; kind
+/// breaks (start, proc) ties when one worker both receives data and uploads
+/// a checkpoint started in the same slot.
 enum class TransferKind : std::uint8_t { Prog, Data, Ckpt };
 struct ActiveTransfer {
     long long start;
     ProcId proc;
     TransferKind kind;
+
+    friend bool operator==(const ActiveTransfer&,
+                           const ActiveTransfer&) = default;
+    friend bool operator<(const ActiveTransfer& a, const ActiveTransfer& b) {
+        if (a.start != b.start) return a.start < b.start;
+        if (a.proc != b.proc) return a.proc < b.proc;
+        return a.kind < b.kind;
+    }
 };
 
 /// What forces the event-driven core to simulate a slot normally.
@@ -191,7 +121,8 @@ public:
            const EngineConfig& config, std::uint64_t seed)
         : pf_(platform), config_(config) {
         const int p = pf_.size();
-        workers_.resize(p);
+        workers_.resize(static_cast<std::size_t>(p));
+        due_flag_.assign(static_cast<std::size_t>(p), 0);
         cursors_.reserve(p);
         for (int q = 0; q < p; ++q)
             cursors_.emplace_back(traces.trace(q));
@@ -227,6 +158,7 @@ public:
                     const long long ev = steady_horizon(t);
                     if (ev - t >= kMinJump || (ev > t && up_count_ == 0)) {
                         fast_forward(t, ev);
+                        if (config_.audit) audit_incremental();
                         t = ev;
                         continue;
                     }
@@ -263,7 +195,10 @@ public:
             if (config_.audit) audit_bandwidth();
             record_timeline();
             const bool finished = end_of_slot(t);
-            if (config_.audit) audit_invariants();
+            if (config_.audit) {
+                audit_invariants();
+                audit_incremental();
+            }
             if (finished) {
                 metrics_.completed = true;
                 metrics_.makespan = t + 1;
@@ -299,19 +234,21 @@ private:
         }
         ckpt_store_.assign(static_cast<std::size_t>(m), {});
         plan_counter_ = 0;
+        pool_.resize(static_cast<std::size_t>(m));
+        for (int i = 0; i < m; ++i) pool_[static_cast<std::size_t>(i)] = i;
     }
 
     // ---- slot phases --------------------------------------------------
 
     void advance_states(long long t) {
-        up_count_ = 0;
+        eligible_.clear();
         for (int q = 0; q < pf_.size(); ++q) {
             const ProcState prev = workers_[q].state;
             const ProcState next = cursors_[q].state_at(t);
             workers_[q].state = next;
             if (next == ProcState::Up) {
                 ++metrics_.per_proc[q].up_slots;
-                ++up_count_;
+                eligible_.push_back(q);
             }
             if (t == 0 || next != prev)
                 emit(EventKind::StateChange, q, -1, false, next);
@@ -322,6 +259,7 @@ private:
                 handle_down(q);
             }
         }
+        up_count_ = static_cast<int>(eligible_.size());
     }
 
     /// Fast-forwards the dead stretch [from, to): every worker is DOWN or
@@ -332,7 +270,7 @@ private:
     void skip_dead_range(long long from, long long to) {
         if (config_.audit) {
             for (int q = 0; q < pf_.size(); ++q) {
-                const auto w = workers_[q];
+                const Worker& w = workers_[q];
                 if (w.state == ProcState::Up)
                     throw std::logic_error(
                         "audit: dead-slot skip with an UP worker");
@@ -382,6 +320,7 @@ private:
             change = std::min(change, cursors_[q].next_change_at(0, change));
         slot_ = 0;
         up_count_ = 0;
+        eligible_.clear();
         for (int q = 0; q < pf_.size(); ++q) {
             const ProcState st = cursors_[q].state_at(0);
             workers_[q].state = st;
@@ -407,49 +346,33 @@ private:
     /// checkpoint policy fires, no computation completes, and the
     /// plan/commit phase would not act (a heuristic round may consume RNG,
     /// so any slot that reaches one is simulated).  Conservative by
-    /// construction — any doubt returns t.  On a result the run loop will
-    /// jump (>= t + kMinJump, or > t with no worker present), `active_`
-    /// holds the stretch's transfer allocation for fast_forward().
+    /// construction — any doubt returns t.  The stretch's transfer
+    /// allocation is the first ncom UP entries of the bandwidth FIFO, which
+    /// no inert slot reorders.
     long long steady_horizon(long long t) {
-        // Bandwidth allocation for the stretch: a cheap unsorted count
-        // first — the advancing set only matters once the slot is known to
-        // be inert, and the leftover budget feeds the act-now checks.
-        // min_rem over ALL active transfers lower-bounds the remainder of
-        // any advancing subset, so it bounds the first possible drain
-        // without knowing the FIFO order.
+        // Bandwidth allocation for the stretch: the leftover budget feeds
+        // the act-now checks.  min_rem over ALL transfers to/from UP
+        // workers lower-bounds the remainder of the advancing subset, so it
+        // bounds the first possible drain.
         int in_flight = 0;
         int min_rem = std::numeric_limits<int>::max();
-        for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
-            if (w.state != ProcState::Up) continue;
-            if (w.prog_in_flight && w.prog_remaining > 0) {
-                ++in_flight;
-                min_rem = std::min(min_rem, w.prog_remaining);
-            }
-            if (w.staged != -1) {
-                const Instance& inst = instances_[w.staged];
-                if (inst.data_started && inst.data_remaining > 0) {
-                    ++in_flight;
-                    min_rem = std::min(min_rem, inst.data_remaining);
-                }
-            }
-            if (w.ckpt_in_flight && w.ckpt_remaining > 0) {
-                ++in_flight;
-                min_rem = std::min(min_rem, w.ckpt_remaining);
-            }
+        for (const ActiveTransfer& tr : fifo_) {
+            if (workers_[tr.proc].state != ProcState::Up) continue;
+            ++in_flight;
+            min_rem = std::min(min_rem, remaining(tr));
         }
         const int advancing = std::min(pf_.ncom, in_flight);
         const int budget = pf_.ncom - advancing;
 
         // Scheduler decision point this slot?  Checked first: in dense
-        // phases this is the common exit, and it needs no sorting.
+        // phases this is the common exit.
         if (plan_would_act(budget)) return t;
 
         // A deferred data start (phase 2b) acts as soon as bandwidth is
         // free — or instantly when data is free.
         if (budget > 0 || pf_.t_data == 0) {
             for (int q = 0; q < pf_.size(); ++q) {
-                const auto w = workers_[q];
+                const Worker& w = workers_[q];
                 if (w.state != ProcState::Up || !w.has_program ||
                     w.staged == -1)
                     continue;
@@ -487,7 +410,7 @@ private:
         if (config_.checkpoint &&
             (config_.checkpoint_cost == 0 || budget > 0)) {
             for (int q = 0; q < pf_.size(); ++q) {
-                const auto w = workers_[q];
+                const Worker& w = workers_[q];
                 if (w.state != ProcState::Up || w.computing == -1 ||
                     w.ckpt_in_flight)
                     continue;
@@ -514,17 +437,13 @@ private:
         // Compute completions: an advancing computation drains to zero —
         // and completes — in slot t + remaining - 1.
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             if (w.state != ProcState::Up || w.computing == -1 ||
                 w.ckpt_in_flight)
                 continue;
             if (w.compute_remaining <= 1) return t;
             next.push(t + w.compute_remaining - 1, EventCause::Compute);
         }
-
-        // Only a stretch the run loop will actually fast_forward needs the
-        // sorted transfer allocation; the no-jump path skips the sort.
-        if (next.slot - t >= kMinJump || up_count_ == 0) build_active();
         return next.slot;
     }
 
@@ -544,32 +463,19 @@ private:
             config_.replica_cap > 0 && up_count_ > remaining_logical_;
         // A heuristic round runs: begin_round plus RNG-consuming selects.
         if (may_replicate) return true;
-        if (config_.plan_class != SchedulerClass::Passive) {
-            // Non-passive classes re-plan every round: any pool instance
-            // means a round runs.  Early exit — this is the dense-phase
-            // common path and instances_ can be long.
-            for (const auto& inst : instances_)
-                if (inst.status == InstStatus::Pool) return true;
-            return false;
-        }
-        bool any_pool = false;
-        bool any_unplanned = false;
-        for (const auto& inst : instances_) {
-            if (inst.status != InstStatus::Pool) continue;
-            any_pool = true;
-            if (inst.planned == kNoProc) any_unplanned = true;
-        }
-        if (!any_pool) return false;
-        if (any_unplanned) return true;
+        // Non-passive classes re-plan every round: any pool instance means
+        // a round runs.
+        if (pool_.empty()) return false;
+        if (config_.plan_class != SchedulerClass::Passive) return true;
+        for (const int id : pool_)
+            if (instances_[id].planned == kNoProc) return true;
         // Passive with every pool instance planned: only the commit sweep
         // remains.  It acts exactly when some planned target is UP with a
         // free buffer and the bandwidth/zero-cost rules let a transfer (or
         // a stage-behind-program) start.
         if (budget == 0 && pf_.t_data > 0 && pf_.t_prog > 0) return false;
-        for (const auto& inst : instances_) {
-            if (inst.status != InstStatus::Pool || inst.planned == kNoProc)
-                continue;
-            const auto w = workers_[inst.planned];
+        for (const int id : pool_) {
+            const Worker& w = workers_[instances_[id].planned];
             if (w.state != ProcState::Up || w.staged != -1) continue;
             if (w.has_program) {
                 if (pf_.t_data == 0 || budget > 0) return true;
@@ -596,7 +502,7 @@ private:
         double best_alt = std::numeric_limits<double>::infinity();
         bool drifting = false;
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             if (w.state != ProcState::Up || w.staged != -1 ||
                 w.computing != -1)
                 continue;
@@ -612,7 +518,7 @@ private:
         }
         if (std::isinf(best_alt)) return false;
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             if (w.state != ProcState::Reclaimed) continue;
             if (w.staged == -1 && w.computing == -1) continue;
             if (drifting) return true; // conservatively simulate the slot
@@ -631,23 +537,24 @@ private:
     }
 
     /// Advances the steady stretch [from, to) arithmetically: states are
-    /// frozen, the first min(ncom, |active_|) transfers and every
-    /// unobstructed computation drain one unit per slot, and the recorders
+    /// frozen, the first ncom transfers to/from UP workers in the FIFO and
+    /// every unobstructed computation drain one unit per slot (none to
+    /// zero, so the FIFO keeps its entries and order), and the recorders
     /// receive the identical per-slot output the slot loop would have
-    /// produced.  Preconditions: steady_horizon(from) >= to, and `active_`
-    /// is the list it built.
+    /// produced.  Precondition: steady_horizon(from) >= to.
     void fast_forward(long long from, long long to) {
         const long long n = to - from;
         if (config_.audit) audit_steady_range(from, to);
-        const int advancing =
-            std::min(pf_.ncom, static_cast<int>(active_.size()));
         ff_recv_.assign(static_cast<std::size_t>(pf_.size()), kNoAction);
         ff_compute_.assign(static_cast<std::size_t>(pf_.size()), kNoAction);
         std::fill(slot_flags_.begin(), slot_flags_.end(),
                   static_cast<std::uint8_t>(0));
-        for (int i = 0; i < advancing; ++i) {
-            const ActiveTransfer& tr = active_[i];
-            auto w = workers_[tr.proc];
+        int advancing = 0;
+        for (const ActiveTransfer& tr : fifo_) {
+            if (advancing == pf_.ncom) break;
+            Worker& w = workers_[tr.proc];
+            if (w.state != ProcState::Up) continue;
+            ++advancing;
             if (tr.kind == TransferKind::Prog) {
                 w.prog_remaining -= static_cast<int>(n);
                 slot_flags_[tr.proc] |= kFlagProg;
@@ -666,7 +573,7 @@ private:
             metrics_.transfer_slots += n;
         }
         for (int q = 0; q < pf_.size(); ++q) {
-            auto w = workers_[q];
+            Worker& w = workers_[q];
             if (w.state != ProcState::Up) continue;
             metrics_.per_proc[q].up_slots += n;
             if (w.computing == -1 || w.ckpt_in_flight) continue;
@@ -721,22 +628,18 @@ private:
     void audit_steady_range(long long from, long long to) {
         const long long n = to - from;
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             for (long long s = from; s < to; ++s)
                 if (cursors_[q].state_at(s) != w.state)
                     throw std::logic_error(
                         "audit: event elision crossed a state change");
         }
-        const int advancing =
-            std::min(pf_.ncom, static_cast<int>(active_.size()));
-        for (int i = 0; i < advancing; ++i) {
-            const ActiveTransfer& tr = active_[i];
-            const auto w = workers_[tr.proc];
-            const int rem = tr.kind == TransferKind::Prog ? w.prog_remaining
-                            : tr.kind == TransferKind::Data
-                                ? instances_[w.staged].data_remaining
-                                : w.ckpt_remaining;
-            if (rem <= n)
+        int advancing = 0;
+        for (const ActiveTransfer& tr : fifo_) {
+            if (advancing == pf_.ncom) break;
+            if (workers_[tr.proc].state != ProcState::Up) continue;
+            ++advancing;
+            if (remaining(tr) <= n)
                 throw std::logic_error(
                     "audit: event elision crossed a transfer completion");
         }
@@ -744,7 +647,7 @@ private:
         const bool consults = config_.checkpoint &&
                               (config_.checkpoint_cost == 0 || budget > 0);
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             if (w.state != ProcState::Up || w.computing == -1 ||
                 w.ckpt_in_flight)
                 continue;
@@ -776,9 +679,11 @@ private:
     /// partial computation.  Original instances go back to the pool (to be
     /// resent from scratch); replicas are simply cancelled.
     void handle_down(ProcId q) {
-        auto w = workers_[q];
+        Worker& w = workers_[q];
         if (w.prog_in_flight) {
             metrics_.wasted_transfer_slots += pf_.t_prog - w.prog_remaining;
+            if (w.prog_remaining > 0)
+                fifo_erase({w.prog_start, q, TransferKind::Prog});
             w.prog_in_flight = false;
             w.prog_remaining = 0;
             w.prog_start = -1;
@@ -799,9 +704,9 @@ private:
         }
         // Sticky plans targeting a crashed processor are invalidated.
         if (config_.plan_class == SchedulerClass::Passive) {
-            for (auto& inst : instances_)
-                if (inst.status == InstStatus::Pool && inst.planned == q)
-                    inst.planned = kNoProc;
+            for (const int id : pool_)
+                if (instances_[id].planned == q)
+                    instances_[id].planned = kNoProc;
         }
     }
 
@@ -811,7 +716,7 @@ private:
     void release_instance(int id, bool to_pool) {
         Instance& inst = instances_[id];
         const ProcId q = inst.proc;
-        auto w = workers_[q];
+        Worker& w = workers_[q];
         if (inst.data_started)
             metrics_.wasted_transfer_slots += pf_.t_data - inst.data_remaining;
         if (w.computing == id) {
@@ -819,6 +724,8 @@ private:
                 // The upload's subject is gone; the spent bandwidth is lost.
                 metrics_.wasted_transfer_slots +=
                     config_.checkpoint_cost - w.ckpt_remaining;
+                if (w.ckpt_remaining > 0)
+                    fifo_erase({w.ckpt_start, q, TransferKind::Ckpt});
                 w.ckpt_in_flight = false;
                 w.ckpt_remaining = 0;
                 w.ckpt_start = -1;
@@ -843,8 +750,14 @@ private:
             w.since_ckpt = 0;
             w.compute_credit = 0;
             w.ckpt_committed = 0;
+            // The freed compute slot may make a data-complete staged task
+            // promotable this very slot (a sibling cancelled in the
+            // completion pass).
+            mark_due(q);
         }
         if (w.staged == id) {
+            if (inst.data_started && inst.data_remaining > 0)
+                fifo_erase({w.data_start, q, TransferKind::Data});
             w.staged = -1;
             w.data_start = -1;
         }
@@ -857,73 +770,87 @@ private:
         inst.data_remaining = pf_.t_data;
         if (to_pool && inst.kind == InstKind::Original) {
             inst.status = InstStatus::Pool;
+            pool_.insert(std::lower_bound(pool_.begin(), pool_.end(), id),
+                         id);
         } else {
             inst.status = InstStatus::Cancelled;
             --logical_live_[inst.logical];
         }
     }
 
+    // ---- bandwidth FIFO and due list ------------------------------------
+
+    /// The transfer a FIFO entry stands for: its remaining slot-units.
+    [[nodiscard]] int& remaining(const ActiveTransfer& tr) {
+        Worker& w = workers_[tr.proc];
+        if (tr.kind == TransferKind::Prog) return w.prog_remaining;
+        if (tr.kind == TransferKind::Data)
+            return instances_[w.staged].data_remaining;
+        return w.ckpt_remaining;
+    }
+
+    /// Files a transfer that starts this slot with slot-units left.  Its
+    /// start is the current slot, so it lands in the FIFO's tail, among the
+    /// other transfers started this slot in (proc, kind) order.
+    void fifo_insert(const ActiveTransfer& tr) {
+        fifo_.insert(std::upper_bound(fifo_.begin(), fifo_.end(), tr), tr);
+    }
+
+    /// Drops a cancelled transfer (crash, sibling cancellation, proactive
+    /// un-enrolment) that still had slot-units left.
+    void fifo_erase(const ActiveTransfer& tr) {
+        const auto it = std::lower_bound(fifo_.begin(), fifo_.end(), tr);
+        if (it != fifo_.end() && *it == tr) fifo_.erase(it);
+    }
+
+    /// Puts worker q on this slot's due list: something happened to it that
+    /// end_of_slot may have to materialize.
+    void mark_due(ProcId q) {
+        if (due_flag_[q]) return;
+        due_flag_[q] = 1;
+        due_.push_back(q);
+    }
+
     /// Phase 2a: advance in-flight transfers to/from UP workers, FIFO by
     /// start.  Checkpoint uploads ride the same queue as program and data
     /// downloads: every slot-unit of bandwidth comes out of the one `ncom`
-    /// budget regardless of direction.
-    /// Rebuilds `active_`: the slot's in-flight transfers to/from UP
-    /// workers in bandwidth-allocation order (FIFO by start, then proc,
-    /// then kind).  The first min(ncom, size) entries are the ones that
-    /// advance this slot — and, since the order is a pure function of state
-    /// that only simulated slots change, every slot of a steady stretch.
-    void build_active() {
-        active_.clear();
-        for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
-            if (w.state != ProcState::Up) continue;
-            if (w.prog_in_flight && w.prog_remaining > 0)
-                active_.push_back({w.prog_start, q, TransferKind::Prog});
-            if (w.staged != -1) {
-                const Instance& inst = instances_[w.staged];
-                if (inst.data_started && inst.data_remaining > 0)
-                    active_.push_back({w.data_start, q, TransferKind::Data});
-            }
-            if (w.ckpt_in_flight && w.ckpt_remaining > 0)
-                active_.push_back({w.ckpt_start, q, TransferKind::Ckpt});
-        }
-        std::sort(active_.begin(), active_.end(),
-                  [](const ActiveTransfer& a, const ActiveTransfer& b) {
-                      if (a.start != b.start) return a.start < b.start;
-                      if (a.proc != b.proc) return a.proc < b.proc;
-                      return a.kind < b.kind;
-                  });
-    }
-
+    /// budget regardless of direction.  Entries of RECLAIMED workers keep
+    /// their place but do not advance; a drained entry leaves the FIFO and
+    /// puts its worker on the due list.
     void advance_in_flight(int& budget) {
-        build_active();
-        for (const auto& tr : active_) {
-            if (budget == 0) break;
-            auto w = workers_[tr.proc];
-            if (tr.kind == TransferKind::Prog) {
-                --w.prog_remaining;
-                slot_flags_[tr.proc] |= kFlagProg;
-                record_recv(tr.proc, -2);
-            } else if (tr.kind == TransferKind::Data) {
-                --instances_[w.staged].data_remaining;
-                slot_flags_[tr.proc] |= kFlagData;
-                record_recv(tr.proc, instances_[w.staged].logical);
-            } else {
+        for (std::size_t i = 0; i < fifo_.size() && budget > 0;) {
+            const ActiveTransfer tr = fifo_[i];
+            if (workers_[tr.proc].state != ProcState::Up) {
+                ++i;
+                continue;
+            }
+            if (tr.kind == TransferKind::Ckpt) {
                 // Checkpoint upload: master-bound, so it is not a received
                 // action (the action trace records the receive/compute
                 // model the off-line validator checks) and not counted in
                 // transfer_slots (program + data); it has its own counter.
-                --w.ckpt_remaining;
                 slot_flags_[tr.proc] |= kFlagCkpt;
                 ++metrics_.checkpoint_slots;
-                ++transfers_this_slot_;
-                --budget;
-                continue;
+            } else if (tr.kind == TransferKind::Prog) {
+                slot_flags_[tr.proc] |= kFlagProg;
+                record_recv(tr.proc, -2);
+                ++metrics_.per_proc[tr.proc].transfer_slots;
+                ++metrics_.transfer_slots;
+            } else {
+                slot_flags_[tr.proc] |= kFlagData;
+                record_recv(tr.proc,
+                            instances_[workers_[tr.proc].staged].logical);
+                ++metrics_.per_proc[tr.proc].transfer_slots;
+                ++metrics_.transfer_slots;
             }
-            ++metrics_.per_proc[tr.proc].transfer_slots;
-            ++metrics_.transfer_slots;
             ++transfers_this_slot_;
             --budget;
+            if (--remaining(tr) > 0) {
+                ++i;
+            } else {
+                fifo_.erase(fifo_.begin() + static_cast<std::ptrdiff_t>(i));
+                mark_due(tr.proc);
+            }
         }
     }
 
@@ -935,7 +862,7 @@ private:
     void start_checkpoints(long long t, int& budget) {
         if (!config_.checkpoint) return;
         for (int q = 0; q < pf_.size(); ++q) {
-            auto w = workers_[q];
+            Worker& w = workers_[q];
             if (w.state != ProcState::Up || w.computing == -1 ||
                 w.ckpt_in_flight)
                 continue;
@@ -964,6 +891,10 @@ private:
             w.ckpt_start = t;
             w.ckpt_progress = progress;
             w.since_ckpt = 0;
+            if (w.ckpt_remaining > 0)
+                fifo_insert({t, q, TransferKind::Ckpt});
+            else
+                mark_due(q);
             ++metrics_.checkpoint_slots;
             ++transfers_this_slot_;
             --budget;
@@ -1004,7 +935,7 @@ private:
     void start_pending_data(long long t, int& budget) {
         pending_.clear();
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             if (w.state != ProcState::Up || !w.has_program || w.staged == -1)
                 continue;
             const Instance& inst = instances_[w.staged];
@@ -1020,19 +951,18 @@ private:
                                  : a < b;
                   });
         for (ProcId q : pending_) {
-            auto w = workers_[q];
+            Worker& w = workers_[q];
             Instance& inst = instances_[w.staged];
             if (pf_.t_data == 0) { // zero-cost data: completes instantly
                 inst.data_started = true;
                 inst.data_done = true;
+                mark_due(q);
                 emit(EventKind::DataStart, q, inst.logical,
                      inst.kind == InstKind::Replica);
                 continue;
             }
             if (budget == 0) break;
-            inst.data_started = true;
-            w.data_start = t;
-            --inst.data_remaining;
+            start_data(inst, q, t);
             ++metrics_.per_proc[q].transfer_slots;
             ++metrics_.transfer_slots;
             ++transfers_this_slot_;
@@ -1051,22 +981,13 @@ private:
         proactive_reassess();
         if (budget == 0 && pf_.t_data > 0) return;
 
-        // Pool originals needing a (re-)plan.
-        pool_.clear();
-        for (int id = 0; id < static_cast<int>(instances_.size()); ++id) {
-            Instance& inst = instances_[id];
-            if (inst.status != InstStatus::Pool) continue;
-            if (config_.plan_class != SchedulerClass::Passive)
-                inst.planned = kNoProc;
-            pool_.push_back(id);
-        }
-
-        int up_count = 0;
-        for (const ProcState s : workers_.state)
-            if (s == ProcState::Up) ++up_count;
+        // Pool originals needing a (re-)plan: non-passive classes drop last
+        // round's plan.
+        if (config_.plan_class != SchedulerClass::Passive)
+            for (const int id : pool_) instances_[id].planned = kNoProc;
 
         const bool may_replicate =
-            config_.replica_cap > 0 && up_count > remaining_logical_;
+            config_.replica_cap > 0 && up_count_ > remaining_logical_;
         const bool must_plan =
             std::any_of(pool_.begin(), pool_.end(),
                         [this](int id) {
@@ -1074,17 +995,16 @@ private:
                         }) ||
             may_replicate;
         if (pool_.empty() && !may_replicate) return;
-        if (up_count == 0) return;
+        if (up_count_ == 0) return;
 
-        // Build the heuristic's snapshot: one sweep over the SoA columns
-        // the scoring loops read (state, staged, speed), contiguous per
-        // field.
+        // Build the heuristic's snapshot.
         views_.resize(static_cast<std::size_t>(pf_.size()));
         for (int q = 0; q < pf_.size(); ++q) {
+            const Worker& w = workers_[q];
             ProcView& v = views_[q];
-            v.state = workers_.state[q];
-            v.has_program = workers_.has_program[q] != 0;
-            v.buffer_free = (workers_.staged[q] == -1);
+            v.state = w.state;
+            v.has_program = w.has_program;
+            v.buffer_free = (w.staged == -1);
             v.w = pf_.w[q];
             v.delay = delay_of(q);
             v.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
@@ -1097,7 +1017,6 @@ private:
         view.remaining_tasks = static_cast<int>(pool_.size());
 
         nq_.assign(static_cast<std::size_t>(pf_.size()), 0);
-        plan_order_.clear();
         replica_plan_.clear();
 
         if (must_plan) {
@@ -1105,23 +1024,25 @@ private:
                 config_.tracer->instant_engine(t, "sched round");
             sched.begin_round(view);
 
-            eligible_.clear();
-            for (int q = 0; q < pf_.size(); ++q)
-                if (workers_[q].state == ProcState::Up) eligible_.push_back(q);
-
             // 1. Original tasks, in logical order, one by one.  A processor
             // already holding a live sibling of the task is excluded
             // (running two copies of a task on one host is pure waste).
+            // With no live sibling — the pool original is the task's only
+            // live copy — every UP worker (eligible_) is a candidate.
             for (int id : pool_) {
                 Instance& inst = instances_[id];
                 if (inst.planned != kNoProc) continue; // sticky, already set
-                scratch_.clear();
-                for (ProcId q : eligible_)
-                    if (!holds_logical(q, inst.logical))
-                        scratch_.push_back(q);
-                if (scratch_.empty()) continue;
+                std::span<const ProcId> candidates = eligible_;
+                if (logical_live_[inst.logical] > 1) {
+                    scratch_.clear();
+                    for (ProcId q : eligible_)
+                        if (!holds_logical(q, inst.logical))
+                            scratch_.push_back(q);
+                    if (scratch_.empty()) continue;
+                    candidates = scratch_;
+                }
                 const ProcId q =
-                    sched.select(view, scratch_, nq_, sched_rng_);
+                    sched.select(view, candidates, nq_, sched_rng_);
                 inst.planned = q;
                 inst.plan_seq = plan_counter_++;
                 if (nq_[q]++ == 0) ++view.nactive;
@@ -1207,7 +1128,7 @@ private:
         // data + compute, inflated by expected RECLAIMED detours.
         double best_alt = std::numeric_limits<double>::infinity();
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             if (w.state != ProcState::Up || w.staged != -1 ||
                 w.computing != -1)
                 continue;
@@ -1224,7 +1145,7 @@ private:
         if (std::isinf(best_alt)) return;
 
         for (int q = 0; q < pf_.size(); ++q) {
-            auto w = workers_[q];
+            Worker& w = workers_[q];
             if (w.state != ProcState::Reclaimed) continue;
             if (w.staged == -1 && w.computing == -1) continue;
             const auto& m = (*beliefs_)[q].matrix();
@@ -1259,7 +1180,7 @@ private:
     /// transfer.  Returns true when the instance got committed.
     bool try_commit(int id, ProcId q, long long t, int& budget) {
         Instance& inst = instances_[id];
-        auto w = workers_[q];
+        Worker& w = workers_[q];
         if (w.state != ProcState::Up || w.staged != -1) return false;
         if (w.has_program) {
             // Needs a data transfer right away.
@@ -1267,15 +1188,14 @@ private:
                 stage(inst, id, q, t);
                 inst.data_started = true;
                 inst.data_done = true;
+                mark_due(q);
                 emit(EventKind::DataStart, q, inst.logical,
                      inst.kind == InstKind::Replica);
                 return true;
             }
             if (budget == 0) return false;
             stage(inst, id, q, t);
-            inst.data_started = true;
-            w.data_start = t;
-            --inst.data_remaining;
+            start_data(inst, q, t);
             ++metrics_.per_proc[q].transfer_slots;
             ++metrics_.transfer_slots;
             ++transfers_this_slot_;
@@ -1297,6 +1217,10 @@ private:
             w.prog_in_flight = true;
             w.prog_remaining = pf_.t_prog - 1; // this slot transfers already
             w.prog_start = t;
+            if (w.prog_remaining > 0)
+                fifo_insert({t, q, TransferKind::Prog});
+            else
+                mark_due(q);
             ++metrics_.per_proc[q].transfer_slots;
             ++metrics_.transfer_slots;
             ++transfers_this_slot_;
@@ -1314,21 +1238,38 @@ private:
         return true;
     }
 
+    /// Commits `inst` to worker q's buffer.  An original leaves the pool
+    /// list; a replica was never on it (it is materialized for the commit).
     void stage(Instance& inst, int id, ProcId q, long long t) {
+        if (inst.kind == InstKind::Original) {
+            const auto it = std::lower_bound(pool_.begin(), pool_.end(), id);
+            if (it != pool_.end() && *it == id) pool_.erase(it);
+        }
         inst.status = InstStatus::Committed;
         inst.proc = q;
         inst.commit_slot = t;
         workers_[q].staged = id;
     }
 
+    /// Starts the data transfer of q's staged instance; this slot already
+    /// transfers one unit.
+    void start_data(Instance& inst, ProcId q, long long t) {
+        inst.data_started = true;
+        workers_[q].data_start = t;
+        if (--inst.data_remaining > 0)
+            fifo_insert({t, q, TransferKind::Data});
+        else
+            mark_due(q);
+    }
+
     void advance_compute() {
         for (int q = 0; q < pf_.size(); ++q) {
-            auto w = workers_[q];
+            Worker& w = workers_[q];
             if (w.state != ProcState::Up || w.computing == -1) continue;
             // Computation pauses while the worker's snapshot uploads — the
             // classic checkpoint overhead the policies must amortize.
             if (w.ckpt_in_flight) continue;
-            --w.compute_remaining;
+            if (--w.compute_remaining <= 0) mark_due(q);
             ++w.since_ckpt;
             ++metrics_.compute_slots;
             ++metrics_.per_proc[q].compute_slots;
@@ -1361,11 +1302,16 @@ private:
         }
     }
 
-    /// Phase 4: completions, promotions, iteration boundary.  Returns true
-    /// when the final iteration finished during this slot.
+    /// Phase 4: completions, promotions, iteration boundary.  Visits only
+    /// the slot's due workers, in processor order: the phase that drained a
+    /// transfer or computation, staged data-complete work, or freed a
+    /// compute slot put its worker on the due list.  Returns true when the
+    /// final iteration finished during this slot.
     bool end_of_slot(long long t) {
-        for (int q = 0; q < pf_.size(); ++q) {
-            auto w = workers_[q];
+        if (config_.audit) audit_due(/*promotion_only=*/false);
+        std::sort(due_.begin(), due_.end());
+        for (const ProcId q : due_) {
+            Worker& w = workers_[q];
             if (w.prog_in_flight && w.prog_remaining == 0) {
                 w.prog_in_flight = false;
                 w.has_program = true;
@@ -1393,15 +1339,21 @@ private:
                 w.ckpt_progress = 0;
             }
         }
-        // Task completions (may cancel siblings staged on other workers).
-        for (int q = 0; q < pf_.size(); ++q) {
-            auto w = workers_[q];
+        // Task completions (may cancel siblings on other workers, which
+        // joins them to the due list: a freed compute slot can promote).
+        const std::size_t completing = due_.size();
+        for (std::size_t i = 0; i < completing; ++i) {
+            const Worker& w = workers_[due_[i]];
             if (w.computing == -1 || w.compute_remaining > 0) continue;
             complete_instance(w.computing);
         }
+        if (due_.size() > completing)
+            std::sort(due_.begin(), due_.end());
+        if (config_.audit) audit_due(/*promotion_only=*/true);
         // Promotions: a data-complete staged task starts computing next slot.
-        for (int q = 0; q < pf_.size(); ++q) {
-            auto w = workers_[q];
+        for (const ProcId q : due_) {
+            Worker& w = workers_[q];
+            due_flag_[q] = 0;
             if (w.computing != -1 || w.staged == -1) continue;
             Instance& inst = instances_[w.staged];
             if (!inst.data_done) continue;
@@ -1432,6 +1384,7 @@ private:
             emit(EventKind::ComputeStart, q, instances_[w.computing].logical,
                  instances_[w.computing].kind == InstKind::Replica);
         }
+        due_.clear();
         if (remaining_logical_ == 0) {
             emit(EventKind::IterationComplete, kNoProc);
             ++iterations_done_;
@@ -1444,7 +1397,7 @@ private:
 
     void complete_instance(int id) {
         Instance& inst = instances_[id];
-        auto w = workers_[inst.proc];
+        Worker& w = workers_[inst.proc];
         inst.status = InstStatus::Done;
         w.computing = -1;
         w.compute_remaining = 0;
@@ -1467,6 +1420,8 @@ private:
             if (sib.status == InstStatus::Pool) {
                 sib.status = InstStatus::Cancelled;
                 --logical_live_[sib.logical];
+                pool_.erase(
+                    std::lower_bound(pool_.begin(), pool_.end(), sid));
             } else if (sib.status == InstStatus::Committed) {
                 emit(EventKind::ReplicaCancelled, sib.proc, sib.logical,
                      sib.kind == InstKind::Replica);
@@ -1618,7 +1573,7 @@ private:
     /// committed compute (plus an in-flight checkpoint upload, which blocks
     /// the compute pipeline), assuming the worker stays UP, contention-free.
     [[nodiscard]] int delay_of(ProcId q) const {
-        const auto w = workers_[q];
+        const Worker& w = workers_[q];
         int d = 0;
         if (!w.has_program)
             d += w.prog_in_flight ? w.prog_remaining : pf_.t_prog;
@@ -1630,7 +1585,7 @@ private:
     }
 
     [[nodiscard]] bool holds_logical(ProcId q, int logical) const {
-        const auto w = workers_[q];
+        const Worker& w = workers_[q];
         if (w.staged != -1 && instances_[w.staged].logical == logical)
             return true;
         if (w.computing != -1 && instances_[w.computing].logical == logical)
@@ -1652,6 +1607,67 @@ private:
             throw std::logic_error("audit: bandwidth bound exceeded");
     }
 
+    /// True when worker q meets one of end_of_slot's predicates: a drained
+    /// transfer or computation to materialize, or a data-complete staged
+    /// task with a free compute slot (only that, with `promotion_only`).
+    [[nodiscard]] bool meets_end_of_slot(ProcId q, bool promotion_only) const {
+        const Worker& w = workers_[q];
+        const Instance* staged =
+            w.staged != -1 ? &instances_[w.staged] : nullptr;
+        if (w.computing == -1 && staged && staged->data_done) return true;
+        if (promotion_only) return false;
+        return (w.prog_in_flight && w.prog_remaining == 0) ||
+               (staged && staged->data_started &&
+                staged->data_remaining == 0 && !staged->data_done) ||
+               (w.ckpt_in_flight && w.ckpt_remaining == 0) ||
+               (w.computing != -1 && w.compute_remaining <= 0);
+    }
+
+    /// Audit: every worker end_of_slot's next pass must visit is due.
+    void audit_due(bool promotion_only) const {
+        for (int q = 0; q < pf_.size(); ++q)
+            if (meets_end_of_slot(q, promotion_only) && !due_flag_[q])
+                throw std::logic_error(
+                    "audit: due list misses a worker end_of_slot must visit");
+    }
+
+    /// Audit cross-check of the incremental slot bookkeeping (SNIPPETS.md's
+    /// CleanUpdate pattern): recomputes the bandwidth FIFO, the pool list,
+    /// the UP list and the due set from scratch and throws on any drift.
+    void audit_incremental() const {
+        std::vector<ActiveTransfer> fifo;
+        for (int q = 0; q < pf_.size(); ++q) {
+            const Worker& w = workers_[q];
+            if (w.prog_in_flight && w.prog_remaining > 0)
+                fifo.push_back({w.prog_start, q, TransferKind::Prog});
+            if (w.staged != -1) {
+                const Instance& inst = instances_[w.staged];
+                if (inst.data_started && inst.data_remaining > 0)
+                    fifo.push_back({w.data_start, q, TransferKind::Data});
+            }
+            if (w.ckpt_in_flight && w.ckpt_remaining > 0)
+                fifo.push_back({w.ckpt_start, q, TransferKind::Ckpt});
+        }
+        std::sort(fifo.begin(), fifo.end());
+        if (fifo != fifo_)
+            throw std::logic_error("audit: bandwidth FIFO drift");
+        std::vector<int> pool;
+        for (int id = 0; id < static_cast<int>(instances_.size()); ++id)
+            if (instances_[id].status == InstStatus::Pool) pool.push_back(id);
+        if (pool != pool_) throw std::logic_error("audit: pool list drift");
+        std::vector<ProcId> up;
+        for (int q = 0; q < pf_.size(); ++q)
+            if (workers_[q].state == ProcState::Up) up.push_back(q);
+        if (up != eligible_ || up_count_ != static_cast<int>(up.size()))
+            throw std::logic_error("audit: UP list drift");
+        if (!due_.empty())
+            throw std::logic_error("audit: due list not drained");
+        for (int q = 0; q < pf_.size(); ++q)
+            if (due_flag_[q] || meets_end_of_slot(q, false))
+                throw std::logic_error(
+                    "audit: end-of-slot work left pending past the slot");
+    }
+
     void audit_invariants() const {
         int live_from_counts = 0;
         for (int lt = 0; lt < config_.tasks_per_iteration; ++lt) {
@@ -1667,7 +1683,7 @@ private:
         if (live_scan != live_from_counts)
             throw std::logic_error("audit: live-instance count drift");
         for (int q = 0; q < pf_.size(); ++q) {
-            const auto w = workers_[q];
+            const Worker& w = workers_[q];
             if (w.prog_in_flight && w.has_program)
                 throw std::logic_error("audit: program both held and in flight");
             if (w.staged != -1) {
@@ -1732,9 +1748,21 @@ private:
     util::Rng sched_rng_{0};
     const std::vector<markov::MarkovChain>* beliefs_ = nullptr;
 
-    WorkerSoA workers_;
-    int up_count_ = 0;
+    std::vector<Worker> workers_;
+    std::vector<ProcId> eligible_; ///< UP workers in processor order
+    int up_count_ = 0;             ///< eligible_.size()
     std::vector<Instance> instances_;
+    /// Ids of the instances in the pool (status Pool; originals only), in
+    /// id order — kept as statuses change instead of rescanned per round.
+    std::vector<int> pool_;
+    /// The bandwidth FIFO: every in-flight program/data/checkpoint transfer
+    /// with slot-units left, sorted by (start, proc, kind).  A transfer is
+    /// inserted when it starts and erased when it drains or is cancelled;
+    /// RECLAIMED workers' entries keep their place but do not advance.
+    std::vector<ActiveTransfer> fifo_;
+    /// Workers end_of_slot must visit this slot (due_flag_ dedupes).
+    std::vector<ProcId> due_;
+    std::vector<std::uint8_t> due_flag_;
     std::vector<TaskCheckpoint> ckpt_store_; ///< per logical task, per iter
     std::vector<bool> logical_done_;
     std::vector<int> logical_live_; ///< live (pool+committed) copies per task
@@ -1748,17 +1776,13 @@ private:
     RunMetrics metrics_;
 
     // Scratch buffers reused across slots to avoid per-slot allocation.
-    std::vector<ActiveTransfer> active_;
     std::vector<ProcId> pending_;
-    std::vector<int> pool_;
     std::vector<ProcView> views_;
     std::vector<int> nq_;
-    std::vector<ProcId> eligible_;
     std::vector<ProcId> scratch_;
     std::vector<int> commit_order_;
     std::vector<std::pair<int, ProcId>> replica_plan_;
     std::vector<int> planned_logical_;
-    std::vector<int> plan_order_;
     std::vector<int> ff_recv_;    ///< fast-forward: constant recv per proc
     std::vector<int> ff_compute_; ///< fast-forward: constant compute per proc
 };

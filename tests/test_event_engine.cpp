@@ -3,26 +3,35 @@
 /// RunMetrics — every counter, not just the action traces — plus identical
 /// timelines and action traces versus the reference slot loop, across
 /// Markov, semi-Markov, and checkpointed regimes, with audit mode
-/// re-verifying every elided range.  Also pins the slot-0 dead-stretch fix:
-/// a realization that starts with every worker absent is skipped in full,
-/// including slot 0, by both cores.
+/// re-verifying every elided range.  A seeded sweep extends the equality to
+/// every scheduler class, replica cap, checkpoint policy, bandwidth and
+/// all-dead start.  Also pins the slot-0 dead-stretch fix: a realization
+/// that starts with every worker absent is skipped in full, including slot
+/// 0, by both cores.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <exception>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/simulation_builder.hpp"
 #include "ckpt/registry.hpp"
 #include "core/factory.hpp"
+#include "exp/scenario.hpp"
+#include "markov/availability.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/events.hpp"
 #include "sim/timeline.hpp"
 #include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 #include "trace/semi_markov.hpp"
 #include "trace/sojourn.hpp"
+#include "util/rng.hpp"
 
 namespace vc = volsched::core;
 namespace vk = volsched::ckpt;
@@ -63,6 +72,9 @@ void expect_same_metrics(const vs::RunMetrics& ev, const vs::RunMetrics& sl,
     EXPECT_EQ(ev.dead_slots_skipped, sl.dead_slots_skipped) << label;
     EXPECT_EQ(ev.proactive_cancellations, sl.proactive_cancellations)
         << label;
+    EXPECT_EQ(ev.cache_hits, sl.cache_hits) << label;
+    EXPECT_EQ(ev.cache_misses, sl.cache_misses) << label;
+    EXPECT_EQ(ev.cache_invalidations, sl.cache_invalidations) << label;
     EXPECT_EQ(ev.iteration_ends, sl.iteration_ends) << label;
     ASSERT_EQ(ev.per_proc.size(), sl.per_proc.size()) << label;
     for (std::size_t q = 0; q < ev.per_proc.size(); ++q) {
@@ -289,4 +301,218 @@ TEST(EventEngine, InitialDeadStretchIsSkippedInFullByBothCores) {
         expect_same_timeline(out[arm].timeline, out[2].timeline, label);
         expect_same_actions(out[arm].actions, out[2].actions, label);
     }
+}
+
+namespace {
+
+/// One configuration of the differential sweep below.  `seed` derives
+/// everything the axes leave open — platform, chains, task count, spec,
+/// checkpoint cost, dead-prefix lengths — so a failure's label is a
+/// complete reproducer.
+struct SweepConfig {
+    std::uint64_t seed = 0;
+    vs::SchedulerClass plan_class = vs::SchedulerClass::Dynamic;
+    int replica_cap = 0;
+    bool daly = false;
+    int ncom = 1;
+    bool dead_start = false;
+};
+
+std::string describe(const SweepConfig& c) {
+    const char* cls = c.plan_class == vs::SchedulerClass::Dynamic ? "dynamic"
+                      : c.plan_class == vs::SchedulerClass::Passive
+                          ? "passive"
+                          : "proactive";
+    std::ostringstream os;
+    os << "sweep config seed=0x" << std::hex << c.seed << std::dec
+       << " class=" << cls << " cap=" << c.replica_cap
+       << " ckpt=" << (c.daly ? "daly" : "none") << " ncom=" << c.ncom
+       << (c.dead_start ? " dead-start" : "");
+    return os.str();
+}
+
+/// Tallies that show the sweep reached the paths it is meant to cover.
+struct SweepCoverage {
+    long long elided = 0;
+    long long dead_skipped = 0;
+    long long replicas = 0;
+    long long checkpoints = 0;
+    long long proactive = 0;
+};
+
+constexpr int kSweepProcs = 4;
+
+/// Runs one sweep config under both cores with audit on and checks full
+/// metrics, timeline and action-trace equality.
+void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
+    volsched::util::Rng rng(c.seed);
+    vs::Platform pf;
+    for (int q = 0; q < kSweepProcs; ++q)
+        pf.w.push_back(static_cast<int>(rng.uniform_int(2, 12)));
+    pf.ncom = c.ncom;
+    pf.t_prog = static_cast<int>(rng.uniform_int(0, 4));
+    pf.t_data = static_cast<int>(rng.uniform_int(0, 2));
+    std::vector<vm::MarkovChain> chains;
+    for (int q = 0; q < kSweepProcs; ++q) {
+        const double uu = rng.uniform(0.80, 0.97);
+        const double ur = rng.uniform(0.0, 0.6) * (1.0 - uu);
+        const double ru = rng.uniform(0.10, 0.50);
+        const double rr = rng.uniform(0.0, 0.9) * (1.0 - ru);
+        const double du = rng.uniform(0.10, 0.60);
+        const double dr = rng.uniform(0.0, 0.3) * (1.0 - du);
+        chains.push_back(vt::chain3(uu, ur, ru, rr, du, dr));
+    }
+    const int tasks = static_cast<int>(rng.uniform_int(1, kSweepProcs + 2));
+    static const std::vector<std::string> specs = {
+        "mct", "emct", "emct*", "lw", "ud*", "random", "random1w"};
+    const std::string& spec = specs[rng.uniform_int(0, specs.size() - 1)];
+    const auto policy =
+        c.daly ? vk::CheckpointRegistry::instance().make("daly") : nullptr;
+    vs::EngineConfig cfg = vt::audited_config(2, tasks, c.replica_cap,
+                                              /*max_slots=*/200'000);
+    cfg.plan_class = c.plan_class;
+    cfg.checkpoint = policy.get();
+    cfg.checkpoint_cost = static_cast<int>(rng.uniform_int(0, 4));
+    // All-dead starts: every worker opens DOWN or RECLAIMED for a while,
+    // then follows its chain (the recorded trace loops past its end).
+    std::vector<volsched::trace::RecordedTrace> traces;
+    if (c.dead_start) {
+        for (int q = 0; q < kSweepProcs; ++q) {
+            const auto absent = rng.bernoulli(0.5) ? vm::ProcState::Down
+                                                   : vm::ProcState::Reclaimed;
+            volsched::trace::RecordedTrace tr;
+            tr.states.assign(rng.uniform_int(1, 40), absent);
+            const auto tail = volsched::trace::record(
+                vm::MarkovAvailability(chains[q]), 3000, rng);
+            tr.states.insert(tr.states.end(), tail.states.begin(),
+                             tail.states.end());
+            traces.push_back(std::move(tr));
+        }
+    }
+    const std::string label = describe(c) + " spec=" + spec;
+    Outcome out[2];
+    for (int event = 0; event < 2; ++event) {
+        auto builder = vs::Simulation::builder();
+        builder.platform(pf);
+        if (c.dead_start)
+            builder.replay(traces).beliefs(chains);
+        else
+            builder.markov(chains);
+        auto sim = builder.config(cfg)
+                       .timeline(&out[event].timeline)
+                       .actions(&out[event].actions)
+                       .event_driven(event == 1)
+                       .seed(c.seed)
+                       .build();
+        const auto sched = vc::make_scheduler(spec);
+        try {
+            out[event].m = sim.run(*sched);
+        } catch (const std::exception& e) {
+            FAIL() << label << (event ? " (event core)" : " (slot loop)")
+                   << ": " << e.what();
+        }
+    }
+    EXPECT_EQ(out[0].m.slots_elided, 0) << label;
+    expect_same_metrics(out[1].m, out[0].m, label);
+    expect_same_timeline(out[1].timeline, out[0].timeline, label);
+    expect_same_actions(out[1].actions, out[0].actions, label);
+    cov.elided += out[1].m.slots_elided;
+    if (c.dead_start) cov.dead_skipped += out[1].m.dead_slots_skipped;
+    cov.replicas += out[1].m.replicas_committed;
+    cov.checkpoints += out[1].m.checkpoints_committed;
+    cov.proactive += out[1].m.proactive_cancellations;
+}
+
+} // namespace
+
+TEST(EventEngine, SeededSweepMatchesSlotLoopAcrossConfigSpace) {
+    // Every plan class x replica cap 0..2 x checkpoint none/daly x ncom
+    // 1..p x Markov-or-all-dead start, each with its own seed-derived
+    // platform, chains and spec.  A failure prints the config's label, a
+    // one-line reproducer.
+    constexpr std::uint64_t kMasterSeed = 0x5745455053ULL; // "SWEEP"
+    SweepCoverage cov;
+    std::uint64_t index = 0;
+    for (const auto cls :
+         {vs::SchedulerClass::Dynamic, vs::SchedulerClass::Passive,
+          vs::SchedulerClass::Proactive})
+        for (int cap = 0; cap <= 2; ++cap)
+            for (const bool daly : {false, true})
+                for (int ncom = 1; ncom <= kSweepProcs; ++ncom)
+                    for (const bool dead : {false, true}) {
+                        SweepConfig c;
+                        c.seed = volsched::util::mix_seed(kMasterSeed,
+                                                          index++);
+                        c.plan_class = cls;
+                        c.replica_cap = cap;
+                        c.daly = daly;
+                        c.ncom = ncom;
+                        c.dead_start = dead;
+                        run_sweep_config(c, cov);
+                    }
+    EXPECT_GT(cov.elided, 0) << "the event core never elided a slot";
+    EXPECT_GT(cov.dead_skipped, 0) << "no dead start was skipped";
+    EXPECT_GT(cov.replicas, 0) << "no replica was ever committed";
+    EXPECT_GT(cov.checkpoints, 0) << "no checkpoint was ever committed";
+    EXPECT_GT(cov.proactive, 0) << "the proactive class never un-enrolled";
+}
+
+TEST(EventEngine, SiblingCancellationPromotesStagedTaskInTheSameSlot) {
+    // The completion pass can cancel a replica *computing* on another
+    // worker; when that worker holds a data-complete staged task, the
+    // freed compute slot promotes it in the same slot.  Nothing else marks
+    // such a worker for end_of_slot, so this pins that the cancellation
+    // does (audit mode cross-checks the due list every slot) and that both
+    // cores agree.  The scan asserts the pattern really occurs: a
+    // ReplicaCancelled and a ComputeStart on one worker in one slot, with
+    // no completion of its own there.
+    int hits = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const auto rs = volsched::exp::realize(vt::small_scenario(seed, 6, 3));
+        for (const std::string spec : {"mct", "emct*"}) {
+            vs::EventLog logs[2];
+            Outcome out[2];
+            for (int event = 0; event < 2; ++event) {
+                vs::EngineConfig cfg = vt::audited_config(3, 3);
+                cfg.event_driven = (event == 1);
+                cfg.events = &logs[event];
+                cfg.timeline = &out[event].timeline;
+                cfg.actions = &out[event].actions;
+                const auto sim = vs::Simulation::from_chains(
+                    rs.platform, rs.chains, cfg, seed);
+                const auto sched = vc::make_scheduler(spec);
+                out[event].m = sim.run(*sched);
+            }
+            const std::string label =
+                "seed " + std::to_string(seed) + "/" + spec;
+            expect_same_metrics(out[1].m, out[0].m, label);
+            expect_same_actions(out[1].actions, out[0].actions, label);
+            const auto events = logs[1].events();
+            ASSERT_EQ(events.size(), logs[0].events().size()) << label;
+            for (std::size_t i = 0; i < events.size(); ++i) {
+                const vs::Event& a = events[i];
+                const vs::Event& b = logs[0].events()[i];
+                ASSERT_TRUE(a.slot == b.slot && a.kind == b.kind &&
+                            a.proc == b.proc && a.logical == b.logical)
+                    << label << ": event logs diverge at " << i;
+            }
+            for (std::size_t i = 0; i < events.size(); ++i) {
+                if (events[i].kind != vs::EventKind::ReplicaCancelled)
+                    continue;
+                bool promoted = false;
+                bool own_completion = false;
+                for (const vs::Event& e : events) {
+                    if (e.slot != events[i].slot || e.proc != events[i].proc)
+                        continue;
+                    promoted |= e.kind == vs::EventKind::ComputeStart;
+                    own_completion |= e.kind == vs::EventKind::TaskComplete ||
+                                      e.kind == vs::EventKind::DataComplete;
+                }
+                if (promoted && !own_completion) ++hits;
+            }
+        }
+    }
+    EXPECT_GT(hits, 0) << "no sibling cancellation freed a compute slot for "
+                          "a staged task; the regime no longer covers the "
+                          "case";
 }
