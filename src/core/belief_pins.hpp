@@ -30,10 +30,14 @@
 ///
 /// Handles are validated at pin time; a chain destroyed and rebuilt at
 /// the same address *between* pins is caught by the pin's matrix check,
-/// per the cache's invalidation contract.
+/// per the cache's invalidation contract.  A worker's belief rarely
+/// changes between rounds, so repin() keeps last round's handle when
+/// ExpectationCache::still_pinned() vouches for it — pin()'s validation
+/// without the hash probe — and the cache has not been cleared since.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "markov/expectation_cache.hpp"
@@ -46,6 +50,12 @@ struct BeliefPins {
     void repin(markov::ExpectationCache& cache, const sim::SchedView& view) {
         pinned_view = &view;
         const std::size_t n = view.procs.size();
+        // Handles into another cache, or from before a clear(), may point
+        // at freed entries.
+        if (pinned_cache != &cache || pinned_epoch != cache.epoch())
+            handles.clear();
+        pinned_cache = &cache;
+        pinned_epoch = cache.epoch();
         handles.resize(n);
         beliefs.resize(n);
         w.resize(n);
@@ -55,9 +65,10 @@ struct BeliefPins {
         for (std::size_t q = 0; q < n; ++q) {
             const sim::ProcView& pv = view.procs[q];
             beliefs[q] = pv.belief;
-            handles[q] = pv.belief != nullptr
-                             ? cache.pin(*pv.belief)
-                             : markov::ExpectationCache::Handle{};
+            if (pv.belief == nullptr)
+                handles[q] = markov::ExpectationCache::Handle{};
+            else if (!cache.still_pinned(handles[q], *pv.belief))
+                handles[q] = cache.pin(*pv.belief);
             w[q] = static_cast<double>(pv.w);
             delay[q] = static_cast<double>(pv.delay);
             step_plain[q] = std::max(t_data, w[q]);
@@ -78,6 +89,9 @@ struct BeliefPins {
     std::vector<double> delay;
     std::vector<double> step_plain;
     const sim::SchedView* pinned_view = nullptr;
+    /// The cache and epoch the handles belong to.
+    const markov::ExpectationCache* pinned_cache = nullptr;
+    std::uint64_t pinned_epoch = 0;
 };
 
 } // namespace volsched::core

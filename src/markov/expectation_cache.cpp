@@ -1,20 +1,6 @@
 #include "markov/expectation_cache.hpp"
 
 namespace volsched::markov {
-namespace {
-
-/// Exact (bitwise-equality) matrix comparison: invalidation must trigger on
-/// *any* change, and probabilities are never NaN in a validated chain.
-bool same_matrix(const TransitionMatrix& a,
-                 const TransitionMatrix& b) noexcept {
-    return a.p_uu() == b.p_uu() && a.p_ur() == b.p_ur() &&
-           a.p_ud() == b.p_ud() && a.p_ru() == b.p_ru() &&
-           a.p_rr() == b.p_rr() && a.p_rd() == b.p_rd() &&
-           a.p_du() == b.p_du() && a.p_dr() == b.p_dr() &&
-           a.p_dd() == b.p_dd();
-}
-
-} // namespace
 
 ExpectationCache::Entry& ExpectationCache::entry(const MarkovChain& chain) {
     // MRU fast path: one score evaluation typically reads two or three
@@ -115,6 +101,7 @@ void ExpectationCache::clear() noexcept {
     mru_chain_ = nullptr;
     mru_entry_ = nullptr;
     entries_.clear();
+    ++epoch_;
     hits_ = 0;
     misses_ = 0;
     invalidations_ = 0;

@@ -85,6 +85,22 @@ public:
         return h;
     }
 
+    /// Bumped by clear(), which frees every entry: a handle pinned at an
+    /// earlier epoch may dangle and must not be passed to still_pinned().
+    [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
+
+    /// True when `h` — pinned in the current epoch() — is exactly what
+    /// pin(chain) would return now: a cache-backed handle for this chain
+    /// address whose entry's matrix snapshot still equals the chain's
+    /// matrix.  That is pin()'s own validation minus the hash probe, so a
+    /// caller re-pinning an unchanged belief every round may keep `h`.
+    /// Counts nothing, like pin().
+    [[nodiscard]] bool still_pinned(Handle h,
+                                    const MarkovChain& chain) const noexcept {
+        return !bypass_ && h.entry != nullptr && h.chain == &chain &&
+               same_matrix(h.entry->matrix, chain.matrix());
+    }
+
     /// Lemma 1 P+ (== markov::p_plus bit-for-bit).
     double p_plus(const MarkovChain& chain);
     /// std::log(p_plus): -infinity when P+ == 0.  Cached so LW's score
@@ -250,6 +266,18 @@ private:
 
     Entry& entry(const MarkovChain& chain);
 
+    /// Exact (bitwise-equality) matrix comparison: invalidation must
+    /// trigger on *any* change, and probabilities are never NaN in a
+    /// validated chain.
+    static bool same_matrix(const TransitionMatrix& a,
+                            const TransitionMatrix& b) noexcept {
+        return a.p_uu() == b.p_uu() && a.p_ur() == b.p_ur() &&
+               a.p_ud() == b.p_ud() && a.p_ru() == b.p_ru() &&
+               a.p_rr() == b.p_rr() && a.p_rd() == b.p_rd() &&
+               a.p_du() == b.p_du() && a.p_dr() == b.p_dr() &&
+               a.p_dd() == b.p_dd();
+    }
+
     double scalar(Entry& e, Scalar which) {
         if (e.ready[which]) {
             ++hits_;
@@ -315,6 +343,7 @@ private:
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t invalidations_ = 0;
+    std::uint64_t epoch_ = 0;
 
     static inline bool bypass_ = false;
 };

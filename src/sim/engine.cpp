@@ -1631,9 +1631,9 @@ private:
                     "audit: due list misses a worker end_of_slot must visit");
     }
 
-    /// Audit cross-check of the incremental slot bookkeeping (SNIPPETS.md's
-    /// CleanUpdate pattern): recomputes the bandwidth FIFO, the pool list,
-    /// the UP list and the due set from scratch and throws on any drift.
+    /// Audit cross-check of the incremental slot bookkeeping: recomputes
+    /// the bandwidth FIFO, the pool list, the UP list and the due set from
+    /// scratch and throws on any drift.
     void audit_incremental() const {
         std::vector<ActiveTransfer> fifo;
         for (int q = 0; q < pf_.size(); ++q) {

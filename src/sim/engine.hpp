@@ -4,7 +4,8 @@
 /// Section 3: master-worker iterative application, bounded multi-port
 /// master bandwidth, 3-state volatile workers, task replication.
 ///
-/// Per-slot semantics (normative; see DESIGN.md §4):
+/// Per-slot semantics (normative; ARCHITECTURE.md's `src/sim` section
+/// documents the per-slot data layout and the incremental bookkeeping):
 ///  1. Worker states advance; newly DOWN workers lose program, staged data
 ///     and partial computation (originals return to the master's pool,
 ///     replicas are cancelled).

@@ -2,25 +2,30 @@
 /// chain-keyed and handle-keyed — must return the exact double the
 /// corresponding markov:: free function returns, across the canonical
 /// fixture chains, generated chains, and all documented edge cases.  Also
-/// covers the invalidation contract (matrix change at a reused address),
-/// the hit/miss counters, clear(), and the benchmark bypass hook.
+/// covers the invalidation contract (matrix change at a reused address,
+/// through pin() and BeliefPins::repin), the hit/miss counters, clear(),
+/// and the benchmark bypass hook.
 
 #include "markov/expectation_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
 
+#include "core/belief_pins.hpp"
 #include "markov/chain.hpp"
 #include "markov/expectation.hpp"
 #include "markov/gen.hpp"
 #include "support/fixtures.hpp"
 #include "util/rng.hpp"
 
+namespace vc = volsched::core;
 namespace vm = volsched::markov;
+namespace vs = volsched::sim;
 namespace vt = volsched::test;
 
 namespace {
@@ -196,6 +201,46 @@ TEST(ExpectationCache, InvalidatesWhenMatrixChangesAtSameAddress) {
     const auto h = cache.pin(*slot);
     EXPECT_EQ(cache.p_plus(h), vm::p_plus(slot->matrix()));
     EXPECT_EQ(cache.invalidations(), 2u);
+
+    // BeliefPins::repin keeps last round's handle only while the belief
+    // is unchanged: a chain rebuilt at the same address between rounds,
+    // or a cleared cache, must be re-pinned, never served stale.
+    vs::Platform pf;
+    pf.w = {3};
+    pf.ncom = 1;
+    pf.t_prog = 1;
+    pf.t_data = 1;
+    std::vector<vs::ProcView> procs(1);
+    procs[0].state = vm::ProcState::Up;
+    procs[0].w = 3;
+    procs[0].belief = &*slot;
+    vs::SchedView view;
+    view.platform = &pf;
+    view.procs = procs;
+    vc::BeliefPins pins;
+    pins.repin(cache, view);
+    EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
+    const auto counters = [&cache] {
+        return std::vector<std::uint64_t>{cache.hits(), cache.misses(),
+                                          cache.invalidations()};
+    };
+    const auto before = counters();
+    pins.repin(cache, view); // unchanged belief: the handle is kept
+    EXPECT_EQ(counters(), before) << "repin must count nothing";
+    EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
+
+    slot.emplace(vt::chain3(0.6, 0.3, 0.2, 0.5, 0.4, 0.1));
+    pins.repin(cache, view);
+    EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
+    EXPECT_EQ(cache.e_up(pins.handles[0]), vm::e_up(slot->matrix()));
+    EXPECT_EQ(cache.invalidations(), 3u);
+    EXPECT_EQ(cache.size(), 1u);
+
+    cache.clear(); // frees the entry the kept handle pointed at
+    pins.repin(cache, view);
+    EXPECT_EQ(cache.size(), 1u) << "repin after clear() must pin afresh";
+    EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
+    EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(ExpectationCache, CountersTrackMissesAndHits) {
