@@ -67,7 +67,9 @@ ProcState TraceCursor::advance_to(long long t) {
     const auto& segs = trace_->segments_;
     assert(t >= segs[seg_].begin && "TraceCursor queries must be monotone");
     while (segs[seg_].end <= t) ++seg_;
-    return segs[seg_].state;
+    end_ = segs[seg_].end;
+    state_ = segs[seg_].state;
+    return state_;
 }
 
 long long TraceCursor::next_change_at(long long t, long long limit) {

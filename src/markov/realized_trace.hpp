@@ -24,7 +24,6 @@
 /// skip used by simulators such as gacspp, without giving up the slot
 /// model).
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -98,16 +97,18 @@ public:
     /// State at slot t (t >= the previous query's t).  Extends the trace
     /// on demand with chunked doubling so n monotone queries cost O(n)
     /// sampling total.  Inline for the engine's per-slot common case, a
-    /// query inside the current segment.
+    /// query inside the current segment, which the cursor answers from its
+    /// own copy of the segment's end and state.
     [[nodiscard]] ProcState state_at(long long t) {
-        const auto& segs = trace_->segments_;
-        if (seg_ < segs.size() && t < segs[seg_].end) {
-            assert(t >= segs[seg_].begin &&
-                   "TraceCursor queries must be monotone");
-            return segs[seg_].state;
-        }
+        if (t < end_) return state_;
         return advance_to(t);
     }
+
+    /// After state_at(t): a slot > t such that every slot in
+    /// [t, segment_end()) has state_at(t)'s state — the end of the segment
+    /// containing t as far as it is realized (the open frontier segment
+    /// may still grow, so this bound is conservative).  Never samples.
+    [[nodiscard]] long long segment_end() const noexcept { return end_; }
 
     /// First slot > t whose state differs from state_at(t), capped at
     /// `limit`: returns min(end of the segment containing t, limit).
@@ -116,15 +117,22 @@ public:
     [[nodiscard]] long long next_change_at(long long t, long long limit);
 
     /// Rewind to slot 0 for a fresh monotone walk.
-    void reset() noexcept { seg_ = 0; }
+    void reset() noexcept {
+        seg_ = 0;
+        end_ = 0;
+    }
 
 private:
-    /// state_at's out-of-segment path: extends the trace if needed and
-    /// steps the cursor to the segment containing t.
+    /// state_at's out-of-segment path: extends the trace if needed, steps
+    /// the cursor to the segment containing t and caches its end and state.
     ProcState advance_to(long long t);
 
     RealizedTrace* trace_;
     std::size_t seg_ = 0;
+    /// End (so far: the open frontier segment may still grow) and state of
+    /// segment seg_; zero until the first query.
+    long long end_ = 0;
+    ProcState state_ = ProcState::Up;
 };
 
 /// The full realization of one simulation: one RealizedTrace per

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/policy.hpp"
 #include "markov/expectation.hpp"
@@ -123,6 +125,8 @@ public:
         const int p = pf_.size();
         workers_.resize(static_cast<std::size_t>(p));
         due_flag_.assign(static_cast<std::size_t>(p), 0);
+        // Every worker's state is read at slot 0.
+        for (int q = 0; q < p; ++q) state_changes_.emplace_back(0, q);
         cursors_.reserve(p);
         for (int q = 0; q < p; ++q)
             cursors_.emplace_back(traces.trace(q));
@@ -158,7 +162,7 @@ public:
                     const long long ev = steady_horizon(t);
                     if (ev - t >= kMinJump || (ev > t && up_count_ == 0)) {
                         fast_forward(t, ev);
-                        if (config_.audit) audit_incremental();
+                        if (config_.audit) audit_incremental(ev - 1);
                         t = ev;
                         continue;
                     }
@@ -197,7 +201,7 @@ public:
             const bool finished = end_of_slot(t);
             if (config_.audit) {
                 audit_invariants();
-                audit_incremental();
+                audit_incremental(t);
             }
             if (finished) {
                 metrics_.completed = true;
@@ -240,26 +244,43 @@ private:
 
     // ---- slot phases --------------------------------------------------
 
+    /// Phase 1: worker states advance.  Only the workers whose RLE segment
+    /// ended by slot t (the front of state_changes_; at slot 0, all) are
+    /// re-read, in processor order, and eligible_ follows their
+    /// transitions.
     void advance_states(long long t) {
-        eligible_.clear();
-        for (int q = 0; q < pf_.size(); ++q) {
+        changed_.clear();
+        while (!state_changes_.empty() && state_changes_.front().first <= t) {
+            std::pop_heap(state_changes_.begin(), state_changes_.end(),
+                          std::greater<>{});
+            changed_.push_back(state_changes_.back().second);
+            state_changes_.pop_back();
+        }
+        std::sort(changed_.begin(), changed_.end());
+        for (const ProcId q : changed_) {
             const ProcState prev = workers_[q].state;
             const ProcState next = cursors_[q].state_at(t);
+            state_changes_.emplace_back(cursors_[q].segment_end(), q);
+            std::push_heap(state_changes_.begin(), state_changes_.end(),
+                           std::greater<>{});
+            if (t > 0 && next == prev) continue; // the segment only grew
             workers_[q].state = next;
-            if (next == ProcState::Up) {
-                ++metrics_.per_proc[q].up_slots;
-                eligible_.push_back(q);
-            }
-            if (t == 0 || next != prev)
-                emit(EventKind::StateChange, q, -1, false, next);
-            if (next == ProcState::Down &&
-                (t == 0 || prev != ProcState::Down)) {
+            if (t > 0 && prev == ProcState::Up)
+                eligible_.erase(std::lower_bound(eligible_.begin(),
+                                                 eligible_.end(), q));
+            else if (next == ProcState::Up)
+                eligible_.insert(std::lower_bound(eligible_.begin(),
+                                                  eligible_.end(), q),
+                                 q);
+            emit(EventKind::StateChange, q, -1, false, next);
+            if (next == ProcState::Down) {
                 ++metrics_.down_events;
                 ++metrics_.per_proc[q].down_events;
                 handle_down(q);
             }
         }
         up_count_ = static_cast<int>(eligible_.size());
+        for (const ProcId q : eligible_) ++metrics_.per_proc[q].up_slots;
     }
 
     /// Fast-forwards the dead stretch [from, to): every worker is DOWN or
@@ -319,18 +340,7 @@ private:
         for (int q = 0; q < pf_.size(); ++q)
             change = std::min(change, cursors_[q].next_change_at(0, change));
         slot_ = 0;
-        up_count_ = 0;
-        eligible_.clear();
-        for (int q = 0; q < pf_.size(); ++q) {
-            const ProcState st = cursors_[q].state_at(0);
-            workers_[q].state = st;
-            emit(EventKind::StateChange, q, -1, false, st);
-            if (st == ProcState::Down) {
-                ++metrics_.down_events;
-                ++metrics_.per_proc[q].down_events;
-                handle_down(q);
-            }
-        }
+        advance_states(0);
         skip_dead_range(0, change);
         if (config_.event_driven) metrics_.slots_elided += change;
         t = change;
@@ -370,16 +380,9 @@ private:
 
         // A deferred data start (phase 2b) acts as soon as bandwidth is
         // free — or instantly when data is free.
-        if (budget > 0 || pf_.t_data == 0) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                const Worker& w = workers_[q];
-                if (w.state != ProcState::Up || !w.has_program ||
-                    w.staged == -1)
-                    continue;
-                const Instance& inst = instances_[w.staged];
-                if (!inst.data_started && !inst.data_done) return t;
-            }
-        }
+        if (budget > 0 || pf_.t_data == 0)
+            for (const ProcId q : waiting_)
+                if (workers_[q].state == ProcState::Up) return t;
 
         EventQueue next(config_.max_slots);
 
@@ -409,11 +412,9 @@ private:
         // advancement.
         if (config_.checkpoint &&
             (config_.checkpoint_cost == 0 || budget > 0)) {
-            for (int q = 0; q < pf_.size(); ++q) {
+            for (const ProcId q : eligible_) {
                 const Worker& w = workers_[q];
-                if (w.state != ProcState::Up || w.computing == -1 ||
-                    w.ckpt_in_flight)
-                    continue;
+                if (w.computing == -1 || w.ckpt_in_flight) continue;
                 // A worker with since_ckpt == 0 is first consulted one
                 // slot later (after one slot of the stretch has computed).
                 const int lead = w.since_ckpt > 0 ? 0 : 1;
@@ -436,11 +437,9 @@ private:
 
         // Compute completions: an advancing computation drains to zero —
         // and completes — in slot t + remaining - 1.
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (const ProcId q : eligible_) {
             const Worker& w = workers_[q];
-            if (w.state != ProcState::Up || w.computing == -1 ||
-                w.ckpt_in_flight)
-                continue;
+            if (w.computing == -1 || w.ckpt_in_flight) continue;
             if (w.compute_remaining <= 1) return t;
             next.push(t + w.compute_remaining - 1, EventCause::Compute);
         }
@@ -501,11 +500,9 @@ private:
             return false;
         double best_alt = std::numeric_limits<double>::infinity();
         bool drifting = false;
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (const ProcId q : eligible_) {
             const Worker& w = workers_[q];
-            if (w.state != ProcState::Up || w.staged != -1 ||
-                w.computing != -1)
-                continue;
+            if (w.staged != -1 || w.computing != -1) continue;
             if (!w.has_program && w.prog_in_flight) drifting = true;
             const double need =
                 (w.has_program
@@ -572,9 +569,8 @@ private:
             metrics_.per_proc[tr.proc].transfer_slots += n;
             metrics_.transfer_slots += n;
         }
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (const ProcId q : eligible_) {
             Worker& w = workers_[q];
-            if (w.state != ProcState::Up) continue;
             metrics_.per_proc[q].up_slots += n;
             if (w.computing == -1 || w.ckpt_in_flight) continue;
             w.compute_remaining -= static_cast<int>(n);
@@ -758,6 +754,8 @@ private:
         if (w.staged == id) {
             if (inst.data_started && inst.data_remaining > 0)
                 fifo_erase({w.data_start, q, TransferKind::Data});
+            else if (!inst.data_started)
+                unwait(q);
             w.staged = -1;
             w.data_start = -1;
         }
@@ -801,6 +799,13 @@ private:
     void fifo_erase(const ActiveTransfer& tr) {
         const auto it = std::lower_bound(fifo_.begin(), fifo_.end(), tr);
         if (it != fifo_.end() && *it == tr) fifo_.erase(it);
+    }
+
+    /// Drops worker q from the data-waiting list (its data started, or its
+    /// staged task went away).  No-op when q is not on it.
+    void unwait(ProcId q) {
+        const auto it = std::find(waiting_.begin(), waiting_.end(), q);
+        if (it != waiting_.end()) waiting_.erase(it);
     }
 
     /// Puts worker q on this slot's due list: something happened to it that
@@ -861,11 +866,9 @@ private:
     /// policy that never fires (`none`) leaves the run bit-identical.
     void start_checkpoints(long long t, int& budget) {
         if (!config_.checkpoint) return;
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (const ProcId q : eligible_) {
             Worker& w = workers_[q];
-            if (w.state != ProcState::Up || w.computing == -1 ||
-                w.ckpt_in_flight)
-                continue;
+            if (w.computing == -1 || w.ckpt_in_flight) continue;
             if (w.since_ckpt <= 0 || w.compute_remaining <= 0) continue;
             ckpt::CheckpointView view;
             view.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
@@ -933,15 +936,10 @@ private:
     /// Phase 2b: start data transfers for committed instances that were
     /// waiting behind their worker's program download (FIFO by commit time).
     void start_pending_data(long long t, int& budget) {
+        if (waiting_.empty()) return;
         pending_.clear();
-        for (int q = 0; q < pf_.size(); ++q) {
-            const Worker& w = workers_[q];
-            if (w.state != ProcState::Up || !w.has_program || w.staged == -1)
-                continue;
-            const Instance& inst = instances_[w.staged];
-            if (!inst.data_started && !inst.data_done)
-                pending_.push_back(q);
-        }
+        for (const ProcId q : waiting_)
+            if (workers_[q].state == ProcState::Up) pending_.push_back(q);
         std::sort(pending_.begin(), pending_.end(),
                   [this](ProcId a, ProcId b) {
                       const auto& ia = instances_[workers_[a].staged];
@@ -957,12 +955,14 @@ private:
                 inst.data_started = true;
                 inst.data_done = true;
                 mark_due(q);
+                unwait(q);
                 emit(EventKind::DataStart, q, inst.logical,
                      inst.kind == InstKind::Replica);
                 continue;
             }
             if (budget == 0) break;
             start_data(inst, q, t);
+            unwait(q);
             ++metrics_.per_proc[q].transfer_slots;
             ++metrics_.transfer_slots;
             ++transfers_this_slot_;
@@ -1057,6 +1057,13 @@ private:
                     static_cast<std::size_t>(pf_.size()), -1);
                 for (int lt = 0; lt < config_.tasks_per_iteration; ++lt) {
                     if (logical_done_[lt]) continue;
+                    // The pool only holds originals, and task lt's original
+                    // is instance lt: the worker it is planned on this
+                    // round (if any) takes no replica of it.
+                    const Instance& original = instances_[lt];
+                    const ProcId original_plan =
+                        original.status == InstStatus::Pool ? original.planned
+                                                            : kNoProc;
                     int live = logical_live_[lt];
                     while (live < 1 + config_.replica_cap) {
                         scratch_.clear();
@@ -1064,7 +1071,7 @@ private:
                             if (!views_[q].buffer_free) continue;
                             if (holds_logical(q, lt)) continue;
                             if (planned_logical_[q] == lt) continue;
-                            if (plans_logical(q, lt)) continue;
+                            if (q == original_plan) continue;
                             scratch_.push_back(q);
                         }
                         if (scratch_.empty()) break;
@@ -1127,11 +1134,9 @@ private:
         // Best idle-alternative expected pipeline: program (if missing) +
         // data + compute, inflated by expected RECLAIMED detours.
         double best_alt = std::numeric_limits<double>::infinity();
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (const ProcId q : eligible_) {
             const Worker& w = workers_[q];
-            if (w.state != ProcState::Up || w.staged != -1 ||
-                w.computing != -1)
-                continue;
+            if (w.staged != -1 || w.computing != -1) continue;
             const double need =
                 (w.has_program
                      ? 0.0
@@ -1263,9 +1268,9 @@ private:
     }
 
     void advance_compute() {
-        for (int q = 0; q < pf_.size(); ++q) {
+        for (const ProcId q : eligible_) {
             Worker& w = workers_[q];
-            if (w.state != ProcState::Up || w.computing == -1) continue;
+            if (w.computing == -1) continue;
             // Computation pauses while the worker's snapshot uploads — the
             // classic checkpoint overhead the policies must amortize.
             if (w.ckpt_in_flight) continue;
@@ -1316,6 +1321,8 @@ private:
                 w.prog_in_flight = false;
                 w.has_program = true;
                 w.prog_start = -1;
+                // A task staged behind the program now waits for its data.
+                if (w.staged != -1) waiting_.push_back(q);
                 emit(EventKind::ProgComplete, q);
             }
             if (w.staged != -1) {
@@ -1593,15 +1600,6 @@ private:
         return false;
     }
 
-    /// True when some pool instance of `logical` is already planned on q.
-    [[nodiscard]] bool plans_logical(ProcId q, int logical) const {
-        for (int id : pool_) {
-            const Instance& inst = instances_[id];
-            if (inst.logical == logical && inst.planned == q) return true;
-        }
-        return false;
-    }
-
     void audit_bandwidth() const {
         if (transfers_this_slot_ > pf_.ncom)
             throw std::logic_error("audit: bandwidth bound exceeded");
@@ -1631,10 +1629,21 @@ private:
                     "audit: due list misses a worker end_of_slot must visit");
     }
 
-    /// Audit cross-check of the incremental slot bookkeeping: recomputes
-    /// the bandwidth FIFO, the pool list, the UP list and the due set from
-    /// scratch and throws on any drift.
-    void audit_incremental() const {
+    /// Audit cross-check of the incremental slot bookkeeping after slot t:
+    /// recomputes the worker states, the state-change schedule, the
+    /// bandwidth FIFO, the pool list, the UP list, the data-waiting list
+    /// and the due set from scratch and throws on any drift.
+    void audit_incremental(long long t) {
+        // A schedule entry may lie at or before t: a segment that was the
+        // trace's open frontier when read may have grown since, and is
+        // re-read at the next simulated slot.
+        std::vector<int> scheduled(static_cast<std::size_t>(pf_.size()), 0);
+        for (const auto& entry : state_changes_)
+            ++scheduled[static_cast<std::size_t>(entry.second)];
+        for (int q = 0; q < pf_.size(); ++q)
+            if (scheduled[static_cast<std::size_t>(q)] != 1 ||
+                workers_[q].state != cursors_[q].state_at(t))
+                throw std::logic_error("audit: worker state drift");
         std::vector<ActiveTransfer> fifo;
         for (int q = 0; q < pf_.size(); ++q) {
             const Worker& w = workers_[q];
@@ -1660,6 +1669,18 @@ private:
             if (workers_[q].state == ProcState::Up) up.push_back(q);
         if (up != eligible_ || up_count_ != static_cast<int>(up.size()))
             throw std::logic_error("audit: UP list drift");
+        std::vector<ProcId> waiting;
+        for (int q = 0; q < pf_.size(); ++q) {
+            const Worker& w = workers_[q];
+            if (w.has_program && w.staged != -1 &&
+                !instances_[w.staged].data_started &&
+                !instances_[w.staged].data_done)
+                waiting.push_back(q);
+        }
+        std::vector<ProcId> listed = waiting_;
+        std::sort(listed.begin(), listed.end());
+        if (waiting != listed)
+            throw std::logic_error("audit: data-waiting list drift");
         if (!due_.empty())
             throw std::logic_error("audit: due list not drained");
         for (int q = 0; q < pf_.size(); ++q)
@@ -1751,6 +1772,13 @@ private:
     std::vector<Worker> workers_;
     std::vector<ProcId> eligible_; ///< UP workers in processor order
     int up_count_ = 0;             ///< eligible_.size()
+    /// Min-heap of (slot, worker): the slot at which the worker's current
+    /// RLE segment ends as far as it was realized when read (a lower bound
+    /// of the true end), so advance_states re-reads only workers whose
+    /// state can have changed.  One entry per worker.
+    std::vector<std::pair<long long, ProcId>> state_changes_;
+    /// This iteration's task copies: the originals are instances 0..m-1
+    /// (instance id == logical task), replicas are appended after them.
     std::vector<Instance> instances_;
     /// Ids of the instances in the pool (status Pool; originals only), in
     /// id order — kept as statuses change instead of rescanned per round.
@@ -1760,6 +1788,9 @@ private:
     /// inserted when it starts and erased when it drains or is cancelled;
     /// RECLAIMED workers' entries keep their place but do not advance.
     std::vector<ActiveTransfer> fifo_;
+    /// Workers holding the program whose staged task's data has not
+    /// started (waiting for bandwidth), any state; unordered.
+    std::vector<ProcId> waiting_;
     /// Workers end_of_slot must visit this slot (due_flag_ dedupes).
     std::vector<ProcId> due_;
     std::vector<std::uint8_t> due_flag_;
@@ -1776,6 +1807,7 @@ private:
     RunMetrics metrics_;
 
     // Scratch buffers reused across slots to avoid per-slot allocation.
+    std::vector<ProcId> changed_;
     std::vector<ProcId> pending_;
     std::vector<ProcView> views_;
     std::vector<int> nq_;
