@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -239,7 +240,7 @@ private:
         ckpt_store_.assign(static_cast<std::size_t>(m), {});
         plan_counter_ = 0;
         pool_.resize(static_cast<std::size_t>(m));
-        for (int i = 0; i < m; ++i) pool_[static_cast<std::size_t>(i)] = i;
+        std::iota(pool_.begin(), pool_.end(), 0);
     }
 
     // ---- slot phases --------------------------------------------------
