@@ -2,20 +2,17 @@
 /// Campaign-layer throughput: how much the streaming sinks, checkpoint
 /// manifests, and deterministic emission cost on top of the raw in-memory
 /// sweep — and what the scale-out machinery buys back.  Runs the same grid
-/// four ways:
+/// three ways:
 ///
 ///   run_sweep                 all in memory, no IO (the speed-of-light bar)
-///   run_campaign (pipeline)   barrier-free completion pipeline (default
-///                             execution mode): workers run ahead while the
-///                             emitter overlaps sink writes + checkpoint
-///                             fsyncs with compute
-///   run_campaign (barrier)    the historical batch loop: parallel_for a
-///                             batch, then serially emit + fsync it
+///   run_campaign (pipeline)   the completion pipeline: workers run ahead
+///                             while the emitter overlaps sink writes +
+///                             checkpoint fsyncs with compute
 ///   run_parallel_campaign     the same grid split over --shards in-process
 ///                             shards on one shared pool (shard emitters
 ///                             fsync concurrently)
 ///
-/// All four produce the same instance set, so instances/second is directly
+/// All three produce the same instance set, so instances/second is directly
 /// comparable.  A checkpoint-frequent cadence (--checkpoint 1) makes the
 /// runs fsync-bound — the regime where the pipeline's compute/IO overlap
 /// and the parallel shards' concurrent emitters actually show up; a large
@@ -106,7 +103,7 @@ int main(int argc, char** argv) {
         fn();
         return secs(a, clock::now());
     };
-    double sweep_s = 0, piped_s = 0, barrier_s = 0, parallel_s = 0;
+    double sweep_s = 0, piped_s = 0, parallel_s = 0;
     auto best = [](double& slot, double measured) {
         slot = slot == 0 ? measured : std::min(slot, measured);
     };
@@ -122,10 +119,6 @@ int main(int argc, char** argv) {
                  const auto piped = campaign("pipeline").run();
                  complete = complete && piped.complete;
                  jsonl_bytes = std::filesystem::file_size(piped.jsonl_path);
-             }));
-        best(barrier_s, timed([&] {
-                 complete = complete &&
-                            campaign("barrier").pipeline(false).run().complete;
              }));
         best(parallel_s, timed([&] {
                  complete = complete && campaign("parallel")
@@ -145,10 +138,6 @@ int main(int argc, char** argv) {
                    util::TextTable::num(piped_s, 3),
                    util::TextTable::num(instances / piped_s, 1),
                    std::to_string(jsonl_bytes) + " B"});
-    table.add_row({"run_campaign barrier/" + ckpt,
-                   util::TextTable::num(barrier_s, 3),
-                   util::TextTable::num(instances / barrier_s, 1),
-                   std::to_string(jsonl_bytes) + " B"});
     table.add_row({"run_parallel_campaign " + shard_tag + "/" + ckpt,
                    util::TextTable::num(parallel_s, 3),
                    util::TextTable::num(instances / parallel_s, 1),
@@ -160,8 +149,6 @@ int main(int argc, char** argv) {
                           .c_str());
     std::printf("streaming overhead (pipeline vs sweep): %+.1f%%\n",
                 100.0 * (piped_s - sweep_s) / sweep_s);
-    std::printf("pipeline vs barrier:                    %+.1f%%\n",
-                100.0 * (barrier_s - piped_s) / barrier_s);
     std::printf("parallel %d-shard vs single shard:       %+.1f%%\n", shards,
                 100.0 * (piped_s - parallel_s) / piped_s);
 
@@ -181,8 +168,6 @@ int main(int argc, char** argv) {
              instances / sweep_s},
             {"campaign/pipeline-" + ckpt + tag, iters, piped_s,
              instances / piped_s},
-            {"campaign/barrier-" + ckpt + tag, iters, barrier_s,
-             instances / barrier_s},
             {"campaign/parallel-" + shard_tag + "-" + ckpt + tag, iters,
              parallel_s, instances / parallel_s},
         };

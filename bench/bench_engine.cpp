@@ -1,24 +1,18 @@
 /// \file bench_engine.cpp
-/// Engine-throughput benchmark focused on what the realized-trace layer
-/// buys (markov/realized_trace.hpp):
+/// Engine-throughput benchmark:
 ///
-///  * *Sharing* — one instance run under the full 19-heuristic paper set
-///    samples the availability realization once and replays it, where the
-///    pre-trace engine re-sampled per run.  Measured as shared (trace cache
-///    on, the default) vs resample (trace_cache(false), the historical
-///    cost model), for both 1 heuristic and the full set.
-///
-///  * *Dead-slot skipping* — on volatile platforms the RLE realization
-///    lets the engine fast-forward stretches where no worker is UP
-///    (EngineConfig::skip_dead_slots).  Measured skip-on vs skip-off on a
-///    low-self-transition chain recipe, with the reference slot loop pinned
-///    so the legs keep their historical meaning.
+///  * *Paper grid* — instances of the paper recipe run under 1 heuristic
+///    and under the full heuristic set, each Simulation sampling its
+///    availability realization once and replaying it for every run.
 ///
 ///  * *Event-driven core* — a scoring-sparse regime (fewer tasks than
 ///    processors, no replicas, long task bodies) where the scheduler goes
 ///    idle between completions and the event core (EngineConfig::
 ///    event_driven) advances whole stretches in closed form.  Measured
 ///    event-on vs slot-loop on the absence-dominated desktop-grid fleet.
+///
+///  * *Scoring* — a dense contended regime, batched scoring with the
+///    expectation cache vs the scalar bypass loops, same binary.
 ///
 /// `--json <path>` writes the shared machine-readable schema of
 /// bench/report.hpp — this benchmark seeds the repo's BENCH_*.json perf
@@ -52,20 +46,18 @@ namespace {
 
 struct Measurement {
     double wall_seconds = 0;
-    long long slots = 0;   ///< simulated slots (skipped dead slots included)
-    long long skipped = 0; ///< slots elided by the dead-stretch fast-forward
-    long long elided = 0;  ///< slots the event core advanced in closed form
+    long long slots = 0;  ///< simulated slots (elided slots included)
+    long long elided = 0; ///< slots the event core advanced in closed form
     long long runs = 0;
 };
 
 /// Runs every heuristic in `scheds` on every realized scenario, `repeat`
-/// times, with the given trace-cache and skip policies.  A fresh Simulation
-/// per (scenario, repetition) keeps the comparison honest: `share` on pays
-/// for sampling once per instance, off pays once per run.
+/// times.  A fresh Simulation per (scenario, repetition) pays for sampling
+/// once per instance.
 Measurement measure(const std::vector<ve::RealizedScenario>& instances,
                     const std::vector<std::string>& heuristics,
                     const vs::EngineConfig& cfg, std::uint64_t seed,
-                    int repeat, bool share, bool skip) {
+                    int repeat) {
     const auto& registry = va::SchedulerRegistry::instance();
     std::vector<std::unique_ptr<vs::Scheduler>> scheds;
     scheds.reserve(heuristics.size());
@@ -79,14 +71,11 @@ Measurement measure(const std::vector<ve::RealizedScenario>& instances,
             builder.platform(rs.platform)
                 .markov(rs.chains)
                 .config(cfg)
-                .skip_dead_slots(skip)
-                .trace_cache(share)
                 .seed(seed);
             const auto sim = builder.build();
             for (const auto& sched : scheds) {
                 const auto metrics = sim.run(*sched);
                 m.slots += metrics.makespan;
-                m.skipped += metrics.dead_slots_skipped;
                 ++m.runs;
             }
         }
@@ -107,12 +96,6 @@ vb::BenchRecord to_record(const std::string& name, const Measurement& m) {
     return rec;
 }
 
-/// Dead-stretch showcase: 3 night-shift desktop-grid workers under a
-/// heavy-tailed semi-Markov process that keeps the fleet absent ~90% of
-/// the time in runs of hundreds of slots (short UP bursts, long RECLAIMED
-/// evenings, very long DOWN nights).  Beliefs are the equivalent-Markov
-/// fit, as a real deployment would use.  Returns the wall time
-/// with/without the fast-forward.
 /// The night-shift fleet's availability process: short UP bursts, long
 /// RECLAIMED evenings, very long DOWN nights — absent ~90% of the time.
 /// `scale` stretches every sojourn mean by the same factor (a finer slot
@@ -140,15 +123,15 @@ fleet_models(const volsched::trace::SemiMarkovParams& params, int procs) {
     return models;
 }
 
-/// Shared measurement body for the desktop-grid regimes: `pf` and `cfg`
-/// pick the workload, the engine knobs pick the stepping core under test.
-/// With `shared` non-null, repetition r replays the pre-sampled snapshot
-/// (*shared)[r] instead of sampling inside the timed region — the control
-/// for core-vs-core comparisons, where sampling cost is not under test.
+/// Measurement body for the desktop-grid regime: `pf` and `cfg` pick the
+/// workload, `event` the stepping core under test.  Repetition r replays
+/// the pre-sampled snapshot shared[r] instead of sampling inside the timed
+/// region — the control for core-vs-core comparisons, where sampling cost
+/// is not under test.
 Measurement measure_fleet(
     const vs::Platform& pf, const vs::EngineConfig& cfg, std::uint64_t seed,
-    std::uint64_t salt, int repeat, bool skip, bool event, double scale = 1.0,
-    const std::vector<std::shared_ptr<vm::RealizedTraces>>* shared = nullptr) {
+    std::uint64_t salt, int repeat, bool event, double scale,
+    const std::vector<std::shared_ptr<vm::RealizedTraces>>& shared) {
     const int procs = static_cast<int>(pf.w.size());
     const auto params = desktop_grid_process(scale);
     const std::vector<vm::MarkovChain> beliefs(
@@ -165,14 +148,12 @@ Measurement measure_fleet(
             .models(fleet_models(params, procs))
             .beliefs(beliefs)
             .config(cfg)
-            .skip_dead_slots(skip)
             .event_driven(event)
-            .seed(volsched::util::mix_seed(seed, salt, r));
-        if (shared) builder.realized((*shared)[static_cast<std::size_t>(r)]);
+            .seed(volsched::util::mix_seed(seed, salt, r))
+            .realized(shared[static_cast<std::size_t>(r)]);
         const auto sim = builder.build();
         const auto metrics = sim.run(*sched);
         m.slots += metrics.makespan;
-        m.skipped += metrics.dead_slots_skipped;
         m.elided += metrics.slots_elided;
         ++m.runs;
     }
@@ -181,24 +162,11 @@ Measurement measure_fleet(
     return m;
 }
 
-/// Dead-stretch showcase on the reference slot loop: 3 desktop-grid
-/// workers, the historical skip-on vs skip-off comparison (the event core
-/// subsumes the skip, so these legs pin event_driven off to keep their
-/// meaning against older baselines).
-Measurement measure_desktop_grid(const vs::EngineConfig& base_cfg,
-                                 std::uint64_t seed, int repeat, bool skip) {
-    const auto pf = vs::Platform::homogeneous(3, /*w_all=*/12,
-                                              /*ncom=*/2, /*t_prog=*/10,
-                                              /*t_data=*/2);
-    return measure_fleet(pf, base_cfg, seed, 0xDEADULL, repeat, skip,
-                         /*event=*/false);
-}
-
-/// Scoring-sparse showcase for the event core: the same absent-most-of-the-
-/// time fleet, but with fewer tasks than processors, no replicas and long
-/// task bodies, so once the pool drains the scheduler goes quiet and whole
+/// Scoring-sparse showcase for the event core: the absent-most-of-the-time
+/// fleet with fewer tasks than processors, no replicas and long task
+/// bodies, so once the pool drains the scheduler goes quiet and whole
 /// compute/absence stretches advance in closed form.  Measured event core
-/// vs the reference slot loop (skip on — its best historical configuration).
+/// vs the reference slot loop (dead-stretch skip on, the default).
 /// The scoring-sparse regime's fixed ingredients, shared by both timed
 /// legs: workload shape plus one pre-sampled realization snapshot per
 /// repetition, so the legs replay identical availability and the stepping
@@ -230,8 +198,7 @@ SparseRegime prepare_desktop_grid_sparse(const vs::EngineConfig& base_cfg,
     // One untimed warm pass materializes each snapshot out to its run's
     // horizon, so neither timed leg grows the realization.
     (void)measure_fleet(rg.pf, rg.cfg, seed, SparseRegime::kSalt, repeat,
-                        /*skip=*/true, /*event=*/true, SparseRegime::kScale,
-                        &rg.instances);
+                        /*event=*/true, SparseRegime::kScale, rg.instances);
     return rg;
 }
 
@@ -239,8 +206,7 @@ Measurement measure_desktop_grid_sparse(const SparseRegime& rg,
                                         std::uint64_t seed, int repeat,
                                         bool event) {
     return measure_fleet(rg.pf, rg.cfg, seed, SparseRegime::kSalt, repeat,
-                        /*skip=*/true, event, SparseRegime::kScale,
-                        &rg.instances);
+                         event, SparseRegime::kScale, rg.instances);
 }
 
 std::vector<ve::RealizedScenario> realize_grid(int scenarios, int procs,
@@ -283,7 +249,6 @@ Measurement measure_scoring(const ScoringRegime& rg,
             for (const auto& sched : scheds) {
                 const auto metrics = sim.run(*sched);
                 m.slots += metrics.makespan;
-                m.skipped += metrics.dead_slots_skipped;
                 ++m.runs;
             }
         }
@@ -310,8 +275,6 @@ ScoringRegime prepare_scoring(const vs::EngineConfig& base_cfg,
         builder.platform(rs.platform)
             .markov(rs.chains)
             .config(rg.cfg)
-            .skip_dead_slots(true)
-            .trace_cache(true)
             .seed(seed);
         rg.sims.push_back(builder.build());
     }
@@ -343,8 +306,9 @@ std::vector<ve::RealizedScenario> realize_grid(int scenarios, int procs,
 int main(int argc, char** argv) {
     volsched::util::Cli cli(
         "bench_engine",
-        "Measures realized-trace sharing (1 vs full heuristic set per "
-        "instance) and dead-slot skipping in the simulation engine");
+        "Measures engine throughput on the paper grid (1 vs full heuristic "
+        "set per instance), the event core vs the slot loop, and batched "
+        "scoring");
     cli.add_int("procs", 20, "processors per platform");
     cli.add_int("tasks", 10, "tasks per iteration");
     cli.add_int("ncom", 5, "master transfer slots");
@@ -393,37 +357,17 @@ int main(int argc, char** argv) {
                 "heuristics\n\n",
                 scenarios, repeat, procs, heuristics.size());
 
-    // --- Sharing: the paper recipe (self-transition 0.90..0.99). ----------
+    // --- Paper grid: the paper recipe (self-transition 0.90..0.99). -------
     const auto paper = realize_grid(scenarios, procs, tasks, ncom, wmin,
                                     0.90, 0.99, seed);
     std::vector<vb::BenchRecord> records;
-    // The 1-heuristic legs run the heuristic set's multiplier extra times
+    // The 1-heuristic leg runs the heuristic set's multiplier extra times
     // so every measurement covers comparable wall time.
     const int repeat_one = repeat * static_cast<int>(heuristics.size());
-    const auto shared_full = measure(paper, heuristics, cfg, seed, repeat,
-                                     /*share=*/true, /*skip=*/true);
-    const auto resample_full = measure(paper, heuristics, cfg, seed, repeat,
-                                       /*share=*/false, /*skip=*/true);
-    const auto shared_one = measure(paper, first_only, cfg, seed, repeat_one,
-                                    /*share=*/true, /*skip=*/true);
-    const auto resample_one = measure(paper, first_only, cfg, seed,
-                                      repeat_one, /*share=*/false,
-                                      /*skip=*/true);
+    const auto shared_full = measure(paper, heuristics, cfg, seed, repeat);
+    const auto shared_one = measure(paper, first_only, cfg, seed, repeat_one);
     records.push_back(to_record("engine/shared-" + nh + "h", shared_full));
-    records.push_back(to_record("engine/resample-" + nh + "h", resample_full));
     records.push_back(to_record("engine/shared-1h", shared_one));
-    records.push_back(to_record("engine/resample-1h", resample_one));
-
-    // --- Skipping: a small desktop-grid fleet under heavy-tailed
-    // semi-Markov availability, where "everyone is away overnight"
-    // stretches run for thousands of slots — the gap the RLE fast-forward
-    // jumps over in one step.
-    const auto skip_on = measure_desktop_grid(cfg, seed, repeat_one,
-                                              /*skip=*/true);
-    const auto skip_off = measure_desktop_grid(cfg, seed, repeat_one,
-                                               /*skip=*/false);
-    records.push_back(to_record("engine/desktop-grid-skip-on", skip_on));
-    records.push_back(to_record("engine/desktop-grid-skip-off", skip_off));
 
     // --- Event core: the scoring-sparse regime, where the slot loop still
     // steps every slot of a long computation but the event core jumps to
@@ -482,18 +426,7 @@ int main(int argc, char** argv) {
                        volsched::util::TextTable::num(rec.wall_seconds, 3)});
     std::printf("%s", table.render("Engine throughput").c_str());
 
-    if (resample_full.wall_seconds > 0 && shared_full.wall_seconds > 0)
-        std::printf("\nsharing speedup (%zu heuristics): %.2fx"
-                    "   (1 heuristic: %.2fx)\n",
-                    heuristics.size(),
-                    resample_full.wall_seconds / shared_full.wall_seconds,
-                    resample_one.wall_seconds / shared_one.wall_seconds);
-    if (skip_off.wall_seconds > 0 && skip_on.slots > 0)
-        std::printf("dead-slot skip speedup (desktop-grid fleet): %.2fx "
-                    "(%.0f%% of slots skipped)\n",
-                    skip_off.wall_seconds / skip_on.wall_seconds,
-                    100.0 * static_cast<double>(skip_on.skipped) /
-                        static_cast<double>(skip_on.slots));
+    std::printf("\n");
     if (sparse_slot.wall_seconds > 0 && sparse_event.slots > 0)
         std::printf("event-core speedup (scoring-sparse fleet): %.2fx "
                     "(%.0f%% of slots elided)\n",

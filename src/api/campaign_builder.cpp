@@ -44,16 +44,6 @@ CampaignBuilder::progress(std::function<void(long long, long long)> cb) {
     return *this;
 }
 
-CampaignBuilder& CampaignBuilder::pipeline(bool on) {
-    config_.pipeline = on;
-    return *this;
-}
-
-CampaignBuilder& CampaignBuilder::pipeline_window(int jobs) {
-    config_.pipeline_window = jobs;
-    return *this;
-}
-
 CampaignBuilder& CampaignBuilder::heartbeat(bool on) {
     config_.heartbeat = on;
     return *this;

@@ -46,12 +46,6 @@ public:
     /// Stop after N checkpoints (time-sliced operation); 0 runs to the end.
     CampaignBuilder& stop_after_batches(int batches);
     CampaignBuilder& progress(std::function<void(long long, long long)> cb);
-    /// Execution mode: the barrier-free completion pipeline (default) or
-    /// the historical batch loop (pipeline(false), A/B benchmarking only).
-    CampaignBuilder& pipeline(bool on = true);
-    /// Pipeline run-ahead bound in jobs; 0 (default) auto-sizes to
-    /// max(checkpoint cadence, 2 x pool size).
-    CampaignBuilder& pipeline_window(int jobs);
     /// Keep an atomically-replaced status.json heartbeat in each shard
     /// directory (exp/status.hpp) for `volsched_campaign status` and other
     /// observers.  Off by default; results are identical either way.

@@ -145,16 +145,6 @@ ExperimentBuilder& ExperimentBuilder::checkpoint_cost(int slots) {
     return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::skip_dead_slots(bool on) {
-    config_.run.skip_dead_slots = on;
-    return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::event_driven(bool on) {
-    config_.run.event_driven = on;
-    return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::audit(bool on) {
     config_.run.audit = on;
     return *this;

@@ -71,13 +71,6 @@ public:
     ExperimentBuilder& plan_class(sim::SchedulerClass c);
     /// Master transfer slots per checkpoint upload (default 1).
     ExperimentBuilder& checkpoint_cost(int slots);
-    /// Engine dead-stretch fast-forward (default on; results identical
-    /// either way — an A/B and debugging knob).
-    ExperimentBuilder& skip_dead_slots(bool on = true);
-    /// Engine stepping core (default: event-driven; false runs the
-    /// reference slot loop — an A/B and debugging knob, results identical
-    /// either way).
-    ExperimentBuilder& event_driven(bool on = true);
     /// Per-slot engine invariant auditing (default off; slow).
     ExperimentBuilder& audit(bool on = true);
 

@@ -216,16 +216,6 @@ SimulationBuilder::realized(std::shared_ptr<markov::RealizedTraces> traces) {
     return *this;
 }
 
-SimulationBuilder& SimulationBuilder::trace_cache(bool on) {
-    cache_traces_ = on;
-    return *this;
-}
-
-SimulationBuilder& SimulationBuilder::skip_dead_slots(bool on) {
-    config_.skip_dead_slots = on;
-    return *this;
-}
-
 SimulationBuilder& SimulationBuilder::event_driven(bool on) {
     config_.event_driven = on;
     return *this;
@@ -264,9 +254,6 @@ sim::Simulation SimulationBuilder::build() {
     }
 
     if (realized_) {
-        if (!cache_traces_)
-            fail(".trace_cache(false) conflicts with .realized(...): an "
-                 "attached realization is always retained and shared");
         if (realized_->size() != p)
             fail(".realized(...) holds " + std::to_string(realized_->size()) +
                  " traces but the platform has " + std::to_string(p) +
@@ -283,7 +270,6 @@ sim::Simulation SimulationBuilder::build() {
     sim::Simulation simulation(std::move(*platform_),
                                std::move(source_->models), std::move(beliefs),
                                config_, seed_);
-    simulation.cache_traces_ = cache_traces_;
     if (realized_) simulation.traces_ = std::move(realized_);
     if (checkpoint_) {
         // The simulation keeps the resolved policy alive; the raw config

@@ -26,10 +26,8 @@
 ///
 /// Realization control: .realized(traces) attaches a pre-sampled
 /// markov::RealizedTraces snapshot (shared availability sampling across
-/// builds), .trace_cache(false) re-samples the realization on every run
-/// instead of caching it, and .skip_dead_slots(false) disables the engine's
-/// dead-stretch fast-forward.  None of these change results: the
-/// realization is a function of the seed only.
+/// builds).  It does not change results: the realization is a function of
+/// the seed only.
 
 #include <cstdint>
 #include <memory>
@@ -148,21 +146,9 @@ public:
     /// not match the seed would silently break the determinism contract.
     SimulationBuilder& realized(std::shared_ptr<markov::RealizedTraces> traces);
 
-    /// Controls the realization cache (default on): with `on`, the first
-    /// run() samples the availability realization once and later runs
-    /// replay it; with `off`, every run re-samples from the seed (the
-    /// pre-trace-layer cost model — useful for memory-lean huge-horizon
-    /// runs and as the benchmark baseline).  Either way results are
-    /// bit-identical: the realization is a function of the seed only.
-    SimulationBuilder& trace_cache(bool on = true);
-
-    /// Disables the dead-stretch fast-forward (EngineConfig::
-    /// skip_dead_slots); sugar over config() for A/B comparisons.
-    SimulationBuilder& skip_dead_slots(bool on = true);
-
     /// Selects the stepping core (EngineConfig::event_driven, default on):
     /// `false` runs the reference slot loop.  Results are bit-identical
-    /// either way; sugar over config() for A/B comparisons.
+    /// either way; sugar over config() for core-agreement checks.
     SimulationBuilder& event_driven(bool on = true);
 
     /// Validates and builds.  The result bit-matches the raw
@@ -177,7 +163,6 @@ private:
     std::shared_ptr<markov::RealizedTraces> realized_;
     std::shared_ptr<const ckpt::CheckpointPolicy> checkpoint_;
     bool uninformed_ = false;
-    bool cache_traces_ = true;
     sim::EngineConfig config_{};
     std::uint64_t seed_ = 0;
     bool built_ = false;

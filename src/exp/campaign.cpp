@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "api/registry.hpp"
 #include "ckpt/registry.hpp"
@@ -116,77 +115,12 @@ std::string canonical_description(const SweepConfig& cfg,
 std::vector<int> parse_int_array(const util::json::Value& v) {
     std::vector<int> out;
     for (const auto& item : v.items())
-        out.push_back(static_cast<int>(item.as_i64()));
+        out.push_back(item.as_int());
     return out;
 }
 
 std::string json_int_array(const std::vector<int>& xs) {
     return "[" + join_ints(xs) + "]";
-}
-
-/// Replays records for the given jobs through run_sweep's exact reduction:
-/// per-job DfbTable filled in trial order, merged into the overall and
-/// by-key tables in job order.  `source` labels error messages.
-void replay_records(SweepResult& result, const SweepConfig& cfg,
-                    const std::vector<GridJob>& jobs,
-                    const std::vector<InstanceRecord>& records,
-                    const std::string& source) {
-    const std::size_t num_heuristics = result.heuristics.size();
-    const int trials = cfg.trials_per_scenario;
-
-    std::unordered_map<std::uint64_t, std::vector<const InstanceRecord*>>
-        by_ordinal;
-    by_ordinal.reserve(records.size());
-    for (const auto& rec : records)
-        by_ordinal[rec.scenario_ordinal].push_back(&rec);
-
-    std::size_t consumed = 0;
-    for (const GridJob& job : jobs) {
-        auto it = by_ordinal.find(job.ordinal);
-        if (it == by_ordinal.end() ||
-            it->second.size() != static_cast<std::size_t>(trials))
-            fail(source + ": scenario ordinal " + std::to_string(job.ordinal) +
-                 " has " +
-                 std::to_string(it == by_ordinal.end() ? 0
-                                                       : it->second.size()) +
-                 " records, expected " + std::to_string(trials) +
-                 " trials (incomplete, duplicated, or missing shard?)");
-        auto& trial_records = it->second;
-        std::sort(trial_records.begin(), trial_records.end(),
-                  [](const InstanceRecord* a, const InstanceRecord* b) {
-                      return a->trial < b->trial;
-                  });
-        DfbTable local(num_heuristics);
-        for (int t = 0; t < trials; ++t) {
-            const InstanceRecord& rec = *trial_records[static_cast<std::size_t>(t)];
-            if (rec.trial != t)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " has duplicate or missing trial " + std::to_string(t));
-            if (rec.scenario.seed != job.scenario.seed)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " carries seed " + std::to_string(rec.scenario.seed) +
-                     " but the grid expects " +
-                     std::to_string(job.scenario.seed) +
-                     " (records from a different campaign?)");
-            if (rec.scenario.checkpoint != job.scenario.checkpoint)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " carries checkpoint policy '" +
-                     rec.scenario.checkpoint + "' but the grid expects '" +
-                     job.scenario.checkpoint + "'");
-            if (rec.makespans.size() != num_heuristics)
-                fail(source + ": ordinal " + std::to_string(job.ordinal) +
-                     " has " + std::to_string(rec.makespans.size()) +
-                     " makespans, expected " +
-                     std::to_string(num_heuristics));
-            local.add_instance(rec.makespans);
-        }
-        consumed += static_cast<std::size_t>(trials);
-        merge_job_tables(result, job.scenario, local);
-    }
-    if (consumed != records.size())
-        fail(source + ": " + std::to_string(records.size() - consumed) +
-             " records do not belong to the expected grid (duplicate shard "
-             "or foreign file?)");
 }
 
 /// Streams one shard's records straight off its JSONL file, one line at a
@@ -391,8 +325,8 @@ CampaignHeader parse_campaign_header(const std::string& line) {
         throw std::invalid_argument("campaign: unsupported header version");
     CampaignHeader header;
     header.fingerprint = c.at("fingerprint").as_u64();
-    header.shard_index = static_cast<int>(c.at("shard").as_i64());
-    header.shard_count = static_cast<int>(c.at("shards").as_i64());
+    header.shard_index = c.at("shard").as_int();
+    header.shard_count = c.at("shards").as_int();
     // The fingerprint deliberately excludes the shard fields, so they need
     // their own validation here — for merge, status, and resume at once.
     if (header.shard_count < 1 || header.shard_index < 1 ||
@@ -407,16 +341,14 @@ CampaignHeader parse_campaign_header(const std::string& line) {
     sw.tasks_values = parse_int_array(c.at("tasks"));
     sw.ncom_values = parse_int_array(c.at("ncom"));
     sw.wmin_values = parse_int_array(c.at("wmin"));
-    sw.scenarios_per_cell =
-        static_cast<int>(c.at("scenarios_per_cell").as_i64());
-    sw.trials_per_scenario =
-        static_cast<int>(c.at("trials_per_scenario").as_i64());
-    sw.p = static_cast<int>(c.at("p").as_i64());
+    sw.scenarios_per_cell = c.at("scenarios_per_cell").as_int();
+    sw.trials_per_scenario = c.at("trials_per_scenario").as_int();
+    sw.p = c.at("p").as_int();
     sw.tdata_factor = c.at("tdata_factor").as_double();
     sw.tprog_factor = c.at("tprog_factor").as_double();
     sw.master_seed = c.at("master_seed").as_u64();
-    sw.run.iterations = static_cast<int>(c.at("iterations").as_i64());
-    sw.run.replica_cap = static_cast<int>(c.at("replica_cap").as_i64());
+    sw.run.iterations = c.at("iterations").as_int();
+    sw.run.replica_cap = c.at("replica_cap").as_int();
     sw.run.max_slots = c.at("max_slots").as_i64();
     sw.run.plan_class = plan_class_from(c.at("plan_class").as_string());
     // Optional (absent in classic, checkpoint-free campaign files).
@@ -424,8 +356,7 @@ CampaignHeader parse_campaign_header(const std::string& line) {
         sw.checkpoint_values.clear();
         for (const auto& v : ckpts->items())
             sw.checkpoint_values.push_back(v.as_string());
-        sw.run.checkpoint_cost =
-            static_cast<int>(c.at("checkpoint_cost").as_i64());
+        sw.run.checkpoint_cost = c.at("checkpoint_cost").as_int();
     }
     if (campaign_fingerprint(sw, header.heuristics) != header.fingerprint)
         throw std::invalid_argument(
@@ -500,13 +431,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         throw std::invalid_argument("campaign: no output directory");
     if (cfg.checkpoint_jobs < 1)
         throw std::invalid_argument("campaign: checkpoint_jobs must be >= 1");
-    if (cfg.pipeline_window < 0)
-        throw std::invalid_argument(
-            "campaign: pipeline_window must be >= 0");
-    if (cfg.pool && !cfg.pipeline)
-        throw std::invalid_argument(
-            "campaign: a shared pool requires pipeline mode (the barrier "
-            "loop's parallel_for would block other drivers)");
     if (cfg.heuristics.empty())
         throw std::invalid_argument("campaign: no heuristics");
     for (const auto& name : cfg.heuristics)
@@ -667,8 +591,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     };
     write_heartbeat("running");
 
-    // Per-job compute, shared verbatim by both execution modes; runs on
-    // worker threads, touches no sink.
+    // Per-job compute; runs on worker threads, touches no sink.
     struct JobOutcome {
         DfbTable local;
         std::vector<InstanceRecord> records;
@@ -733,140 +656,106 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         write_heartbeat("running");
     };
 
-    if (!cfg.pipeline) {
-        // Historical barrier loop, kept for same-binary A/B benchmarking:
-        // every batch waits for its slowest job before anything is emitted.
-        int batches_run = 0;
-        while (jobs_done < jobs_total) {
-            if (cfg.stop_after_batches > 0 &&
-                batches_run >= cfg.stop_after_batches)
-                break;
-            const std::size_t batch_begin =
-                static_cast<std::size_t>(jobs_done);
-            const std::size_t batch_end =
-                std::min(jobs.size(),
-                         batch_begin +
-                             static_cast<std::size_t>(cfg.checkpoint_jobs));
-            const std::size_t batch_size = batch_end - batch_begin;
+    // The completion pipeline.  Workers pull jobs from a shared cursor
+    // (`next_submit`, advanced under `mu` as the emitter frees window
+    // slots) and deposit finished JobOutcomes keyed by job position;
+    // this driver thread is the emitter, draining deposits strictly in
+    // job order — so simulation overlaps sink I/O, a checkpoint's
+    // fsync stalls nobody, and a straggler delays only emission, not
+    // the pool.  The window caps finished-but-unemitted + in-flight
+    // jobs, bounding peak record memory (window x trials records).
+    const long long first_job = jobs_done;
+    long long end_jobs = jobs_total;
+    if (cfg.stop_after_batches > 0)
+        end_jobs = std::min(
+            end_jobs,
+            first_job + static_cast<long long>(cfg.stop_after_batches) *
+                            cfg.checkpoint_jobs);
+    const long long window = std::max<long long>(
+        cfg.checkpoint_jobs, 2 * static_cast<long long>(pool.size()));
+    hb_window = window;
+    if (g_window) g_window->add(window);
 
-            std::vector<JobOutcome> batch(
-                batch_size, JobOutcome{DfbTable(num_heuristics), {}});
-            pool.parallel_for(batch_size, [&](std::size_t i) {
-                batch[i] = compute_job(jobs[batch_begin + i]);
-            });
-            for (std::size_t i = 0; i < batch_size; ++i)
-                emit_job(jobs[batch_begin + i], batch[i]);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<long long, JobOutcome> ready;
+    std::exception_ptr first_error;
+    long long in_flight = 0;
+    long long next_submit = jobs_done;
 
-            jobs_done = static_cast<long long>(batch_end);
-            checkpoint(jobs_done);
-            ++batches_run;
-        }
-    } else {
-        // The completion pipeline.  Workers pull jobs from a shared cursor
-        // (`next_submit`, advanced under `mu` as the emitter frees window
-        // slots) and deposit finished JobOutcomes keyed by job position;
-        // this driver thread is the emitter, draining deposits strictly in
-        // job order — so simulation overlaps sink I/O, a checkpoint's
-        // fsync stalls nobody, and a straggler delays only emission, not
-        // the pool.  The window caps finished-but-unemitted + in-flight
-        // jobs, bounding peak record memory just like the batch loop did.
-        const long long first_job = jobs_done;
-        long long end_jobs = jobs_total;
-        if (cfg.stop_after_batches > 0)
-            end_jobs = std::min(
-                end_jobs,
-                first_job + static_cast<long long>(cfg.stop_after_batches) *
-                                cfg.checkpoint_jobs);
-        const long long window =
-            cfg.pipeline_window > 0
-                ? cfg.pipeline_window
-                : std::max<long long>(
-                      cfg.checkpoint_jobs,
-                      2 * static_cast<long long>(pool.size()));
-        hb_window = window;
-        if (g_window) g_window->add(window);
-
-        std::mutex mu;
-        std::condition_variable cv;
-        std::map<long long, JobOutcome> ready;
-        std::exception_ptr first_error;
-        long long in_flight = 0;
-        long long next_submit = jobs_done;
-
-        // Caller holds `mu`.  Tasks capture this stack frame by reference,
-        // which is why every exit path below drains `in_flight` to zero
-        // before unwinding.
-        auto submit_upto_window = [&](long long emitted) {
-            while (next_submit < end_jobs && !first_error &&
-                   next_submit - emitted < window) {
-                const long long j = next_submit++;
-                ++in_flight;
-                hb_lag.fetch_add(1, std::memory_order_relaxed);
-                if (g_lag) g_lag->add(1);
-                pool.submit([&, j] {
-                    // notify_all happens *under* `mu`: the driver destroys
-                    // `cv` (by unwinding this stack frame) the moment it
-                    // observes in_flight == 0, and it cannot observe that
-                    // until the lock is released — after the notify call
-                    // has fully returned.
-                    try {
-                        JobOutcome out =
-                            compute_job(jobs[static_cast<std::size_t>(j)]);
-                        std::lock_guard lock(mu);
-                        ready.emplace(j, std::move(out));
-                        --in_flight;
-                        hb_queue.fetch_add(1, std::memory_order_relaxed);
-                        if (g_queue) g_queue->add(1);
-                        cv.notify_all();
-                    } catch (...) {
-                        std::lock_guard lock(mu);
-                        if (!first_error)
-                            first_error = std::current_exception();
-                        --in_flight;
-                        cv.notify_all();
-                    }
-                });
-            }
-        };
-
-        try {
-            {
-                std::unique_lock lock(mu);
-                submit_upto_window(jobs_done);
-            }
-            while (jobs_done < end_jobs) {
-                std::optional<JobOutcome> out;
-                {
-                    std::unique_lock lock(mu);
-                    cv.wait(lock, [&] {
-                        return first_error || ready.contains(jobs_done);
-                    });
-                    if (first_error) break;
-                    auto node = ready.extract(jobs_done);
-                    out.emplace(std::move(node.mapped()));
-                    hb_queue.fetch_add(-1, std::memory_order_relaxed);
-                    if (g_queue) g_queue->add(-1);
-                    submit_upto_window(jobs_done + 1);
+    // Caller holds `mu`.  Tasks capture this stack frame by reference,
+    // which is why every exit path below drains `in_flight` to zero
+    // before unwinding.
+    auto submit_upto_window = [&](long long emitted) {
+        while (next_submit < end_jobs && !first_error &&
+               next_submit - emitted < window) {
+            const long long j = next_submit++;
+            ++in_flight;
+            hb_lag.fetch_add(1, std::memory_order_relaxed);
+            if (g_lag) g_lag->add(1);
+            pool.submit([&, j] {
+                // notify_all happens *under* `mu`: the driver destroys
+                // `cv` (by unwinding this stack frame) the moment it
+                // observes in_flight == 0, and it cannot observe that
+                // until the lock is released — after the notify call
+                // has fully returned.
+                try {
+                    JobOutcome out =
+                        compute_job(jobs[static_cast<std::size_t>(j)]);
+                    std::lock_guard lock(mu);
+                    ready.emplace(j, std::move(out));
+                    --in_flight;
+                    hb_queue.fetch_add(1, std::memory_order_relaxed);
+                    if (g_queue) g_queue->add(1);
+                    cv.notify_all();
+                } catch (...) {
+                    std::lock_guard lock(mu);
+                    if (!first_error)
+                        first_error = std::current_exception();
+                    --in_flight;
+                    cv.notify_all();
                 }
-                emit_job(jobs[static_cast<std::size_t>(jobs_done)], *out);
-                hb_lag.fetch_add(-1, std::memory_order_relaxed);
-                if (g_lag) g_lag->add(-1);
-                ++jobs_done;
-                if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
-                    jobs_done == jobs_total)
-                    checkpoint(jobs_done);
-                heartbeat_tick();
-            }
-        } catch (...) {
-            std::lock_guard lock(mu);
-            if (!first_error) first_error = std::current_exception();
+            });
         }
+    };
+
+    try {
         {
             std::unique_lock lock(mu);
-            cv.wait(lock, [&] { return in_flight == 0; });
-            if (g_window) g_window->add(-window);
-            if (first_error) std::rethrow_exception(first_error);
+            submit_upto_window(jobs_done);
         }
+        while (jobs_done < end_jobs) {
+            std::optional<JobOutcome> out;
+            {
+                std::unique_lock lock(mu);
+                cv.wait(lock, [&] {
+                    return first_error || ready.contains(jobs_done);
+                });
+                if (first_error) break;
+                auto node = ready.extract(jobs_done);
+                out.emplace(std::move(node.mapped()));
+                hb_queue.fetch_add(-1, std::memory_order_relaxed);
+                if (g_queue) g_queue->add(-1);
+                submit_upto_window(jobs_done + 1);
+            }
+            emit_job(jobs[static_cast<std::size_t>(jobs_done)], *out);
+            hb_lag.fetch_add(-1, std::memory_order_relaxed);
+            if (g_lag) g_lag->add(-1);
+            ++jobs_done;
+            if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
+                jobs_done == jobs_total)
+                checkpoint(jobs_done);
+            heartbeat_tick();
+        }
+    } catch (...) {
+        std::lock_guard lock(mu);
+        if (!first_error) first_error = std::current_exception();
+    }
+    {
+        std::unique_lock lock(mu);
+        cv.wait(lock, [&] { return in_flight == 0; });
+        if (g_window) g_window->add(-window);
+        if (first_error) std::rethrow_exception(first_error);
     }
 
     write_heartbeat(jobs_done == jobs_total ? "done" : "stopped");
@@ -885,10 +774,6 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
         throw std::invalid_argument("campaign: shard count must be >= 1");
     if (base.directory.empty())
         throw std::invalid_argument("campaign: no output directory");
-    if (!base.pipeline)
-        throw std::invalid_argument(
-            "campaign: parallel shards require pipeline mode (the barrier "
-            "loop cannot share a worker pool)");
     const int shards = base.shard_count;
     const int trials = base.sweep.trials_per_scenario;
 
@@ -963,46 +848,6 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
 // ---------------------------------------------------------------------------
 // Merge
 // ---------------------------------------------------------------------------
-
-std::pair<CampaignHeader, std::vector<InstanceRecord>>
-read_shard_records(const std::filesystem::path& jsonl_file) {
-    const std::string text = util::read_text_file(jsonl_file);
-    std::size_t pos = 0;
-    auto next_line = [&]() -> std::optional<std::string_view> {
-        if (pos >= text.size()) return std::nullopt;
-        const std::size_t nl = text.find('\n', pos);
-        const std::size_t end = nl == std::string::npos ? text.size() : nl;
-        std::string_view line(text.data() + pos, end - pos);
-        pos = end + 1;
-        return line;
-    };
-
-    const auto header_line = next_line();
-    if (!header_line)
-        fail("'" + jsonl_file.string() + "' is empty");
-    CampaignHeader header = parse_campaign_header(std::string(*header_line));
-
-    std::vector<InstanceRecord> records;
-    while (const auto line = next_line()) {
-        if (line->empty()) continue;
-        try {
-            records.push_back(JsonlSink::parse_record(*line));
-        } catch (const std::invalid_argument& e) {
-            fail("'" + jsonl_file.string() + "' holds a malformed record (" +
-                 e.what() + "); was the shard killed without a checkpoint? "
-                 "resume it to self-heal, or delete the torn tail");
-        }
-    }
-    return {std::move(header), std::move(records)};
-}
-
-SweepResult aggregate_records(const SweepConfig& cfg,
-                              const std::vector<std::string>& heuristics,
-                              const std::vector<InstanceRecord>& records) {
-    SweepResult result(heuristics);
-    replay_records(result, cfg, grid_jobs(cfg), records, "aggregate");
-    return result;
-}
 
 SweepResult
 merge_shards(const std::vector<std::filesystem::path>& jsonl_files) {

@@ -19,8 +19,7 @@
 ///  2. *Deterministic emission.*  Jobs run on a thread pool, but a single
 ///     emitter — the only thread that touches the sinks — writes records
 ///     strictly in (ordinal, trial) order, so a shard's JSONL file is
-///     byte-identical across runs, thread counts, and execution modes
-///     (pipeline or barrier batches).
+///     byte-identical across runs and thread counts.
 ///
 ///  3. *Canonical aggregation.*  The merge step replays records through the
 ///     exact reduction run_sweep performs (per-job DfbTable built in trial
@@ -61,6 +60,8 @@ struct CampaignConfig {
     int shard_count = 1;
     /// Checkpoint cadence in scenario draws (jobs); also the unit of work
     /// lost on a kill.  Larger batches amortize the flush + manifest write.
+    /// Workers run at most max(checkpoint_jobs, 2 x pool size) jobs ahead
+    /// of the emitter, which bounds the records held in memory.
     int checkpoint_jobs = 8;
     bool write_csv = false; ///< records.csv next to the JSONL stream
     /// Pick up an existing MANIFEST in `directory` (fingerprint-checked);
@@ -69,24 +70,9 @@ struct CampaignConfig {
     /// Stop after this many checkpoint batches (0: run to completion).
     /// Supports time-sliced operation and the kill/resume tests.
     int stop_after_batches = 0;
-    /// Execution mode.  True (default) runs the barrier-free completion
-    /// pipeline: workers pull jobs from a shared cursor and run ahead past
-    /// checkpoint boundaries while the driver thread — the dedicated
-    /// emitter — drains finished jobs strictly in (ordinal, trial) order
-    /// through the sinks, so stragglers stall neither the pool nor the
-    /// I/O overlap.  False keeps the historical barrier loop (parallel_for
-    /// per batch, then serial emit) for same-binary A/B benchmarking.
-    /// Outputs are byte-identical either way.
-    bool pipeline = true;
-    /// Pipeline run-ahead bound, in jobs in flight or finished-but-unemitted
-    /// (i.e. peak buffered records is pipeline_window x trials).  0 picks
-    /// max(checkpoint_jobs, 2 x pool size).
-    int pipeline_window = 0;
     /// Optional externally owned worker pool, shared between the in-process
     /// shard drivers of run_parallel_campaign; null makes the campaign
-    /// create its own.  A shared pool requires pipeline mode: the barrier
-    /// loop's parallel_for is a whole-pool barrier and would deadlock or
-    /// serialize other drivers.
+    /// create its own.
     util::ThreadPool* pool = nullptr;
     /// Keep an atomically-replaced status.json heartbeat in the shard
     /// directory (exp/status.hpp): live progress, pipeline occupancy, and
@@ -183,18 +169,9 @@ struct ParallelCampaignResult {
 /// are byte-identical to N separate single-shard processes.  Progress is
 /// aggregated across shards before reaching base.sweep.progress; the
 /// base.sweep.record hook, if any, is serialized across the shard emitters
-/// (records arrive shard-interleaved, each shard in order).  Requires
-/// pipeline mode (the barrier loop cannot share a pool).  The first shard
-/// failure (by shard index) is rethrown after all drivers stop.
+/// (records arrive shard-interleaved, each shard in order).  The first
+/// shard failure (by shard index) is rethrown after all drivers stop.
 ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base);
-
-/// Canonical aggregation: validates that `records` is exactly the full
-/// grid's instance set (no missing, duplicate, or foreign records; seeds
-/// and makespan arities cross-checked) and replays it through run_sweep's
-/// reduction.  The result is bit-identical to run_sweep(cfg, heuristics).
-SweepResult aggregate_records(const SweepConfig& cfg,
-                              const std::vector<std::string>& heuristics,
-                              const std::vector<InstanceRecord>& records);
 
 /// Reads shard JSONL files (headers must agree on the fingerprint) and
 /// aggregates them canonically via a streaming k-way merge: shard files are
@@ -205,10 +182,6 @@ SweepResult aggregate_records(const SweepConfig& cfg,
 /// run_sweep; peak memory is O(shards + grid jobs), never O(records).
 /// Throws when shards are missing, duplicated, or inconsistent.
 SweepResult merge_shards(const std::vector<std::filesystem::path>& jsonl_files);
-
-/// Reads one shard JSONL file: header + records.
-std::pair<CampaignHeader, std::vector<InstanceRecord>>
-read_shard_records(const std::filesystem::path& jsonl_file);
 
 /// Directory layout helpers: a campaign root holds one sub-directory per
 /// shard, named shard-<k>-of-<N>.

@@ -15,8 +15,6 @@ InstanceOutcome run_instance(const RealizedScenario& rs, int tasks,
     ec.replica_cap = cfg.replica_cap;
     ec.max_slots = cfg.max_slots;
     ec.plan_class = cfg.plan_class;
-    ec.skip_dead_slots = cfg.skip_dead_slots;
-    ec.event_driven = cfg.event_driven;
     ec.audit = cfg.audit;
     ec.checkpoint_cost = cfg.checkpoint_cost;
 

@@ -26,12 +26,6 @@ struct RunConfig {
     int replica_cap = 2;
     long long max_slots = 2'000'000;
     sim::SchedulerClass plan_class = sim::SchedulerClass::Dynamic;
-    /// Engine dead-stretch fast-forward (results identical either way;
-    /// only consulted by the slot loop — see event_driven).
-    bool skip_dead_slots = true;
-    /// Engine stepping core (default: the event-driven core; false runs
-    /// the reference slot loop; results identical either way).
-    bool event_driven = true;
     /// Per-slot invariant auditing (slow; results identical either way).
     bool audit = false;
     /// Master transfer slot-units per checkpoint upload (only consulted

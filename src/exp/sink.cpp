@@ -129,11 +129,11 @@ InstanceRecord JsonlSink::parse_record(std::string_view line) {
     const auto v = util::json::Value::parse(line);
     InstanceRecord rec;
     rec.scenario_ordinal = v.at("ordinal").as_u64();
-    rec.trial = static_cast<int>(v.at("trial").as_i64());
-    rec.scenario.p = static_cast<int>(v.at("p").as_i64());
-    rec.scenario.tasks = static_cast<int>(v.at("tasks").as_i64());
-    rec.scenario.ncom = static_cast<int>(v.at("ncom").as_i64());
-    rec.scenario.wmin = static_cast<int>(v.at("wmin").as_i64());
+    rec.trial = v.at("trial").as_int();
+    rec.scenario.p = v.at("p").as_int();
+    rec.scenario.tasks = v.at("tasks").as_int();
+    rec.scenario.ncom = v.at("ncom").as_int();
+    rec.scenario.wmin = v.at("wmin").as_int();
     rec.scenario.tdata_factor = v.at("tdata_factor").as_double();
     rec.scenario.tprog_factor = v.at("tprog_factor").as_double();
     rec.scenario.seed = v.at("seed").as_u64();

@@ -75,8 +75,8 @@ std::optional<ShardStatus> read_status(
     try {
         const auto v = util::json::Value::parse(text);
         ShardStatus s;
-        s.shard = static_cast<int>(v.at("shard").as_i64());
-        s.shards = static_cast<int>(v.at("shards").as_i64());
+        s.shard = v.at("shard").as_int();
+        s.shards = v.at("shards").as_int();
         s.jobs_done = v.at("jobs_done").as_i64();
         s.jobs_total = v.at("jobs_total").as_i64();
         s.instances_done = v.at("instances_done").as_i64();

@@ -163,6 +163,7 @@ public:
                     const long long ev = steady_horizon(t);
                     if (ev - t >= kMinJump || (ev > t && up_count_ == 0)) {
                         fast_forward(t, ev);
+                        metrics_.slots_elided += ev - t;
                         if (config_.audit) audit_incremental(ev - 1);
                         t = ev;
                         continue;
@@ -173,14 +174,11 @@ public:
                 // Dead-stretch fast-forward: with every worker DOWN or
                 // RECLAIMED nothing can transfer, compute, or complete, so
                 // the slot loop is a no-op until some processor changes
-                // state.
-                long long change = config_.max_slots;
-                for (int q = 0; q < pf_.size(); ++q)
-                    change =
-                        std::min(change, cursors_[q].next_change_at(t - 1,
-                                                                    change));
+                // state; fast_forward back-fills the recorders up to it.
+                const long long change = next_state_change(t - 1);
                 if (change > t) {
-                    skip_dead_range(t, change);
+                    fast_forward(t, change);
+                    if (config_.audit) audit_incremental(change - 1);
                     t = change;
                     continue;
                 }
@@ -284,47 +282,13 @@ private:
         for (const ProcId q : eligible_) ++metrics_.per_proc[q].up_slots;
     }
 
-    /// Fast-forwards the dead stretch [from, to): every worker is DOWN or
-    /// RECLAIMED for the whole range, so the only per-slot obligations are
-    /// the recorders (timelines and action traces must stay bit-identical
-    /// to an unskipped run).  Audit mode re-verifies the premise slot by
-    /// slot before trusting the jump.
-    void skip_dead_range(long long from, long long to) {
-        if (config_.audit) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                const Worker& w = workers_[q];
-                if (w.state == ProcState::Up)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with an UP worker");
-                if (w.computing != -1 && w.compute_remaining == 0)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with a pending completion");
-                if (w.computing == -1 && w.staged != -1 &&
-                    instances_[w.staged].data_done)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with a pending promotion");
-                if (w.ckpt_in_flight && w.ckpt_remaining == 0)
-                    throw std::logic_error(
-                        "audit: dead-slot skip with a pending checkpoint "
-                        "commit");
-                for (long long s = from; s < to; ++s)
-                    if (cursors_[q].state_at(s) != w.state)
-                        throw std::logic_error(
-                            "audit: dead-slot skip crossed a state change");
-            }
-        }
-        if (config_.timeline) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                const char code =
-                    workers_[q].state == ProcState::Down ? 'd' : 'r';
-                for (long long s = from; s < to; ++s)
-                    config_.timeline->record(q, code);
-            }
-        }
-        if (config_.actions)
-            for (long long s = from; s < to; ++s) config_.actions->next_slot();
-        if (config_.tracer) config_.tracer->elided(from, to, true);
-        metrics_.dead_slots_skipped += to - from;
+    /// First slot after `s` at which some worker's availability state
+    /// changes, capped at the horizon.
+    long long next_state_change(long long s) {
+        long long change = config_.max_slots;
+        for (int q = 0; q < pf_.size(); ++q)
+            change = std::min(change, cursors_[q].next_change_at(s, change));
+        return change;
     }
 
     /// Slot-0 companion to the dead-stretch fast-forward: when the
@@ -337,13 +301,12 @@ private:
     bool try_skip_initial_dead(long long& t) {
         for (int q = 0; q < pf_.size(); ++q)
             if (cursors_[q].state_at(0) == ProcState::Up) return false;
-        long long change = config_.max_slots;
-        for (int q = 0; q < pf_.size(); ++q)
-            change = std::min(change, cursors_[q].next_change_at(0, change));
+        const long long change = next_state_change(0);
         slot_ = 0;
         advance_states(0);
-        skip_dead_range(0, change);
+        fast_forward(0, change);
         if (config_.event_driven) metrics_.slots_elided += change;
+        if (config_.audit) audit_incremental(change - 1);
         t = change;
         return true;
     }
@@ -539,7 +502,10 @@ private:
     /// every unobstructed computation drain one unit per slot (none to
     /// zero, so the FIFO keeps its entries and order), and the recorders
     /// receive the identical per-slot output the slot loop would have
-    /// produced.  Precondition: steady_horizon(from) >= to.
+    /// produced.  Precondition: steady_horizon(from) >= to.  With no worker
+    /// UP this is the dead-stretch skip of both cores: it only back-fills
+    /// `d`/`r` timeline codes and empty action slots, and counts the
+    /// stretch in dead_slots_skipped.  Callers count slots_elided.
     void fast_forward(long long from, long long to) {
         const long long n = to - from;
         if (config_.audit) audit_steady_range(from, to);
@@ -581,7 +547,6 @@ private:
             slot_flags_[q] |= kFlagCompute;
             ff_compute_[q] = instances_[w.computing].logical;
         }
-        metrics_.slots_elided += n;
         if (up_count_ == 0) metrics_.dead_slots_skipped += n;
         if (config_.tracer) config_.tracer->elided(from, to, up_count_ == 0);
         if (config_.timeline) {
@@ -629,7 +594,7 @@ private:
             for (long long s = from; s < to; ++s)
                 if (cursors_[q].state_at(s) != w.state)
                     throw std::logic_error(
-                        "audit: event elision crossed a state change");
+                        "audit: elided range crossed a state change");
         }
         int advancing = 0;
         for (const ActiveTransfer& tr : fifo_) {
@@ -1862,12 +1827,6 @@ Simulation Simulation::from_chains(Platform platform,
 }
 
 std::shared_ptr<markov::RealizedTraces> Simulation::realization() const {
-    return acquire_traces();
-}
-
-std::shared_ptr<markov::RealizedTraces> Simulation::acquire_traces() const {
-    if (!cache_traces_)
-        return std::make_shared<markov::RealizedTraces>(models_, seed_);
     if (!traces_)
         traces_ = std::make_shared<markov::RealizedTraces>(models_, seed_);
     return traces_;
@@ -1891,7 +1850,7 @@ void record_cache_delta(RunMetrics& m, const Scheduler& sched,
 } // namespace
 
 RunMetrics Simulation::run(Scheduler& sched) const {
-    const auto traces = acquire_traces();
+    const auto traces = realization();
     Runner runner(platform_, *traces, beliefs_, config_, seed_);
     const SchedulerCounters before = sched.counters();
     RunMetrics m = runner.run(sched);
@@ -1906,7 +1865,7 @@ RunMetrics Simulation::run_for_deadline(Scheduler& sched,
     // An unreachable iteration budget: the run always ends at the deadline
     // and iterations_completed is the Section 3.4 objective value.
     cfg.iterations = std::numeric_limits<int>::max();
-    const auto traces = acquire_traces();
+    const auto traces = realization();
     Runner runner(platform_, *traces, beliefs_, cfg, seed_);
     const SchedulerCounters before = sched.counters();
     RunMetrics m = runner.run(sched);
@@ -1918,7 +1877,7 @@ long long Simulation::min_slots_for_iterations(Scheduler& sched,
                                                int iterations) const {
     EngineConfig cfg = config_;
     cfg.iterations = iterations;
-    const auto traces = acquire_traces();
+    const auto traces = realization();
     Runner runner(platform_, *traces, beliefs_, cfg, seed_);
     const auto metrics = runner.run(sched);
     return metrics.completed ? metrics.makespan : -1;

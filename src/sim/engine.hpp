@@ -33,7 +33,9 @@
 ///
 ///  - The slot loop (EngineConfig::event_driven == false) walks every slot
 ///    of the horizon, optionally fast-forwarding dead stretches where no
-///    worker is UP (EngineConfig::skip_dead_slots).
+///    worker is UP (EngineConfig::skip_dead_slots) through the event
+///    core's fast-forward.  It is the reference the event core is tested
+///    against.
 ///  - The event-driven core (the default) keeps a frontier of (slot, event)
 ///    candidates — availability transitions read from the RLE segments via
 ///    markov::TraceCursor::next_change_at, transfer/compute/checkpoint
@@ -99,28 +101,26 @@ struct EngineConfig {
     long long max_slots = 10'000'000;
     /// Scheduler class (Section 6.1); Dynamic is the paper's setting.
     SchedulerClass plan_class = SchedulerClass::Dynamic;
-    /// When true (default), the engine fast-forwards stretches of slots in
-    /// which no worker is UP and no availability state change occurs:
-    /// nothing can transfer, compute, or complete in such a slot, so the
-    /// engine jumps straight to the next state change (RunMetrics::
-    /// dead_slots_skipped counts the slots elided).  Timelines and action
-    /// traces are back-filled so recorded output is bit-identical with the
-    /// flag on or off.
+    /// Slot loop only (the event core ignores it): when true (default),
+    /// stretches in which no worker is UP and no availability state change
+    /// occurs are fast-forwarded to the next state change (RunMetrics::
+    /// dead_slots_skipped counts them), with timelines and action traces
+    /// back-filled.  Output is bit-identical either way; false steps dead
+    /// slots through the real phases, the tests' independent check of the
+    /// back-fill.
     bool skip_dead_slots = true;
     /// When true (default), the engine runs its event-driven core: between
     /// consecutive candidate events (availability transitions from the RLE
     /// trace, transfer/compute/checkpoint completions in closed form,
     /// scheduler decision points) slots are advanced arithmetically instead
     /// of simulated one by one (RunMetrics::slots_elided counts them).
-    /// Output is bit-identical to the slot loop by construction; the knob
-    /// exists to run the reference slot loop for validation and benchmarks.
-    /// The event core subsumes `skip_dead_slots` (dead stretches are just
-    /// one kind of inert range) and ignores that flag.
+    /// Output is bit-identical to the slot loop by construction; false runs
+    /// the reference slot loop, the differential oracle of the tests.
     bool event_driven = true;
     /// When true, the engine cross-checks model invariants every slot and
-    /// throws std::logic_error on violation (skipped dead ranges and
-    /// event-elided ranges are cross-checked slot by slot against the
-    /// realized trace and the checkpoint policy).  Used by the test suite.
+    /// throws std::logic_error on violation (fast-forwarded ranges, dead or
+    /// not, are cross-checked slot by slot against the realized trace and
+    /// the checkpoint policy).  Used by the test suite.
     bool audit = false;
     /// Optional checkpoint/restart policy (not owned; null means "none",
     /// the paper's crash-lose-everything model).  When set, workers may
@@ -204,15 +204,10 @@ public:
     /// The shared realized-availability snapshot all runs replay: sampled
     /// lazily (a pure function of the seed and the availability models) and
     /// cached across run()/run_for_deadline()/min_slots_for_iterations().
-    /// With trace caching disabled (SimulationBuilder::trace_cache(false))
-    /// every call realizes afresh and nothing is retained.
     [[nodiscard]] std::shared_ptr<markov::RealizedTraces> realization() const;
 
 private:
-    /// Cached-or-fresh realization per the trace-cache policy.
-    [[nodiscard]] std::shared_ptr<markov::RealizedTraces> acquire_traces() const;
-
-    friend class api::SimulationBuilder; // installs .realized()/.trace_cache()
+    friend class api::SimulationBuilder; // installs .realized()
 
     Platform platform_;
     std::vector<std::unique_ptr<markov::AvailabilityModel>> models_;
@@ -225,9 +220,6 @@ private:
     std::shared_ptr<const ckpt::CheckpointPolicy> checkpoint_policy_;
     /// Realization cache; pre-seeded by SimulationBuilder::realized().
     mutable std::shared_ptr<markov::RealizedTraces> traces_;
-    /// False: re-realize on every run (the pre-trace-layer cost model);
-    /// set via SimulationBuilder::trace_cache(false).
-    bool cache_traces_ = true;
 };
 
 } // namespace volsched::sim

@@ -12,6 +12,18 @@ namespace {
     throw std::invalid_argument("json: " + what);
 }
 
+/// The whole number token as a T, or bad() when it is not an integer or
+/// does not fit T (std::from_chars never wraps).
+template <typename T>
+T parse_integer(const std::string& token, const char* what) {
+    T v = 0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), v);
+    if (ec != std::errc{} || end != token.data() + token.size())
+        bad(std::string(what) + ": " + token);
+    return v;
+}
+
 } // namespace
 
 std::string escape(std::string_view s) {
@@ -69,24 +81,20 @@ double Value::as_double() const {
     return v;
 }
 
+int Value::as_int() const {
+    if (kind_ != Kind::Number) bad("not a number");
+    return parse_integer<int>(scalar_, "not an int");
+}
+
 long long Value::as_i64() const {
     if (kind_ != Kind::Number) bad("not a number");
-    long long v = 0;
-    const auto [end, ec] =
-        std::from_chars(scalar_.data(), scalar_.data() + scalar_.size(), v);
-    if (ec != std::errc{} || end != scalar_.data() + scalar_.size())
-        bad("not a 64-bit integer: " + scalar_);
-    return v;
+    return parse_integer<long long>(scalar_, "not a 64-bit integer");
 }
 
 std::uint64_t Value::as_u64() const {
     if (kind_ != Kind::Number) bad("not a number");
-    std::uint64_t v = 0;
-    const auto [end, ec] =
-        std::from_chars(scalar_.data(), scalar_.data() + scalar_.size(), v);
-    if (ec != std::errc{} || end != scalar_.data() + scalar_.size())
-        bad("not an unsigned 64-bit integer: " + scalar_);
-    return v;
+    return parse_integer<std::uint64_t>(scalar_,
+                                        "not an unsigned 64-bit integer");
 }
 
 const std::string& Value::as_string() const {

@@ -46,8 +46,11 @@ public:
 
     /// Typed accessors; throw std::invalid_argument on a kind mismatch or
     /// (for the integer accessors) a non-integral / out-of-range token.
+    /// Narrow integer fields read through as_int(), never a cast of
+    /// as_i64(), so an out-of-range value throws instead of wrapping.
     [[nodiscard]] bool as_bool() const;
     [[nodiscard]] double as_double() const;
+    [[nodiscard]] int as_int() const;
     [[nodiscard]] long long as_i64() const;
     [[nodiscard]] std::uint64_t as_u64() const;
     [[nodiscard]] const std::string& as_string() const;

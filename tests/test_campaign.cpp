@@ -190,6 +190,53 @@ TEST(Campaign, HeaderLineRoundTrips) {
               header.fingerprint);
 }
 
+namespace {
+
+/// `text` with its single occurrence of `from` replaced by `to`.
+std::string tampered(std::string text, const std::string& from,
+                     const std::string& to) {
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    EXPECT_EQ(text.find(from, at + 1), std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+}
+
+} // namespace
+
+TEST(Campaign, HeaderRejectsIntegersThatWouldWrap) {
+    // 4294967297 = 2^32 + 1 and 4294967299 = 2^32 + 3 wrap to 1 and 3 when
+    // narrowed to 32 bits: a header carrying them must not parse as shard 1
+    // or as tasks 3 (the fingerprint is recomputed from the parsed values,
+    // so it cannot catch the wrap).
+    TempDir dir;
+    auto cfg = small_campaign(dir.path());
+    cfg.shard_index = 1;
+    cfg.shard_count = 2;
+    const std::string line = ve::campaign_header_line(cfg);
+    ASSERT_NO_THROW((void)ve::parse_campaign_header(line));
+    EXPECT_THROW((void)ve::parse_campaign_header(
+                     tampered(line, "\"shard\":1", "\"shard\":4294967297")),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ve::parse_campaign_header(tampered(
+                     line, "\"tasks\":[3,", "\"tasks\":[4294967299,")),
+                 std::invalid_argument);
+}
+
+TEST(Sink, JsonlRecordRejectsIntegersThatWouldWrap) {
+    ve::InstanceRecord rec;
+    rec.trial = 1;
+    rec.scenario.p = 4;
+    rec.makespans = {10};
+    const std::string line = ve::JsonlSink::format_record(rec);
+    ASSERT_NO_THROW((void)ve::JsonlSink::parse_record(line));
+    EXPECT_THROW((void)ve::JsonlSink::parse_record(
+                     tampered(line, "\"trial\":1", "\"trial\":4294967297")),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ve::JsonlSink::parse_record(
+                     tampered(line, "\"p\":4", "\"p\":-4294967292")),
+                 std::invalid_argument);
+}
+
 TEST(Campaign, ManifestRoundTripsAtomically) {
     TempDir dir;
     EXPECT_FALSE(ve::read_manifest(dir.path()).has_value());
@@ -332,16 +379,20 @@ TEST(Campaign, KilledAndResumedProducesIdenticalOutput) {
     expect_results_identical(resumed.tables, uninterrupted.tables);
 
     // The record stream parses back with each instance exactly once.
-    const auto [header, records] =
-        ve::read_shard_records(resumed.jsonl_path);
-    EXPECT_EQ(header.fingerprint,
+    std::ifstream in(resumed.jsonl_path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(ve::parse_campaign_header(line).fingerprint,
               ve::campaign_fingerprint(sliced.sweep, sliced.heuristics));
     std::set<std::pair<std::uint64_t, int>> identities;
-    for (const auto& rec : records)
+    long long records = 0;
+    while (std::getline(in, line)) {
+        const auto rec = ve::JsonlSink::parse_record(line);
         EXPECT_TRUE(
             identities.emplace(rec.scenario_ordinal, rec.trial).second);
-    EXPECT_EQ(static_cast<long long>(records.size()),
-              resumed.instances_done);
+        ++records;
+    }
+    EXPECT_EQ(records, resumed.instances_done);
 }
 
 TEST(Campaign, ResumeRejectsAMismatchedConfiguration) {

@@ -1,12 +1,12 @@
-/// Campaign scale-out: the barrier-free completion pipeline, in-process
-/// parallel shards, and the queryable index sidecar.  The load-bearing
-/// guarantees pinned here are the scale-out issue's acceptance criteria:
-/// (1) pipeline and barrier execution emit byte-identical outputs, (2) an
-/// in-process N-shard parallel run is byte-identical to N separate
-/// sequential shard processes — and merges bit-identically to the unsharded
-/// sweep, (3) kill/resume under the pipelined emitter stays byte-identical,
-/// and (4) an indexed query selects exactly the lines a brute-force JSONL
-/// scan would, including through the stale/absent-sidecar rebuild path.
+/// Campaign scale-out: the completion pipeline, in-process parallel shards,
+/// and the queryable index sidecar.  The load-bearing guarantees pinned
+/// here: (1) a shard's outputs are byte-identical at any pool size, the
+/// narrowest run-ahead window included, (2) an in-process N-shard parallel
+/// run is byte-identical to N separate sequential shard processes — and
+/// merges bit-identically to the unsharded sweep, (3) kill/resume under the
+/// pipelined emitter stays byte-identical, and (4) an indexed query selects
+/// exactly the lines a brute-force JSONL scan would, including through the
+/// stale/absent-sidecar rebuild path.
 
 #include <gtest/gtest.h>
 
@@ -143,61 +143,65 @@ query_lines(const std::vector<std::filesystem::path>& files,
 
 } // namespace
 
-TEST(Pipeline, MatchesBarrierLoopByteForByte) {
-    TempDir piped_dir, barrier_dir;
+TEST(Pipeline, OutputsMatchAcrossThreadCounts) {
+    // The emitter writes in (ordinal, trial) order whatever the order jobs
+    // finish in, so the pool size must not move a byte of any output.
+    TempDir one_dir, four_dir;
 
-    auto piped = small_campaign(piped_dir.path());
-    piped.write_csv = true;
-    ASSERT_TRUE(piped.pipeline); // the default execution mode
-    const auto a = ve::run_campaign(piped);
+    auto one = small_campaign(one_dir.path());
+    one.write_csv = true;
+    one.sweep.threads = 1;
+    const auto a = ve::run_campaign(one);
     ASSERT_TRUE(a.complete);
 
-    auto barrier = small_campaign(barrier_dir.path());
-    barrier.write_csv = true;
-    barrier.pipeline = false;
-    const auto b = ve::run_campaign(barrier);
+    auto four = small_campaign(four_dir.path());
+    four.write_csv = true;
+    four.sweep.threads = 4;
+    const auto b = ve::run_campaign(four);
     ASSERT_TRUE(b.complete);
 
-    const auto pa = shard_bytes(piped_dir.path());
-    const auto pb = shard_bytes(barrier_dir.path());
+    const auto pa = shard_bytes(one_dir.path());
+    const auto pb = shard_bytes(four_dir.path());
     EXPECT_EQ(pa.jsonl, pb.jsonl);
     EXPECT_EQ(pa.idx, pb.idx);
     EXPECT_EQ(pa.manifest, pb.manifest);
-    EXPECT_EQ(read_file(piped_dir.file("records.csv")),
-              read_file(barrier_dir.file("records.csv")));
+    EXPECT_EQ(read_file(one_dir.file("records.csv")),
+              read_file(four_dir.file("records.csv")));
     expect_results_identical(a.tables, b.tables);
 }
 
-TEST(Pipeline, WindowOfOneDegeneratesSafely) {
-    // window=1 forces lock-step submit/emit — the pipeline's worst case
-    // must still produce the canonical bytes.
+TEST(Pipeline, NarrowestWindowDegeneratesSafely) {
+    // One pool thread and a checkpoint after every job give the narrowest
+    // window auto-sizing produces, max(1, 2 x 1) = 2 jobs: near lock-step
+    // submit/emit, the pipeline's worst case, must still produce the
+    // canonical bytes.
     TempDir reference_dir, narrow_dir;
     const auto reference =
         ve::run_campaign(small_campaign(reference_dir.path()));
     ASSERT_TRUE(reference.complete);
 
     auto narrow = small_campaign(narrow_dir.path());
-    narrow.pipeline_window = 1;
+    narrow.sweep.threads = 1;
+    narrow.checkpoint_jobs = 1;
     ASSERT_TRUE(ve::run_campaign(narrow).complete);
     EXPECT_EQ(read_file(narrow_dir.file("records.jsonl")),
               read_file(reference_dir.file("records.jsonl")));
     EXPECT_EQ(read_file(narrow_dir.file("records.idx")),
               read_file(reference_dir.file("records.idx")));
-
-    auto bad = small_campaign(narrow_dir.path());
-    bad.pipeline_window = -1;
-    EXPECT_THROW(ve::run_campaign(bad), std::invalid_argument);
 }
 
-TEST(Pipeline, SharedPoolRequiresPipelineMode) {
-    TempDir dir;
+TEST(Pipeline, RunsOnASharedPool) {
+    TempDir reference_dir, dir;
+    const auto reference =
+        ve::run_campaign(small_campaign(reference_dir.path()));
+    ASSERT_TRUE(reference.complete);
+
     volsched::util::ThreadPool pool(2);
     auto cfg = small_campaign(dir.path());
     cfg.pool = &pool;
-    cfg.pipeline = false; // barrier loop would monopolize the shared pool
-    EXPECT_THROW(ve::run_campaign(cfg), std::invalid_argument);
-    cfg.pipeline = true;
     EXPECT_TRUE(ve::run_campaign(cfg).complete);
+    EXPECT_EQ(read_file(dir.file("records.jsonl")),
+              read_file(reference_dir.file("records.jsonl")));
 }
 
 TEST(Pipeline, KilledAndResumedStaysByteIdentical) {
@@ -317,9 +321,6 @@ TEST(ParallelCampaign, AggregatesProgressAndSerializesRecords) {
     auto invalid = base;
     invalid.shard_count = 0;
     EXPECT_THROW(ve::run_parallel_campaign(invalid), std::invalid_argument);
-    auto barrier = base;
-    barrier.pipeline = false;
-    EXPECT_THROW(ve::run_parallel_campaign(barrier), std::invalid_argument);
 }
 
 TEST(ParallelCampaign, RunsThroughTheBuilderFacade) {

@@ -471,10 +471,10 @@ TEST(CkptCampaign, RecordsCarryTheCheckpointOnlyWhenSwept) {
     EXPECT_EQ(back.makespans, rec.makespans);
 }
 
-// The remaining EngineConfig knobs ride through SweepConfig so campaigns
-// can toggle them like SimulationBuilder users can: audited sweeps must
-// reproduce the unaudited results exactly (auditing only observes).
-TEST(CkptSweep, AuditAndSkipKnobsDoNotChangeResults) {
+// The audit knob rides through SweepConfig so campaigns can toggle it like
+// SimulationBuilder users can: audited sweeps must reproduce the unaudited
+// results exactly (auditing only observes).
+TEST(CkptSweep, AuditKnobDoesNotChangeResults) {
     ve::SweepConfig cfg;
     cfg.tasks_values = {3};
     cfg.ncom_values = {2};
@@ -487,7 +487,6 @@ TEST(CkptSweep, AuditAndSkipKnobsDoNotChangeResults) {
     const std::vector<std::string> heuristics = {"mct", "emct"};
     const auto plain = ve::run_sweep(cfg, heuristics);
     cfg.run.audit = true;
-    cfg.run.skip_dead_slots = false;
     const auto audited = ve::run_sweep(cfg, heuristics);
     EXPECT_EQ(plain.overall.instances(), audited.overall.instances());
     for (std::size_t h = 0; h < heuristics.size(); ++h) {

@@ -5,9 +5,10 @@
 /// Markov, semi-Markov, and checkpointed regimes, with audit mode
 /// re-verifying every elided range.  A seeded sweep extends the equality to
 /// every scheduler class, replica cap, checkpoint policy, bandwidth and
-/// all-dead start.  Also pins the slot-0 dead-stretch fix: a realization
-/// that starts with every worker absent is skipped in full, including slot
-/// 0, by both cores.
+/// all-dead start, and checks the dead-stretch back-fill both cores share
+/// against a slot loop that steps dead slots through the real phases.
+/// Also pins the slot-0 dead-stretch fix: a realization that starts with
+/// every worker absent is skipped in full, including slot 0, by both cores.
 
 #include <gtest/gtest.h>
 
@@ -271,16 +272,15 @@ TEST(EventEngine, InitialDeadStretchIsSkippedInFullByBothCores) {
     // Three arms: event core, slot loop + skip, slot loop unskipped.
     Outcome out[3];
     for (int arm = 0; arm < 3; ++arm) {
+        vs::EngineConfig cfg = vt::audited_config(2, 3);
+        cfg.skip_dead_slots = arm == 1;
         auto sim = vs::Simulation::builder()
                        .platform(pf)
                        .replay({tr, tr})
-                       .iterations(2)
-                       .tasks_per_iteration(3)
-                       .audit(true)
+                       .config(cfg)
                        .timeline(&out[arm].timeline)
                        .actions(&out[arm].actions)
                        .event_driven(arm == 0)
-                       .skip_dead_slots(arm == 1)
                        .seed(11)
                        .build();
         const auto sched = vc::make_scheduler("mct");
@@ -335,6 +335,7 @@ std::string describe(const SweepConfig& c) {
 struct SweepCoverage {
     long long elided = 0;
     long long dead_skipped = 0;
+    long long backfilled = 0; ///< dead slots the skip-on slot loop elided
     long long replicas = 0;
     long long checkpoints = 0;
     long long proactive = 0;
@@ -342,8 +343,12 @@ struct SweepCoverage {
 
 constexpr int kSweepProcs = 4;
 
-/// Runs one sweep config under both cores with audit on and checks full
-/// metrics, timeline and action-trace equality.
+/// Runs one sweep config with audit on in three arms — the slot loop with
+/// its dead-stretch skip, the event core, and the slot loop with the skip
+/// off — and checks full metrics, timeline and action-trace equality of
+/// the first arm with each of the other two.  The third arm is the one
+/// independent check of fast_forward's dead path: it steps every dead slot
+/// through the real phases.
 void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
     volsched::util::Rng rng(c.seed);
     vs::Platform pf;
@@ -390,33 +395,46 @@ void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
         }
     }
     const std::string label = describe(c) + " spec=" + spec;
-    Outcome out[2];
-    for (int event = 0; event < 2; ++event) {
+    static const char* const kArms[3] = {" (slot loop)", " (event core)",
+                                         " (unskipped slot loop)"};
+    Outcome out[3];
+    for (int arm = 0; arm < 3; ++arm) {
         auto builder = vs::Simulation::builder();
         builder.platform(pf);
         if (c.dead_start)
             builder.replay(traces).beliefs(chains);
         else
             builder.markov(chains);
-        auto sim = builder.config(cfg)
-                       .timeline(&out[event].timeline)
-                       .actions(&out[event].actions)
-                       .event_driven(event == 1)
+        vs::EngineConfig arm_cfg = cfg;
+        arm_cfg.skip_dead_slots = arm != 2;
+        auto sim = builder.config(arm_cfg)
+                       .timeline(&out[arm].timeline)
+                       .actions(&out[arm].actions)
+                       .event_driven(arm == 1)
                        .seed(c.seed)
                        .build();
         const auto sched = vc::make_scheduler(spec);
         try {
-            out[event].m = sim.run(*sched);
+            out[arm].m = sim.run(*sched);
         } catch (const std::exception& e) {
-            FAIL() << label << (event ? " (event core)" : " (slot loop)")
-                   << ": " << e.what();
+            FAIL() << label << kArms[arm] << ": " << e.what();
         }
     }
     EXPECT_EQ(out[0].m.slots_elided, 0) << label;
     expect_same_metrics(out[1].m, out[0].m, label);
     expect_same_timeline(out[1].timeline, out[0].timeline, label);
     expect_same_actions(out[1].actions, out[0].actions, label);
+    // The skip changes only its own counter: copy it across, as the
+    // initial-dead-stretch test does, and compare everything else.
+    const std::string unskipped = label + kArms[2];
+    EXPECT_EQ(out[2].m.dead_slots_skipped, 0) << unskipped;
+    vs::RunMetrics stepped = out[2].m;
+    stepped.dead_slots_skipped = out[0].m.dead_slots_skipped;
+    expect_same_metrics(out[0].m, stepped, unskipped);
+    expect_same_timeline(out[0].timeline, out[2].timeline, unskipped);
+    expect_same_actions(out[0].actions, out[2].actions, unskipped);
     cov.elided += out[1].m.slots_elided;
+    cov.backfilled += out[0].m.dead_slots_skipped;
     if (c.dead_start) cov.dead_skipped += out[1].m.dead_slots_skipped;
     cov.replicas += out[1].m.replicas_committed;
     cov.checkpoints += out[1].m.checkpoints_committed;
@@ -452,6 +470,8 @@ TEST(EventEngine, SeededSweepMatchesSlotLoopAcrossConfigSpace) {
                     }
     EXPECT_GT(cov.elided, 0) << "the event core never elided a slot";
     EXPECT_GT(cov.dead_skipped, 0) << "no dead start was skipped";
+    EXPECT_GT(cov.backfilled, 0)
+        << "the slot loop never back-filled a dead stretch";
     EXPECT_GT(cov.replicas, 0) << "no replica was ever committed";
     EXPECT_GT(cov.checkpoints, 0) << "no checkpoint was ever committed";
     EXPECT_GT(cov.proactive, 0) << "the proactive class never un-enrolled";

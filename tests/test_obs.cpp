@@ -441,6 +441,23 @@ TEST(ShardStatus, MissingAndTornFilesReadAsNoHeartbeat) {
     }
 }
 
+TEST(ShardStatus, OutOfRangeShardReadsAsNoHeartbeat) {
+    // 4294967298 = 2^32 + 2 would wrap to shard 2 if narrowed unchecked.
+    vt::TempDir dir;
+    ve::ShardStatus s;
+    s.shard = 2;
+    s.shards = 4;
+    s.state = "running";
+    const std::string json = ve::status_to_json(s);
+    vt::write_file(ve::status_path(dir.path()), json);
+    ASSERT_TRUE(ve::read_status(dir.path()).has_value());
+    const std::string from = "\"shard\":2";
+    std::string bad = json;
+    bad.replace(bad.find(from), from.size(), "\"shard\":4294967298");
+    vt::write_file(ve::status_path(dir.path()), bad);
+    EXPECT_FALSE(ve::read_status(dir.path()).has_value()) << bad;
+}
+
 TEST(ShardStatus, CampaignHeartbeatReportsCompletion) {
     vt::TempDir dir;
     ve::CampaignConfig cfg;

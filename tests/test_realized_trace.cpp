@@ -283,44 +283,4 @@ TEST(RealizedTrace, BuilderRealizedAttachesAndValidatesSnapshots) {
                      .realized(shared)
                      .build(),
                  std::invalid_argument);
-    // As is combining an attached snapshot with a disabled cache.
-    EXPECT_THROW(vs::Simulation::builder()
-                     .platform(rs.platform)
-                     .markov(rs.chains)
-                     .config(cfg)
-                     .seed(21)
-                     .realized(shared)
-                     .trace_cache(false)
-                     .build(),
-                 std::invalid_argument);
-}
-
-TEST(RealizedTrace, TraceCacheOffReplaysIdentically) {
-    // trace_cache(false) re-samples per run (the pre-trace-layer cost
-    // model); results must be bit-identical either way.
-    const auto sc = vt::small_scenario(555);
-    const auto rs = ve::realize(sc);
-    const auto cfg = vt::audited_config(2, sc.tasks);
-    for (const auto& name : {"emct", "random"}) {
-        const auto sched = volsched::core::make_scheduler(name);
-        const auto cached = vs::Simulation::builder()
-                                .platform(rs.platform)
-                                .markov(rs.chains)
-                                .config(cfg)
-                                .seed(3)
-                                .build();
-        const auto uncached = vs::Simulation::builder()
-                                  .platform(rs.platform)
-                                  .markov(rs.chains)
-                                  .config(cfg)
-                                  .seed(3)
-                                  .trace_cache(false)
-                                  .build();
-        const auto m1 = cached.run(*sched);
-        const auto m2 = uncached.run(*sched);
-        const auto m3 = uncached.run(*sched);
-        EXPECT_EQ(m1.makespan, m2.makespan) << name;
-        EXPECT_EQ(m1.iteration_ends, m2.iteration_ends) << name;
-        EXPECT_EQ(m2.makespan, m3.makespan) << name;
-    }
 }

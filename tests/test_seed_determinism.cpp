@@ -266,6 +266,7 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
                 models.push_back(
                     std::make_unique<SemiMarkovAvailability>(params));
             vs::EngineConfig cfg = vt::audited_config(2, 4);
+            cfg.skip_dead_slots = skip == 1;
             auto sim = vs::Simulation::builder()
                            .platform(pf)
                            .models(std::move(models))
@@ -273,7 +274,6 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
                            .config(cfg)
                            .actions(&traces[skip])
                            .event_driven(false) // pins the slot loop's skip
-                           .skip_dead_slots(skip == 1)
                            .seed(23)
                            .build();
             const auto sched = vc::make_scheduler(name);

@@ -5,6 +5,7 @@
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -179,6 +180,16 @@ TEST(Cli, HelpTextMentionsOptions) {
     EXPECT_NE(h.find("--count"), std::string::npos);
     EXPECT_NE(h.find("how many"), std::string::npos);
     EXPECT_NE(h.find("does things"), std::string::npos);
+}
+
+TEST(Json, AsIntThrowsInsteadOfWrapping) {
+    using vu::json::Value;
+    EXPECT_EQ(Value::parse("2147483647").as_int(), 2147483647);
+    EXPECT_EQ(Value::parse("-2147483648").as_int(), -2147483647 - 1);
+    for (const char* text :
+         {"2147483648", "-2147483649", "4294967297", "1.5", "\"1\""})
+        EXPECT_THROW((void)Value::parse(text).as_int(), std::invalid_argument)
+            << text;
 }
 
 TEST(Log, LevelFiltering) {

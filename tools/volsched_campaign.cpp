@@ -198,16 +198,6 @@ int cmd_run(int argc, char** argv) {
     cli.add_int("parallel", 0,
                 "drive all N shards of an N-way campaign from this process "
                 "over one shared worker pool (replaces --shard; 0: off)");
-    cli.add_flag("barrier-loop",
-                 "use the historical per-batch barrier loop instead of the "
-                 "streaming pipeline (A/B debugging; outputs are "
-                 "byte-identical)");
-    cli.add_int("pipeline-window", 0,
-                "pipeline run-ahead bound in jobs (0: auto-size to "
-                "max(checkpoint cadence, 2 x pool size))");
-    cli.add_flag("no-event-core",
-                 "step every slot through the reference loop instead of the "
-                 "event-driven core (results are identical either way)");
     cli.add_flag("csv", "also stream records.csv");
     cli.add_flag("fresh", "discard previous output instead of resuming");
     cli.add_flag("quiet", "no progress output");
@@ -248,8 +238,7 @@ int cmd_run(int argc, char** argv) {
         .tdata_factor(cli.get_double("tdata"))
         .tprog_factor(cli.get_double("tprog"))
         .seed(static_cast<std::uint64_t>(cli.get_int("seed")))
-        .threads(static_cast<std::size_t>(cli.get_int("threads")))
-        .event_driven(!cli.get_flag("no-event-core"));
+        .threads(static_cast<std::size_t>(cli.get_int("threads")));
 
     const auto ckpt_specs = util::split_list(cli.get_string("checkpoints"));
     if (ckpt_specs.empty()) {
@@ -292,11 +281,6 @@ int cmd_run(int argc, char** argv) {
                              "be combined with --shard\n");
         return 2;
     }
-    if (parallel > 0 && cli.get_flag("barrier-loop")) {
-        std::fprintf(stderr, "run: --barrier-loop cannot share a worker "
-                             "pool; it is incompatible with --parallel\n");
-        return 2;
-    }
 
     // Process-wide metrics registry: feeds the progress line's pipeline
     // occupancy and the per-shard status.json heartbeats.  Observer-only —
@@ -317,9 +301,6 @@ int cmd_run(int argc, char** argv) {
                             .csv(cli.get_flag("csv"))
                             .stop_after_batches(
                                 static_cast<int>(cli.get_int("batches")))
-                            .pipeline(!cli.get_flag("barrier-loop"))
-                            .pipeline_window(static_cast<int>(
-                                cli.get_int("pipeline-window")))
                             .heartbeat();
         if (cli.get_flag("fresh")) campaign.fresh();
         if (!cli.get_flag("quiet")) {

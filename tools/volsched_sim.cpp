@@ -112,8 +112,6 @@ int main(int argc, char** argv) {
     cli.add_int("replicas", 2, "extra replica cap per task");
     cli.add_int("seed", 42, "master seed");
     cli.add_int("mean-up", 120, "mean UP sojourn (semi-Markov models)");
-    cli.add_flag("no-skip", "disable the engine's dead-stretch fast-forward "
-                            "(results are identical either way)");
     cli.add_flag("no-event-core",
                  "step every slot through the reference loop instead of the "
                  "event-driven core (results are identical either way)");
@@ -201,7 +199,6 @@ int main(int argc, char** argv) {
     builder.iterations(static_cast<int>(cli.get_int("iterations")))
         .tasks_per_iteration(static_cast<int>(cli.get_int("tasks")))
         .replica_cap(static_cast<int>(cli.get_int("replicas")))
-        .skip_dead_slots(!cli.get_flag("no-skip"))
         .event_driven(!cli.get_flag("no-event-core"));
     const std::string& ckpt_spec = cli.get_string("checkpoint");
     const bool checkpointing = ckpt_spec != "none";
