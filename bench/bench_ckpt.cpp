@@ -4,8 +4,7 @@
 /// (RunMetrics::wasted_compute_slots) each recovery policy claws back, and
 /// what it pays for that in checkpoint bandwidth and paused compute.
 ///
-/// Two platform families, the same axes bench_engine measures throughput
-/// on:
+/// Two platform families:
 ///
 ///  * *Paper-recipe Markov fleets* at three self-transition regimes
 ///    (calm 0.90..0.99 — the paper's Table 1 — down to volatile
@@ -18,16 +17,13 @@
 ///
 /// Every policy faces the identical availability realizations (same seeds,
 /// shared builder recipe), so per-regime deltas are same-instance, like the
-/// paper's dfb metric.  `--json` writes the shared bench/report.hpp schema;
-/// `--smoke` shrinks the grid for CI.
+/// paper's dfb metric.  `--smoke` shrinks the grid for CI.
 
-#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "report.hpp"
 
 #include "api/registry.hpp"
 #include "api/simulation_builder.hpp"
@@ -36,9 +32,9 @@
 #include "sim/engine.hpp"
 #include "trace/semi_markov.hpp"
 #include "util/cli.hpp"
+#include "util/table.hpp"
 
 namespace va = volsched::api;
-namespace vb = volsched::benchtool;
 namespace vc = volsched::ckpt;
 namespace ve = volsched::exp;
 namespace vm = volsched::markov;
@@ -56,7 +52,6 @@ struct Accum {
     long long makespan = 0;
     long long completed = 0;
     long long runs = 0;
-    double wall_seconds = 0;
 
     void add(const vs::RunMetrics& m) {
         wasted_compute += m.wasted_compute_slots;
@@ -107,7 +102,7 @@ Regime markov_regime(std::string name, double self_lo, double self_hi,
             }};
 }
 
-/// The bench_engine desktop-grid fleet (3 night-shift workers, ~90% absent
+/// A desktop-grid fleet (3 night-shift workers, ~90% absent
 /// in long stretches) with tasks long enough (w=30, about one whole UP
 /// burst) that a crash forfeits a burst's worth of work — the regime where
 /// the Young/Daly interval (~20 slots here) says checkpointing pays.
@@ -151,7 +146,6 @@ Accum measure(const Regime& regime, const std::string& policy, int cost,
               int seeds, const std::string& heuristic) {
     const auto sched = va::SchedulerRegistry::instance().make(heuristic);
     Accum acc;
-    const auto start = std::chrono::steady_clock::now();
     for (int s = 0; s < seeds; ++s) {
         auto builder = regime.builder(s);
         if (policy != "none")
@@ -159,8 +153,6 @@ Accum measure(const Regime& regime, const std::string& policy, int cost,
         const auto sim = builder.build();
         acc.add(sim.run(*sched));
     }
-    const auto stop = std::chrono::steady_clock::now();
-    acc.wall_seconds = std::chrono::duration<double>(stop - start).count();
     return acc;
 }
 
@@ -181,7 +173,6 @@ int main(int argc, char** argv) {
     cli.add_string("policies", "none,periodic8,daly,risk(percent=25)",
                    "comma-separated checkpoint-policy axis ('none' first is "
                    "the baseline)");
-    cli.add_string("json", "", "write machine-readable results to this path");
     cli.add_flag("smoke", "tiny configuration for CI perf smoke");
     if (!cli.parse(argc, argv)) return cli.exit_code();
 
@@ -231,7 +222,6 @@ int main(int argc, char** argv) {
                 "heuristic=%s\n\n",
                 seeds, cost, heuristic.c_str());
 
-    std::vector<vb::BenchRecord> records;
     for (const auto& regime : regimes) {
         volsched::util::TextTable table(
             {"policy", "wasted", "saved", "ckpt slots", "recoveries",
@@ -262,17 +252,6 @@ int main(int argc, char** argv) {
                      1),
                  std::to_string(acc.completed) + "/" +
                      std::to_string(acc.runs)});
-            vb::BenchRecord rec;
-            rec.name = "ckpt/" + regime.name + "/" + policy;
-            rec.iterations = acc.runs;
-            rec.wall_seconds = acc.wall_seconds;
-            // The trajectory metric for this bench is waste, not speed:
-            // wasted compute slots per run (lower is better).
-            rec.slots_per_sec =
-                acc.runs > 0 ? static_cast<double>(acc.wasted_compute) /
-                                   static_cast<double>(acc.runs)
-                             : 0;
-            records.push_back(rec);
         }
         std::printf("%s",
                     table.render("regime: " + regime.name +
@@ -281,12 +260,5 @@ int main(int argc, char** argv) {
                         .c_str());
         std::printf("\n");
     }
-
-    std::puts("note: 'slots_per_sec' in the JSON carries wasted compute "
-              "slots per run for this bench (lower is better).");
-
-    const std::string json = cli.get_string("json");
-    if (!json.empty() && !vb::write_bench_json(json, "bench_ckpt", records))
-        return 1;
     return 0;
 }

@@ -2,21 +2,10 @@
 /// google-benchmark micro-suite: cost of the Section 5 closed forms, chain
 /// sampling, heuristic selection, and end-to-end engine throughput.  These
 /// are the hot paths of the sweep harness; regressions here multiply
-/// directly into campaign wall-clock time.
-///
-/// `--json <path>` additionally writes the shared machine-readable schema
-/// of bench/report.hpp (name, iterations, slots/sec, wall time) — the
-/// format the BENCH_*.json perf trajectory and the CI perf-smoke artifact
-/// use.  All other flags are google-benchmark's own.
+/// directly into campaign wall-clock time.  Every flag is google-benchmark's
+/// own (`--benchmark_out=<path>` writes JSON).
 
 #include <benchmark/benchmark.h>
-
-#include <cstring>
-#include <string>
-#include <type_traits>
-#include <vector>
-
-#include "report.hpp"
 
 #include "api/registry.hpp"
 #include "api/simulation_builder.hpp"
@@ -151,71 +140,6 @@ void BM_RegistryResolveSpec(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryResolveSpec);
 
-/// google-benchmark 1.8 replaced Run::error_occurred with the Skipped
-/// enum; detect which field this library version has so the suite builds
-/// against both (CI's distro package and local installs may differ).
-template <typename R, typename = void>
-struct HasErrorOccurred : std::false_type {};
-template <typename R>
-struct HasErrorOccurred<R, std::void_t<decltype(&R::error_occurred)>>
-    : std::true_type {};
-
-template <typename R>
-bool run_failed(const R& run) {
-    if constexpr (HasErrorOccurred<R>::value)
-        return run.error_occurred;
-    else
-        return static_cast<int>(run.skipped) != 0; // Skipped::NotSkipped == 0
-}
-
-/// Console reporting as usual, plus capture into the shared BenchRecord
-/// schema for --json.
-class CaptureReporter : public benchmark::ConsoleReporter {
-public:
-    void ReportRuns(const std::vector<Run>& runs) override {
-        for (const Run& run : runs) {
-            if (run_failed(run)) continue;
-            volsched::benchtool::BenchRecord rec;
-            rec.name = run.benchmark_name();
-            rec.iterations = run.iterations;
-            rec.wall_seconds = run.real_accumulated_time;
-            const auto it = run.counters.find("items_per_second");
-            if (it != run.counters.end()) rec.slots_per_sec = it->second;
-            records.push_back(std::move(rec));
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-    std::vector<volsched::benchtool::BenchRecord> records;
-};
-
 } // namespace
 
-int main(int argc, char** argv) {
-    // Strip --json <path> / --json=<path> before google-benchmark rejects
-    // it as an unknown flag.
-    std::string json_path;
-    std::vector<char*> args;
-    args.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-    int args_count = static_cast<int>(args.size());
-    benchmark::Initialize(&args_count, args.data());
-    if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
-        return 1;
-    CaptureReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-    if (!json_path.empty() &&
-        !volsched::benchtool::write_bench_json(json_path, "bench_micro",
-                                               reporter.records))
-        return 1;
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,6 +1,7 @@
 #pragma once
 /// \file report.hpp
-/// Shared table / CSV / JSON rendering for the benchmark harnesses.
+/// Shared table / CSV rendering for the benchmark harnesses and the
+/// campaign tool.
 
 #include <algorithm>
 #include <cstdio>
@@ -11,7 +12,6 @@
 
 #include "exp/dfb.hpp"
 #include "util/csv.hpp"
-#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -42,49 +42,6 @@ inline void print_dfb_table(const std::string& title,
     std::printf("%s", out.render(title).c_str());
     std::printf("(%lld problem instances)\n\n",
                 static_cast<long long>(table.instances()));
-}
-
-/// One measured benchmark: the machine-readable unit of the perf
-/// trajectory (BENCH_*.json data points and the CI perf-smoke artifact).
-struct BenchRecord {
-    std::string name;         ///< benchmark id, e.g. "engine/shared-19h"
-    long long iterations = 0; ///< measurement repetitions aggregated
-    double wall_seconds = 0;  ///< total measured wall-clock time
-    double slots_per_sec = 0; ///< simulated slots per second (0: n/a)
-};
-
-/// Writes benchmark records as one canonical JSON document:
-///   {"volsched_bench":1,"bench":"<tool>","results":[
-///     {"name":...,"iterations":...,"slots_per_sec":...,"wall_seconds":...}]}
-/// The schema is shared by every harness with a --json flag, so the perf
-/// trajectory stays diffable across tools and time.  Returns false (after
-/// reporting to stderr) when the file cannot be written — callers turn
-/// that into a nonzero exit so CI artifact uploads fail loudly at the
-/// cause, not at the missing file.
-inline bool write_bench_json(const std::string& path, const std::string& tool,
-                             const std::vector<BenchRecord>& records) {
-    std::string out = "{\"volsched_bench\":1,\"bench\":\"";
-    out += util::json::escape(tool);
-    out += "\",\"results\":[";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const BenchRecord& r = records[i];
-        if (i) out += ',';
-        out += "\n  {\"name\":\"" + util::json::escape(r.name) + "\"";
-        out += ",\"iterations\":" + std::to_string(r.iterations);
-        out += ",\"slots_per_sec\":" + util::json::number(r.slots_per_sec);
-        out += ",\"wall_seconds\":" + util::json::number(r.wall_seconds);
-        out += '}';
-    }
-    out += "\n]}\n";
-    std::ofstream file(path);
-    file << out;
-    file.flush();
-    if (!file) {
-        std::fprintf(stderr, "error: could not write %s\n", path.c_str());
-        return false;
-    }
-    std::printf("wrote %s (%zu results)\n", path.c_str(), records.size());
-    return true;
 }
 
 /// Dumps per-heuristic aggregates to CSV (one row per heuristic).

@@ -4,8 +4,7 @@
 /// closed if/else factory.  Every heuristic registers itself from its own
 /// translation unit with VOLSCHED_REGISTER_SCHEDULER; the registry resolves
 /// spec strings (see spec.hpp for the grammar) into scheduler instances and
-/// powers `--list-heuristics`, did-you-mean error messages, and the
-/// `core::make_scheduler` compatibility shim.
+/// powers `--list-heuristics` and did-you-mean error messages.
 ///
 /// Registering a new heuristic from application code:
 ///

@@ -7,8 +7,6 @@
 #include <stdexcept>
 
 #include "api/registry.hpp"
-#include "core/ct.hpp"
-#include "markov/expectation.hpp"
 
 namespace volsched::core {
 
@@ -52,38 +50,8 @@ sim::ProcId HybridScheduler::select(const sim::SchedView& view,
                                     std::span<const sim::ProcId> eligible,
                                     std::span<const int> nq, util::Rng& rng) {
     (void)rng;
-    if (markov::ExpectationCache::bypassed()) {
-        // The seed loop, kept verbatim as the benchmark A/B's "before"
-        // leg: one worker at a time, every expectation recomputed.
-        sim::ProcId best = eligible[0];
-        double best_score = std::numeric_limits<double>::infinity();
-        for (const sim::ProcId q : eligible) {
-            const double ct = ct_plain(view, q, nq[q] + 1);
-            double score = ct;
-            if (const auto* belief = view.procs[q].belief) {
-                const auto& m = belief->matrix();
-                const auto& pi = belief->stationary();
-                const double expected = markov::e_workload(m, ct);
-                if (std::isinf(expected)) {
-                    score = std::numeric_limits<double>::infinity();
-                } else {
-                    const double p_survive =
-                        markov::p_ud_approx(m, pi.pi_u, pi.pi_r, expected);
-                    score = p_survive > 0.0
-                                ? expected / p_survive
-                                : std::numeric_limits<double>::infinity();
-                }
-            }
-            if (score < best_score) {
-                best_score = score;
-                best = q;
-            }
-        }
-        return best;
-    }
     // Batched passes over contiguous scratch (same shape as the greedy
-    // skeleton): completion times, then scores, then argmin — decisions
-    // identical to the former scalar loop.
+    // skeleton): completion times, then scores, then argmin.
     pins_.refresh(cache_, view);
     cts_.resize(eligible.size());
     scores_.resize(eligible.size());

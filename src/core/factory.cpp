@@ -1,7 +1,5 @@
 #include "core/factory.hpp"
 
-#include "api/registry.hpp"
-
 namespace volsched::core {
 
 const std::vector<std::string>& all_heuristic_names() {
@@ -23,10 +21,6 @@ const std::vector<std::string>& extension_heuristic_names() {
     static const std::vector<std::string> names = {"hybrid", "thr50:emct",
                                                    "thr50:mct", "thr25:emct"};
     return names;
-}
-
-std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name) {
-    return api::SchedulerRegistry::instance().make(name);
 }
 
 } // namespace volsched::core

@@ -1,15 +1,12 @@
 #pragma once
 /// \file factory.hpp
-/// Compatibility shim over the self-registering scheduler registry
-/// (api/registry.hpp) plus the paper's curated heuristic name lists.
-/// make_scheduler delegates to SchedulerRegistry; new heuristics register
+/// The paper's curated heuristic name lists.  Schedulers are built from
+/// these names by the self-registering registry (api/registry.hpp,
+/// `SchedulerRegistry::instance().make(name)`); new heuristics register
 /// themselves with VOLSCHED_REGISTER_SCHEDULER and need no edits here.
 
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "sim/scheduler.hpp"
 
 namespace volsched::core {
 
@@ -26,14 +23,5 @@ const std::vector<std::string>& greedy_heuristic_names();
 /// "thr<percent>:<inner>" (e.g. "thr50:emct" excludes processors whose
 /// steady-state pi_u is below 0.50 and runs EMCT among the rest).
 const std::vector<std::string>& extension_heuristic_names();
-
-/// Constructs a heuristic from a registry spec string; throws
-/// std::invalid_argument (with a did-you-mean suggestion) for an unknown
-/// name.  Names are case-sensitive and match Table 2 (lowercased, e.g.
-/// "emct*", "random2w"); the full spec grammar — wrapper stages and
-/// key=value options like "thr(percent=50):emct" — is documented in
-/// api/spec.hpp and API.md.  Thin shim over
-/// api::SchedulerRegistry::instance().make(name).
-std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name);
 
 } // namespace volsched::core

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "api/registry.hpp"
-#include "core/ct.hpp"
 #include "markov/expectation.hpp"
 
 namespace volsched::core {
@@ -27,7 +26,7 @@ void GreedyScheduler::batched_scores(const sim::SchedView& view,
     // Inline Eq. (1)/(2) over the round's contiguous column snapshots,
     // operation for operation the arithmetic of ct_plain/ct_corrected
     // (max(n-1, 0) with n = nq[q]+1 is just nq[q]).  ct_estimate stays
-    // the reference; the bypassed select() loop still calls it.
+    // the reference the property tests compare against.
     if (!starred_) {
         const double t_data = view.platform->t_data;
         for (std::size_t i = 0; i < eligible.size(); ++i) {
@@ -62,27 +61,6 @@ sim::ProcId GreedyScheduler::select(const sim::SchedView& view,
                                     std::span<const sim::ProcId> eligible,
                                     std::span<const int> nq, util::Rng& rng) {
     (void)rng;
-    if (markov::ExpectationCache::bypassed()) {
-        // The seed scoring loop, kept verbatim: one worker at a time, a
-        // virtual score() per element, every expectation recomputed.  This
-        // is the benchmark A/B's "before" leg; it must stay the faithful
-        // pre-change cost model, not a de-cached copy of the batched path.
-        sim::ProcId best = eligible[0];
-        double best_score = std::numeric_limits<double>::infinity();
-        double best_ct = std::numeric_limits<double>::infinity();
-        for (sim::ProcId q : eligible) {
-            const double ct =
-                ct_estimate(view, q, nq[q] + 1, nq[q] > 0, starred());
-            const double s = score(view, q, ct);
-            if (s < best_score - 1e-12 ||
-                (std::fabs(s - best_score) <= 1e-12 && ct < best_ct)) {
-                best = q;
-                best_score = s;
-                best_ct = ct;
-            }
-        }
-        return best;
-    }
     batched_scores(view, eligible, nq, cts_, scores_);
     sim::ProcId best = eligible[0];
     double best_score = std::numeric_limits<double>::infinity();

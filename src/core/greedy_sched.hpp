@@ -14,10 +14,10 @@
 /// Scoring runs in batched passes over contiguous arrays — one pass fills
 /// the completion-time estimates, one pass the scores, one argmin pass
 /// picks the winner — with the Markov expectations memoized per transition
-/// matrix (markov/expectation_cache.hpp).  Both are pure layout/caching
-/// changes: decisions, tie-breaks and RNG consumption are bit-identical to
-/// the scalar one-worker-at-a-time evaluation, a property the heuristic
-/// test suite pins.
+/// matrix (markov/expectation_cache.hpp).  That is the only scoring path;
+/// its decisions, tie-breaks and RNG consumption are bit-identical to the
+/// scalar one-worker-at-a-time score() evaluation, which the heuristic
+/// property tests keep as their oracle.
 
 #include <string>
 #include <vector>
@@ -52,11 +52,8 @@ public:
                         std::vector<double>& scores);
 
     /// Scalar reference scorer: one worker at a time, straight from the
-    /// markov:: free functions — the seed implementation, byte for byte.
-    /// score_batch must match it bit-exactly (the property tests compare
-    /// the two), and select() runs it when the expectation cache is
-    /// bypassed, making the benchmark A/B a faithful before/after of the
-    /// whole batched+memoized scoring path.
+    /// markov:: free functions.  select() never calls it; it is the
+    /// property tests' oracle, which score_batch must match bit-exactly.
     [[nodiscard]] virtual double score(const sim::SchedView& view,
                                        sim::ProcId q, double ct) const = 0;
 
@@ -97,7 +94,6 @@ protected:
     [[nodiscard]] const markov::MarkovChain* belief_of(sim::ProcId q) const {
         return pins_.beliefs[static_cast<std::size_t>(q)];
     }
-    [[nodiscard]] bool starred() const noexcept { return starred_; }
 
 private:
     std::string name_;

@@ -4,7 +4,6 @@
 
 #include "api/registry.hpp"
 #include "markov/expectation.hpp"
-#include "markov/expectation_cache.hpp"
 
 namespace volsched::core {
 
@@ -66,7 +65,6 @@ void RandomScheduler::refresh_weights(const sim::SchedView& view) {
 }
 
 void RandomScheduler::begin_round(const sim::SchedView& view) {
-    if (markov::ExpectationCache::bypassed()) return;
     refresh_weights(view);
 }
 
@@ -75,17 +73,9 @@ sim::ProcId RandomScheduler::select(const sim::SchedView& view,
                                     std::span<const int> nq, util::Rng& rng) {
     (void)nq;
     weights_.resize(eligible.size());
-    if (markov::ExpectationCache::bypassed()) {
-        // The seed path, kept verbatim as the benchmark A/B's "before"
-        // leg: every weight recomputed per pick.
-        for (std::size_t i = 0; i < eligible.size(); ++i)
-            weights_[i] = weight_of(view.procs[eligible[i]]);
-    } else {
-        refresh_weights(view);
-        for (std::size_t i = 0; i < eligible.size(); ++i)
-            weights_[i] = weight_by_proc_[static_cast<std::size_t>(
-                eligible[i])];
-    }
+    refresh_weights(view);
+    for (std::size_t i = 0; i < eligible.size(); ++i)
+        weights_[i] = weight_by_proc_[static_cast<std::size_t>(eligible[i])];
     const std::size_t idx = rng.weighted_index(weights_.data(), weights_.size());
     if (idx >= eligible.size()) {
         // All weights zero (e.g. pi_u == 0 everywhere): fall back to uniform.

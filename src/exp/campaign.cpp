@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <exception>
 #include <fstream>
@@ -30,6 +31,18 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
     throw std::runtime_error("campaign: " + what);
+}
+
+/// Reads one whole-token manifest number.  std::from_chars, unlike
+/// istream >>, neither wraps "-1" into an unsigned field nor stops
+/// half-way through "8x".
+template <typename T>
+bool read_number(std::istream& in, T& out) {
+    std::string token;
+    if (!(in >> token)) return false;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), out);
+    return ec == std::errc{} && end == token.data() + token.size();
 }
 
 /// Minimum wall-clock between steady-state heartbeat writes (checkpoint
@@ -401,21 +414,29 @@ read_manifest(const std::filesystem::path& dir) {
     CampaignManifest m;
     std::string key;
     while (in >> key) {
-        if (key == "fingerprint") in >> m.fingerprint;
-        else if (key == "shard") in >> m.shard_index >> m.shard_count;
-        else if (key == "jobs") in >> m.jobs_done >> m.jobs_total;
-        else if (key == "instances") in >> m.instances_done;
-        else if (key == "jsonl") in >> m.jsonl_bytes;
-        else if (key == "csv") in >> m.csv_bytes;
-        else if (key == "complete") {
+        bool ok = false;
+        if (key == "fingerprint") {
+            ok = read_number(in, m.fingerprint);
+        } else if (key == "shard") {
+            ok = read_number(in, m.shard_index) &&
+                 read_number(in, m.shard_count);
+        } else if (key == "jobs") {
+            ok = read_number(in, m.jobs_done) && read_number(in, m.jobs_total);
+        } else if (key == "instances") {
+            ok = read_number(in, m.instances_done);
+        } else if (key == "jsonl") {
+            ok = read_number(in, m.jsonl_bytes);
+        } else if (key == "csv") {
+            ok = read_number(in, m.csv_bytes);
+        } else if (key == "complete") {
             int c = 0;
-            in >> c;
+            ok = read_number(in, c);
             m.complete = c != 0;
         } else {
             fail("unknown manifest key '" + key + "' in '" + path.string() +
                  "'");
         }
-        if (in.fail())
+        if (!ok)
             fail("malformed manifest value for '" + key + "' in '" +
                  path.string() + "'");
     }

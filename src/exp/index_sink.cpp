@@ -166,8 +166,9 @@ read_index(const std::filesystem::path& path, std::uint64_t fingerprint,
     if (get_u64(data.data() + 16) != jsonl_bytes) return std::nullopt;
     const std::uint64_t count = get_u64(data.data() + 24);
     // A crash may leave appended-but-unvouched entries past the header's
-    // count; anything *shorter* than the count is torn.
-    if (data.size() < kHeaderBytes + count * kEntryBytes) return std::nullopt;
+    // count; anything *shorter* than the count is torn.  Divided, not
+    // multiplied: a hostile count must not wrap the bound.
+    if (count > (data.size() - kHeaderBytes) / kEntryBytes) return std::nullopt;
     std::vector<IndexEntry> entries;
     entries.reserve(count);
     const char* p = data.data() + kHeaderBytes;

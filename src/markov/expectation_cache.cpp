@@ -28,23 +28,19 @@ ExpectationCache::Entry& ExpectationCache::entry(const MarkovChain& chain) {
 }
 
 double ExpectationCache::p_plus(const MarkovChain& chain) {
-    if (bypass_) return markov::p_plus(chain.matrix());
     return scalar(entry(chain), kPPlus);
 }
 
 double ExpectationCache::log_p_plus(const MarkovChain& chain) {
-    if (bypass_) return std::log(markov::p_plus(chain.matrix()));
     return scalar(entry(chain), kLogPPlus);
 }
 
 double ExpectationCache::e_up(const MarkovChain& chain) {
-    if (bypass_) return markov::e_up(chain.matrix());
     return scalar(entry(chain), kEUp);
 }
 
 double ExpectationCache::e_workload(const MarkovChain& chain,
                                     double workload) {
-    if (bypass_) return markov::e_workload(chain.matrix(), workload);
     // Same early-outs as the free function, taken before any cache work.
     if (workload <= 0.0) return 0.0;
     if (workload <= 1.0) return workload;
@@ -54,7 +50,6 @@ double ExpectationCache::e_workload(const MarkovChain& chain,
 }
 
 double ExpectationCache::p_ud_exact(const MarkovChain& chain, unsigned k) {
-    if (bypass_) return markov::p_ud_exact(chain.matrix(), k);
     if (k <= 1) return 1.0;
     Entry& e = entry(chain);
     const auto it = e.ud_exact.find(k);
@@ -69,10 +64,6 @@ double ExpectationCache::p_ud_exact(const MarkovChain& chain, unsigned k) {
 }
 
 double ExpectationCache::p_ud_approx(const MarkovChain& chain, double k) {
-    if (bypass_) {
-        const Stationary& pi = chain.stationary();
-        return markov::p_ud_approx(chain.matrix(), pi.pi_u, pi.pi_r, k);
-    }
     // Mirror the free function's branch order exactly: the k <= 1 return
     // precedes any chain quantity, and k <= 2 stops at the memoized
     // first-slot factor — neither ever reaches the power term.
@@ -81,19 +72,15 @@ double ExpectationCache::p_ud_approx(const MarkovChain& chain, double k) {
 }
 
 double ExpectationCache::mean_time_to_down(const MarkovChain& chain) {
-    if (bypass_) return markov::mean_time_to_down(chain.matrix());
     return scalar(entry(chain), kMeanTimeToDown);
 }
 
 double ExpectationCache::mean_time_to_down_from_reclaimed(
     const MarkovChain& chain) {
-    if (bypass_)
-        return markov::mean_time_to_down_from_reclaimed(chain.matrix());
     return scalar(entry(chain), kMeanTimeToDownFromReclaimed);
 }
 
 double ExpectationCache::mean_recovery_time(const MarkovChain& chain) {
-    if (bypass_) return markov::mean_recovery_time(chain.matrix());
     return scalar(entry(chain), kMeanRecoveryTime);
 }
 

@@ -63,11 +63,9 @@ class ExpectationCache {
     struct Entry; // defined below; Handle needs the name first
 
 public:
-    /// A pinned, validated cache entry (see pin()).  Null `entry` with a
-    /// non-null `chain` means the cache is bypassed: every accessor
-    /// recomputes from the chain like the free functions do.  A
-    /// default-constructed Handle (both null) must not be dereferenced —
-    /// callers keep their existing `belief == nullptr` branches.
+    /// A pinned, validated cache entry (see pin()).  A default-constructed
+    /// Handle (both null) must not be dereferenced — callers keep their
+    /// existing `belief == nullptr` branches.
     class Handle {
         friend class ExpectationCache;
         Entry* entry = nullptr;
@@ -76,12 +74,11 @@ public:
 
     /// Resolve `chain` to its cache entry — one hash probe plus the
     /// matrix re-validation — and return a Handle for repeated cheap
-    /// access.  Under bypass the map is not touched at all and the Handle
-    /// routes every accessor to the free functions.
+    /// access.
     Handle pin(const MarkovChain& chain) {
         Handle h;
         h.chain = &chain;
-        if (!bypass_) h.entry = &entry(chain);
+        h.entry = &entry(chain);
         return h;
     }
 
@@ -97,7 +94,7 @@ public:
     /// Counts nothing, like pin().
     [[nodiscard]] bool still_pinned(Handle h,
                                     const MarkovChain& chain) const noexcept {
-        return !bypass_ && h.entry != nullptr && h.chain == &chain &&
+        return h.entry != nullptr && h.chain == &chain &&
                same_matrix(h.entry->matrix, chain.matrix());
     }
 
@@ -124,22 +121,10 @@ public:
     /// Handle-keyed twins of the getters above, bit-identical to both the
     /// chain-keyed getters and the free functions.  No hash probe, no
     /// re-validation: pin() already did both for this round.
-    double p_plus(Handle h) {
-        if (h.entry == nullptr) return markov::p_plus(h.chain->matrix());
-        return scalar(*h.entry, kPPlus);
-    }
-    double log_p_plus(Handle h) {
-        if (h.entry == nullptr)
-            return std::log(markov::p_plus(h.chain->matrix()));
-        return scalar(*h.entry, kLogPPlus);
-    }
-    double e_up(Handle h) {
-        if (h.entry == nullptr) return markov::e_up(h.chain->matrix());
-        return scalar(*h.entry, kEUp);
-    }
+    double p_plus(Handle h) { return scalar(*h.entry, kPPlus); }
+    double log_p_plus(Handle h) { return scalar(*h.entry, kLogPPlus); }
+    double e_up(Handle h) { return scalar(*h.entry, kEUp); }
     double e_workload(Handle h, double workload) {
-        if (h.entry == nullptr)
-            return markov::e_workload(h.chain->matrix(), workload);
         if (workload <= 0.0) return 0.0;
         if (workload <= 1.0) return workload;
         const double eu = scalar(*h.entry, kEUp);
@@ -147,11 +132,6 @@ public:
         return 1.0 + (workload - 1.0) * eu;
     }
     double p_ud_approx(Handle h, double k) {
-        if (h.entry == nullptr) {
-            const Stationary& pi = h.chain->stationary();
-            return markov::p_ud_approx(h.chain->matrix(), pi.pi_u, pi.pi_r,
-                                       k);
-        }
         if (k <= 1.0) return 1.0;
         return p_ud_approx_entry(*h.entry, k);
     }
@@ -174,16 +154,6 @@ public:
         return entries_.size();
     }
     void clear() noexcept;
-
-    /// Benchmark hook: when set, every getter forwards straight to the
-    /// markov:: free function (counters untouched) and pin() skips the
-    /// map, turning the cache off without recompiling — the same-binary
-    /// A/B used by bench_engine's scoring-dominated regime.  Not for
-    /// concurrent use, and not mid-round: flip it only while no scheduler
-    /// is running (handles pinned before the flip keep their pin-time
-    /// behavior).
-    static void set_bypass(bool on) noexcept { bypass_ = on; }
-    [[nodiscard]] static bool bypassed() noexcept { return bypass_; }
 
 private:
     enum Scalar : std::size_t {
@@ -344,8 +314,6 @@ private:
     std::uint64_t misses_ = 0;
     std::uint64_t invalidations_ = 0;
     std::uint64_t epoch_ = 0;
-
-    static inline bool bypass_ = false;
 };
 
 } // namespace volsched::markov

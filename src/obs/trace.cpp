@@ -36,7 +36,11 @@ void TraceRecorder::begin_run(int procs) {
     open_.assign(static_cast<std::size_t>(1 + 4 * procs), OpenSpan{});
     thread_name(0, "engine");
     for (int q = 0; q < procs; ++q) {
-        const std::string p = "p" + std::to_string(q) + " ";
+        // Built in place: g++ 12 reports a false -Wrestrict for
+        // "p" + std::to_string(q) at -O2.
+        std::string p = std::to_string(q);
+        p.insert(p.begin(), 'p');
+        p += ' ';
         thread_name(tid_of(q, kLaneAvail), p + "avail");
         thread_name(tid_of(q, kLaneTransfer), p + "xfer");
         thread_name(tid_of(q, kLaneCompute), p + "compute");

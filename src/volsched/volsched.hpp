@@ -8,7 +8,7 @@
 ///  - the fluent Experiment builder          (api/experiment_builder.hpp)
 ///  - sharded, resumable campaigns + sinks   (api/campaign_builder.hpp,
 ///                                            exp/campaign.hpp, exp/sink.hpp)
-///  - the curated paper name lists / shim    (core/factory.hpp)
+///  - the curated paper name lists           (core/factory.hpp)
 ///  - the simulation engine and platform     (sim/engine.hpp)
 ///  - availability: Markov chains, chain generators, realized RLE traces,
 ///    trace replay and empirical fitting     (markov/, trace/)

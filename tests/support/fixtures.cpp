@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "api/registry.hpp"
 #include "markov/gen.hpp"
 #include "util/rng.hpp"
 
@@ -76,6 +77,10 @@ exp::Scenario small_scenario(std::uint64_t seed, int p, int tasks) {
     sc.wmin = 2;
     sc.seed = seed;
     return sc;
+}
+
+std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& spec) {
+    return api::SchedulerRegistry::instance().make(spec);
 }
 
 ViewFixture::ViewFixture(int p, int ncom, int t_prog, int t_data, int w) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -64,6 +66,16 @@ sim::EngineConfig audited_config(int iterations, int tasks,
 /// A deliberately small Section 7 scenario (p processors, n tasks) that
 /// keeps engine tests fast while exercising the full realize() path.
 exp::Scenario small_scenario(std::uint64_t seed, int p = 8, int tasks = 6);
+
+// -------------------------------------------------------------------------
+// Schedulers.
+// -------------------------------------------------------------------------
+
+/// Constructs a heuristic from a registry spec string ("emct*",
+/// "thr50:mct", ...) via api::SchedulerRegistry::instance().make(spec),
+/// which throws std::invalid_argument (with a did-you-mean suggestion) for
+/// an unknown name.
+std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& spec);
 
 // -------------------------------------------------------------------------
 // Hand-built scheduling rounds (no engine).

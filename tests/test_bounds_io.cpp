@@ -18,6 +18,7 @@
 namespace vo = volsched::offline;
 namespace vm = volsched::markov;
 namespace vc = volsched::core;
+namespace vt = volsched::test;
 namespace vs = volsched::sim;
 
 namespace {
@@ -173,10 +174,10 @@ TEST(Threshold, ExcludesLowAvailabilityProcessors) {
     f.view.procs = f.procs;
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
-    auto plain = vc::make_scheduler("mct");
+    auto plain = vt::make_scheduler("mct");
     EXPECT_EQ(plain->select(f.view, std::vector<vs::ProcId>{0, 1}, nq, rng),
               0);
-    auto thr = vc::make_scheduler("thr70:mct");
+    auto thr = vt::make_scheduler("thr70:mct");
     EXPECT_EQ(thr->select(f.view, std::vector<vs::ProcId>{0, 1}, nq, rng), 1);
 }
 
@@ -184,22 +185,22 @@ TEST(Threshold, FallsBackWhenAllExcluded) {
     MiniView f({chain_with_pi_u(0.2), chain_with_pi_u(0.3)});
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(2);
-    auto thr = vc::make_scheduler("thr99:mct");
+    auto thr = vt::make_scheduler("thr99:mct");
     const auto pick =
         thr->select(f.view, std::vector<vs::ProcId>{0, 1}, nq, rng);
     EXPECT_TRUE(pick == 0 || pick == 1);
 }
 
 TEST(Threshold, NameEncodesParameters) {
-    auto thr = vc::make_scheduler("thr50:emct");
+    auto thr = vt::make_scheduler("thr50:emct");
     EXPECT_EQ(thr->name(), "thr50:emct");
 }
 
 TEST(Threshold, RejectsMalformedNames) {
-    EXPECT_THROW(vc::make_scheduler("thr:mct"), std::invalid_argument);
-    EXPECT_THROW(vc::make_scheduler("thr500:mct"), std::invalid_argument);
-    EXPECT_THROW(vc::make_scheduler("thr50:"), std::invalid_argument);
-    EXPECT_THROW(vc::make_scheduler("thr50"), std::invalid_argument);
+    EXPECT_THROW(vt::make_scheduler("thr:mct"), std::invalid_argument);
+    EXPECT_THROW(vt::make_scheduler("thr500:mct"), std::invalid_argument);
+    EXPECT_THROW(vt::make_scheduler("thr50:"), std::invalid_argument);
+    EXPECT_THROW(vt::make_scheduler("thr50"), std::invalid_argument);
 }
 
 TEST(Hybrid, PrefersSurvivableProcessorDespiteSlowerSpeed) {
@@ -217,9 +218,9 @@ TEST(Hybrid, PrefersSurvivableProcessorDespiteSlowerSpeed) {
     f.view.procs = f.procs;
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(3);
-    auto mct = vc::make_scheduler("mct");
+    auto mct = vt::make_scheduler("mct");
     EXPECT_EQ(mct->select(f.view, std::vector<vs::ProcId>{0, 1}, nq, rng), 0);
-    auto hybrid = vc::make_scheduler("hybrid");
+    auto hybrid = vt::make_scheduler("hybrid");
     EXPECT_EQ(hybrid->select(f.view, std::vector<vs::ProcId>{0, 1}, nq, rng),
               1);
 }
@@ -239,7 +240,7 @@ TEST(Extensions, AllNamesConstructAndComplete) {
     cfg.audit = true;
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 17);
     for (const auto& name : vc::extension_heuristic_names()) {
-        const auto sched = vc::make_scheduler(name);
+        const auto sched = vt::make_scheduler(name);
         EXPECT_EQ(sched->name(), name);
         EXPECT_TRUE(sim.run(*sched).completed) << name;
     }
@@ -260,7 +261,7 @@ TEST(PerProcMetrics, AccountingSumsMatchTotals) {
     cfg.replica_cap = 2;
     cfg.audit = true;
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 23);
-    const auto sched = vc::make_scheduler("emct*");
+    const auto sched = vt::make_scheduler("emct*");
     const auto m = sim.run(*sched);
     ASSERT_TRUE(m.completed);
     ASSERT_EQ(m.per_proc.size(), 8u);

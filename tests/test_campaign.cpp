@@ -266,6 +266,27 @@ TEST(Campaign, ManifestRoundTripsAtomically) {
         ve::manifest_path(dir.path()).string() + ".tmp"));
 }
 
+TEST(Campaign, ManifestRejectsValuesThatWouldWrap) {
+    // istream >> reads "-1" into an unsigned field as 2^64 - 1; every
+    // value must be one whole in-range number.
+    TempDir dir;
+    for (const char* line :
+         {"fingerprint -1", "jsonl -1", "csv -1", "jobs 3 8x"}) {
+        {
+            std::ofstream out(ve::manifest_path(dir.path()));
+            out << "volsched-campaign-manifest 1\n" << line << "\n";
+        }
+        try {
+            (void)ve::read_manifest(dir.path());
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("malformed manifest value"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Campaign, TwoShardsMergedBitMatchUnshardedSweep) {
     const auto sweep = small_sweep();
     const auto expected = ve::run_sweep(sweep, kHeuristics);

@@ -383,6 +383,16 @@ TEST(IndexSink, RoundTripsAndRejectsAnythingUntrustworthy) {
         torn << read_file(path).substr(0, 40); // mid-entry truncation
     }
     EXPECT_FALSE(ve::read_index(dir.file("torn.idx"), kFingerprint, 333));
+    {
+        // A count whose byte size wraps: 32 + count * 20 == 36 (mod 2^64).
+        std::string huge = original.substr(0, 36);
+        for (int i = 0; i < 8; ++i)
+            huge[24 + i] = static_cast<char>(
+                (0x0CCCCCCCCCCCCCCDULL >> (8 * i)) & 0xFF);
+        std::ofstream out(dir.file("huge.idx"), std::ios::binary);
+        out << huge;
+    }
+    EXPECT_FALSE(ve::read_index(dir.file("huge.idx"), kFingerprint, 333));
     ve::write_index_file(path, kFingerprint, 333,
                          {{5, 0, 250}, {0, 0, 100}}); // unsorted
     EXPECT_FALSE(ve::read_index(path, kFingerprint, 333));

@@ -59,7 +59,7 @@ vs::RunMetrics run_crashy(const CrashySetup& setup,
     cfg.actions = trace;
     const auto sim =
         vs::Simulation::from_chains(setup.pf, setup.chains, cfg, seed);
-    const auto sched = vcore::make_scheduler(heuristic);
+    const auto sched = vt::make_scheduler(heuristic);
     return sim.run(*sched);
 }
 
@@ -315,7 +315,7 @@ TEST(CkptEngine, BuilderAttachesPoliciesAndValidates) {
                    .audit()
                    .seed(5)
                    .build();
-    const auto sched = vcore::make_scheduler("emct");
+    const auto sched = vt::make_scheduler("emct");
     const auto with_builder = sim.run(*sched);
     const auto periodic =
         vc::CheckpointRegistry::instance().make("periodic(k=2)");

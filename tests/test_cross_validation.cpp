@@ -13,6 +13,7 @@
 #include "markov/gen.hpp"
 #include "offline/schedule.hpp"
 #include "sim/engine.hpp"
+#include "support/fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace vs = volsched::sim;
@@ -86,7 +87,7 @@ TEST_P(CrossValidation, EngineRunPassesOfflineValidator) {
     // Alternate heuristics across seeds for coverage.
     const auto& names = volsched::core::all_heuristic_names();
     const auto sched =
-        volsched::core::make_scheduler(names[seed % names.size()]);
+        volsched::test::make_scheduler(names[seed % names.size()]);
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
 
@@ -118,7 +119,7 @@ TEST(CrossValidation, DeterministicPipelineValidates) {
                                                        {1, 0, 0},
                                                        {1, 0, 0}}}));
     const auto sim = vs::Simulation::from_chains(pf, {chain, }, cfg, 5);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     ASSERT_EQ(metrics.makespan, 10);

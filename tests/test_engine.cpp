@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/factory.hpp"
+#include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 
 namespace vs = volsched::sim;
@@ -46,7 +46,7 @@ vs::EngineConfig config(int iterations, int tasks, int replica_cap = 0) {
 }
 
 long long run_makespan(const vs::Simulation& sim, const std::string& name) {
-    const auto sched = volsched::core::make_scheduler(name);
+    const auto sched = volsched::test::make_scheduler(name);
     const auto metrics = sim.run(*sched);
     EXPECT_TRUE(metrics.completed);
     return metrics.makespan;
@@ -85,7 +85,7 @@ TEST(EngineTiming, IterationEndsAreRecorded) {
     // Same timing as SecondIterationSkipsProgram: boundaries at 10, 18, 26.
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                config(3, 2));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     ASSERT_EQ(metrics.iteration_ends.size(), 3u);
@@ -99,7 +99,7 @@ TEST(EngineTiming, FirstIterationCarriesProgramCost) {
     // Iteration durations: the first pays Tprog, later ones are identical.
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                config(4, 2));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     ASSERT_EQ(metrics.iteration_ends.size(), 4u);
@@ -152,7 +152,7 @@ TEST(EngineTiming, DownLosesProgramAndStagedData) {
     // the pool; re-enrol: prog 3-4, data 5, compute 6 -> makespan 7.
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 2, 1),
                                {"uuduuuuuu"}, config(1, 1));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     EXPECT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.makespan, 7);
@@ -168,7 +168,7 @@ TEST(EngineTiming, DownDuringComputeRestartsTaskFromScratch) {
     // compute 6-7 -> makespan 8; one compute slot wasted.
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 2, 1, 1, 1),
                                {"uuuduuuuuu"}, config(1, 1));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     EXPECT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.makespan, 8);
@@ -187,7 +187,7 @@ TEST(EngineTiming, ReplicaOnFastLateProcessorWins) {
     pf.t_prog = 1;
     pf.t_data = 1;
     auto sim = make_replay_sim(pf, {"u", "ru"}, config(1, 1, /*cap=*/1));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     EXPECT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.makespan, 5);
@@ -203,7 +203,7 @@ TEST(EngineTiming, ReplicationDisabledUsesOriginalOnly) {
     pf.t_prog = 1;
     pf.t_data = 1;
     auto sim = make_replay_sim(pf, {"u", "ru"}, config(1, 1, /*cap=*/0));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     EXPECT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.makespan, 12); // prog 0, data 1, compute 2-11
@@ -218,7 +218,7 @@ TEST(EngineTiming, ReplicaCapBoundsCopies) {
         auto sim = make_replay_sim(
             vs::Platform::homogeneous(5, 50, 5, 1, 1),
             {"u", "u", "u", "u", "u"}, config(1, 1, cap));
-        const auto sched = volsched::core::make_scheduler("mct");
+        const auto sched = volsched::test::make_scheduler("mct");
         const auto metrics = sim.run(*sched);
         EXPECT_TRUE(metrics.completed);
         EXPECT_EQ(metrics.replicas_committed, cap);
@@ -231,7 +231,7 @@ TEST(EngineTiming, HorizonCapReportsIncomplete) {
     cfg.audit = false;
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 1, 1), {"d"},
                                cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     EXPECT_FALSE(metrics.completed);
     EXPECT_EQ(metrics.makespan, 50);

@@ -6,11 +6,11 @@
 
 #include <memory>
 
-#include "core/factory.hpp"
+#include "markov/gen.hpp"
 #include "offline/exact.hpp"
 #include "offline/instance.hpp"
-#include "markov/gen.hpp"
 #include "sim/engine.hpp"
+#include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 #include "util/rng.hpp"
 
@@ -55,7 +55,7 @@ TEST(Bandwidth, SuspendedTransferReleasesTheChannel) {
     vs::Platform pf = vs::Platform::homogeneous(2, 1, 1, 1, 2);
     auto sim = make_replay_sim(
         pf, {"uurrrrrrruuuuu", std::string(14, 'u')}, config(1, 2));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.makespan, 11);
@@ -71,7 +71,7 @@ TEST(Bandwidth, ResumedTransfersAdvanceInFifoOrder) {
     vs::Platform pf = vs::Platform::homogeneous(2, 1, 1, 3, 1);
     auto sim = make_replay_sim(pf, {"urruuuuuuu", std::string(10, 'u')},
                                config(1, 2));
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.makespan, 9);
@@ -84,7 +84,7 @@ TEST(Bandwidth, NcomLimitsScaleEnrolmentLatency) {
         auto sim = make_replay_sim(
             pf, {"u", "u", "u", "u"},
             config(1, 4));
-        const auto sched = volsched::core::make_scheduler("mct");
+        const auto sched = volsched::test::make_scheduler("mct");
         const auto metrics = sim.run(*sched);
         EXPECT_TRUE(metrics.completed);
         return metrics.makespan;
@@ -112,7 +112,7 @@ TEST(Bandwidth, TransfersNeverExceedNcomTimesMakespan) {
         cfg.replica_cap = 2;
         const auto sim = vs::Simulation::from_chains(pf, chains, cfg,
                                                      900 + trial);
-        const auto sched = volsched::core::make_scheduler("emct*");
+        const auto sched = volsched::test::make_scheduler("emct*");
         const auto metrics = sim.run(*sched);
         ASSERT_TRUE(metrics.completed);
         EXPECT_LE(metrics.transfer_slots,

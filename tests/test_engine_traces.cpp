@@ -13,6 +13,7 @@
 namespace vs = volsched::sim;
 namespace vm = volsched::markov;
 namespace vc = volsched::core;
+namespace vt = volsched::test;
 
 using volsched::test::recipe_setup;
 
@@ -29,7 +30,7 @@ TEST(EngineStochastic, AuditedRunCompletesUnderEveryHeuristic) {
     const auto sim =
         vs::Simulation::from_chains(s.platform, s.chains, audited(3, 6), 7);
     for (const auto& name : vc::all_heuristic_names()) {
-        const auto sched = vc::make_scheduler(name);
+        const auto sched = vt::make_scheduler(name);
         const auto metrics = sim.run(*sched);
         EXPECT_TRUE(metrics.completed) << name;
         EXPECT_GT(metrics.makespan, 0) << name;
@@ -40,7 +41,7 @@ TEST(EngineStochastic, TasksConservation) {
     const auto s = recipe_setup(6, 2, 1, 43);
     const auto sim =
         vs::Simulation::from_chains(s.platform, s.chains, audited(4, 5), 9);
-    const auto sched = vc::make_scheduler("emct*");
+    const auto sched = vt::make_scheduler("emct*");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.tasks_completed, 4 * 5);
@@ -51,8 +52,8 @@ TEST(EngineStochastic, SameSeedSameOutcome) {
     const auto s = recipe_setup(10, 5, 2, 44);
     const auto sim =
         vs::Simulation::from_chains(s.platform, s.chains, audited(2, 8), 11);
-    const auto sched1 = vc::make_scheduler("ud*");
-    const auto sched2 = vc::make_scheduler("ud*");
+    const auto sched1 = vt::make_scheduler("ud*");
+    const auto sched2 = vt::make_scheduler("ud*");
     const auto m1 = sim.run(*sched1);
     const auto m2 = sim.run(*sched2);
     EXPECT_EQ(m1.makespan, m2.makespan);
@@ -67,7 +68,7 @@ TEST(EngineStochastic, DifferentSeedsDifferentOutcomes) {
         vs::Simulation::from_chains(s.platform, s.chains, audited(2, 8), 1);
     const auto b =
         vs::Simulation::from_chains(s.platform, s.chains, audited(2, 8), 2);
-    const auto sched = vc::make_scheduler("mct");
+    const auto sched = vt::make_scheduler("mct");
     // Makespans could coincide by chance; down-event counts almost surely
     // differ across independent availability realizations of this length.
     const auto ma = a.run(*sched);
@@ -86,8 +87,8 @@ TEST(EngineStochastic, AvailabilityIndependentOfScheduler) {
     const auto s = recipe_setup(10, 5, 1, 46);
     const auto sim =
         vs::Simulation::from_chains(s.platform, s.chains, audited(3, 10), 21);
-    const auto mct = vc::make_scheduler("mct");
-    const auto rnd = vc::make_scheduler("random");
+    const auto mct = vt::make_scheduler("mct");
+    const auto rnd = vt::make_scheduler("random");
     const auto m1 = sim.run(*mct);
     const auto m2 = sim.run(*rnd);
     ASSERT_TRUE(m1.completed);
@@ -103,7 +104,7 @@ TEST(EngineStochastic, BandwidthAccountingIsBounded) {
     const auto s = recipe_setup(12, 4, 1, 47);
     const auto sim =
         vs::Simulation::from_chains(s.platform, s.chains, audited(2, 10), 31);
-    const auto sched = vc::make_scheduler("emct");
+    const auto sched = vt::make_scheduler("emct");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     // ncom transfers per slot at most.
@@ -118,7 +119,7 @@ TEST(EngineStochastic, ComputeAccountingIsBounded) {
     const auto s = recipe_setup(8, 4, 1, 48);
     const auto sim =
         vs::Simulation::from_chains(s.platform, s.chains, audited(2, 6), 33);
-    const auto sched = vc::make_scheduler("mct*");
+    const auto sched = vt::make_scheduler("mct*");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     int w_min = s.platform.w[0], w_max = s.platform.w[0];
@@ -139,7 +140,7 @@ TEST(EngineStochastic, StickyPlanAuditsCleanly) {
     auto cfg = audited(2, 6);
     cfg.plan_class = vs::SchedulerClass::Passive;
     const auto sim = vs::Simulation::from_chains(s.platform, s.chains, cfg, 5);
-    const auto sched = vc::make_scheduler("mct");
+    const auto sched = vt::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     EXPECT_TRUE(metrics.completed);
 }
@@ -152,7 +153,7 @@ TEST(EngineStochastic, ReplicaWinsAreCounted) {
         const auto s = recipe_setup(10, 5, 3, 50 + seed);
         const auto sim = vs::Simulation::from_chains(s.platform, s.chains,
                                                      audited(2, 4), seed);
-        const auto sched = vc::make_scheduler("mct");
+        const auto sched = vt::make_scheduler("mct");
         wins += sim.run(*sched).replica_wins;
     }
     EXPECT_GT(wins, 0);
@@ -168,7 +169,7 @@ TEST(EngineStochastic, UninformedBeliefsStillComplete) {
     const vs::Simulation sim(s.platform, std::move(models), {}, audited(2, 5),
                              3);
     for (const auto& name : {"emct", "lw", "ud", "random2"}) {
-        const auto sched = vc::make_scheduler(name);
+        const auto sched = vt::make_scheduler(name);
         EXPECT_TRUE(sim.run(*sched).completed) << name;
     }
 }

@@ -129,7 +129,7 @@ long long run_both_and_compare(const vs::Platform& pf,
         c.timeline = &out[event].timeline;
         c.actions = &out[event].actions;
         const auto sim = vs::Simulation::from_chains(pf, chains, c, seed);
-        const auto sched = vc::make_scheduler(heuristic);
+        const auto sched = vt::make_scheduler(heuristic);
         out[event].m = sim.run(*sched);
     }
     EXPECT_EQ(out[0].m.slots_elided, 0)
@@ -201,7 +201,7 @@ TEST(EventEngine, SemiMarkovRegimeMatchesSlotLoopExactly) {
                            .event_driven(event == 1)
                            .seed(23)
                            .build();
-            const auto sched = vc::make_scheduler(name);
+            const auto sched = vt::make_scheduler(name);
             out[event].m = sim.run(*sched);
         }
         const std::string label = "semi-markov/" + name;
@@ -244,7 +244,7 @@ TEST(EventEngine, CheckpointedRegimesMatchSlotLoopExactly) {
             probe.checkpoint_cost = 2;
             const auto sim =
                 vs::Simulation::from_chains(pf, chains, probe, 29);
-            const auto sched = vc::make_scheduler(name);
+            const auto sched = vt::make_scheduler(name);
             committed_total += sim.run(*sched).checkpoints_committed;
         }
     }
@@ -283,7 +283,7 @@ TEST(EventEngine, InitialDeadStretchIsSkippedInFullByBothCores) {
                        .event_driven(arm == 0)
                        .seed(11)
                        .build();
-        const auto sched = vc::make_scheduler("mct");
+        const auto sched = vt::make_scheduler("mct");
         out[arm].m = sim.run(*sched);
     }
     // The skip-count assertion: the WHOLE stretch, slot 0 included.
@@ -413,7 +413,7 @@ void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
                        .event_driven(arm == 1)
                        .seed(c.seed)
                        .build();
-        const auto sched = vc::make_scheduler(spec);
+        const auto sched = vt::make_scheduler(spec);
         try {
             out[arm].m = sim.run(*sched);
         } catch (const std::exception& e) {
@@ -500,7 +500,7 @@ TEST(EventEngine, SiblingCancellationPromotesStagedTaskInTheSameSlot) {
                 cfg.actions = &out[event].actions;
                 const auto sim = vs::Simulation::from_chains(
                     rs.platform, rs.chains, cfg, seed);
-                const auto sched = vc::make_scheduler(spec);
+                const auto sched = vt::make_scheduler(spec);
                 out[event].m = sim.run(*sched);
             }
             const std::string label =

@@ -6,9 +6,9 @@
 #include <memory>
 #include <sstream>
 
-#include "core/factory.hpp"
 #include "markov/gen.hpp"
 #include "sim/engine.hpp"
+#include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 #include "util/rng.hpp"
 
@@ -52,7 +52,7 @@ TEST(EventLogging, PipelineEmitsExpectedEventCounts) {
     cfg.events = &log;
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     ASSERT_TRUE(sim.run(*sched).completed);
 
     EXPECT_EQ(log.count(vs::EventKind::StateChange), 1u); // slot-0 UP
@@ -72,7 +72,7 @@ TEST(EventLogging, EventsAreChronological) {
     cfg.events = &log;
     auto sim = make_replay_sim(vs::Platform::homogeneous(2, 2, 2, 1, 1),
                                {"u", "u"}, cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     ASSERT_TRUE(sim.run(*sched).completed);
     long long prev = -1;
     for (const auto& e : log.events()) {
@@ -87,7 +87,7 @@ TEST(EventLogging, CrashEmitsWorkLost) {
     cfg.events = &log;
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 2, 1),
                                {"uuduuuuuu"}, cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     ASSERT_TRUE(sim.run(*sched).completed);
     EXPECT_EQ(log.count(vs::EventKind::WorkLost), 1u);
     // The DOWN state change is recorded too.
@@ -113,7 +113,7 @@ TEST(EventLogging, TaskCompletionsMatchMetrics) {
     cfg.replica_cap = 2;
     cfg.events = &log;
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 77);
-    const auto sched = volsched::core::make_scheduler("emct*");
+    const auto sched = volsched::test::make_scheduler("emct*");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     EXPECT_EQ(log.count(vs::EventKind::TaskComplete),
@@ -129,7 +129,7 @@ TEST(EventLogging, CsvHasHeaderAndOneRowPerEvent) {
     cfg.events = &log;
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 1, 1), {"u"},
                                cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     ASSERT_TRUE(sim.run(*sched).completed);
     std::ostringstream os;
     log.write_csv(os);
@@ -161,7 +161,7 @@ TEST(TimelineRecording, DeterministicPipelineChart) {
     cfg.timeline = &timeline;
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     ASSERT_TRUE(sim.run(*sched).completed);
     ASSERT_EQ(timeline.procs(), 1);
     ASSERT_EQ(timeline.slots(), 10);
@@ -177,7 +177,7 @@ TEST(TimelineRecording, StateCodesAppear) {
     cfg.timeline = &timeline;
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 1, 1),
                                {"urduu"}, cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     ASSERT_TRUE(sim.run(*sched).completed);
     EXPECT_EQ(timeline.at(0, 1), 'r');
     EXPECT_EQ(timeline.at(0, 2), 'd');
@@ -189,7 +189,7 @@ TEST(TimelineRecording, RenderHasRulerAndRows) {
     cfg.timeline = &timeline;
     auto sim = make_replay_sim(vs::Platform::homogeneous(2, 2, 2, 1, 1),
                                {"u", "u"}, cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     ASSERT_TRUE(sim.run(*sched).completed);
     const auto text = timeline.render();
     EXPECT_NE(text.find("P0"), std::string::npos);
@@ -224,8 +224,8 @@ TEST(Proactive, RescuesTaskFromLongReclaimedWorker) {
 
     auto dyn_sim = make_replay_sim(pf, rows, dynamic_cfg, beliefs);
     auto pro_sim = make_replay_sim(pf, rows, proactive_cfg, beliefs);
-    const auto sched1 = volsched::core::make_scheduler("mct");
-    const auto sched2 = volsched::core::make_scheduler("mct");
+    const auto sched1 = volsched::test::make_scheduler("mct");
+    const auto sched2 = volsched::test::make_scheduler("mct");
 
     const auto dyn = dyn_sim.run(*sched1);
     const auto pro = pro_sim.run(*sched2);
@@ -241,7 +241,7 @@ TEST(Proactive, NoBeliefsMeansNoCancellations) {
     auto cfg = config(1, 1);
     cfg.plan_class = vs::SchedulerClass::Proactive;
     auto sim = make_replay_sim(pf, {"uurrrrruuu", "uuuuuuuuuu"}, cfg);
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run(*sched);
     ASSERT_TRUE(metrics.completed);
     EXPECT_EQ(metrics.proactive_cancellations, 0);
@@ -261,7 +261,7 @@ TEST(Proactive, AuditsCleanlyOnStochasticPlatforms) {
     cfg.plan_class = vs::SchedulerClass::Proactive;
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 123);
     for (const auto& name : {"emct*", "mct", "random2w"}) {
-        const auto sched = volsched::core::make_scheduler(name);
+        const auto sched = volsched::test::make_scheduler(name);
         const auto metrics = sim.run(*sched);
         EXPECT_TRUE(metrics.completed) << name;
     }

@@ -3,8 +3,7 @@
 /// corresponding markov:: free function returns, across the canonical
 /// fixture chains, generated chains, and all documented edge cases.  Also
 /// covers the invalidation contract (matrix change at a reused address,
-/// through pin() and BeliefPins::repin), the hit/miss counters, clear(),
-/// and the benchmark bypass hook.
+/// through pin() and BeliefPins::repin), the hit/miss counters and clear().
 
 #include "markov/expectation_cache.hpp"
 
@@ -48,11 +47,6 @@ std::vector<vm::MarkovChain> sweep_chains() {
     }
     return cs;
 }
-
-/// Restores the global bypass flag even when an assertion fails mid-test.
-struct BypassGuard {
-    ~BypassGuard() { vm::ExpectationCache::set_bypass(false); }
-};
 
 const double kWorkloads[] = {-3.0, 0.0, 0.25, 1.0, 1.5, 2.0, 7.25, 40.0};
 const double kHorizons[] = {0.5, 1.0, 1.75, 2.0, 2.5, 3.0, 17.75, 64.5};
@@ -301,35 +295,4 @@ TEST(ExpectationCache, ClearResetsEntriesAndCounters) {
     // Next access recomputes from scratch, still bit-exact.
     EXPECT_EQ(cache.p_plus(chain), vm::p_plus(chain.matrix()));
     EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(ExpectationCache, BypassForwardsToFreeFunctions) {
-    BypassGuard guard;
-    const auto chain = vt::crashy_chain(0.15);
-    const auto& m = chain.matrix();
-    const auto& pi = chain.stationary();
-    vm::ExpectationCache cache;
-    vm::ExpectationCache::set_bypass(true);
-    EXPECT_TRUE(vm::ExpectationCache::bypassed());
-    EXPECT_EQ(cache.p_plus(chain), vm::p_plus(m));
-    EXPECT_EQ(cache.e_workload(chain, 4.5), vm::e_workload(m, 4.5));
-    EXPECT_EQ(cache.p_ud_approx(chain, 7.5),
-              vm::p_ud_approx(m, pi.pi_u, pi.pi_r, 7.5));
-    // Handle accessors recompute per call as well.
-    const auto h = cache.pin(chain);
-    EXPECT_EQ(cache.p_plus(h), vm::p_plus(m));
-    EXPECT_EQ(cache.log_p_plus(h), std::log(vm::p_plus(m)));
-    EXPECT_EQ(cache.e_up(h), vm::e_up(m));
-    EXPECT_EQ(cache.e_workload(h, 4.5), vm::e_workload(m, 4.5));
-    EXPECT_EQ(cache.p_ud_approx(h, 7.5),
-              vm::p_ud_approx(m, pi.pi_u, pi.pi_r, 7.5));
-    // The bypassed cache does no bookkeeping at all.
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
-
-    vm::ExpectationCache::set_bypass(false);
-    EXPECT_FALSE(vm::ExpectationCache::bypassed());
-    EXPECT_EQ(cache.p_plus(chain), vm::p_plus(m));
-    EXPECT_EQ(cache.size(), 1u);
 }

@@ -4,18 +4,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/ct.hpp"
 #include "core/factory.hpp"
 #include "core/greedy_sched.hpp"
 #include "markov/expectation.hpp"
-#include "markov/expectation_cache.hpp"
 #include "markov/gen.hpp"
 #include "sim/scheduler.hpp"
+#include "support/fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace vc = volsched::core;
+namespace vt = volsched::test;
 namespace vs = volsched::sim;
 namespace vm = volsched::markov;
 
@@ -60,6 +66,108 @@ std::vector<vs::ProcId> all_procs(int p) {
     return out;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Section 6.2 weight of a random-family spec ("random", "random2w", ...)
+/// for one worker: 1 for uninformed workers and plain "random", divided by
+/// w_q for the w-variants.
+double reference_weight(const std::string& spec, const vs::ProcView& pv) {
+    double w = 1.0;
+    if (pv.belief != nullptr && spec.size() > 6) {
+        const auto& m = pv.belief->matrix();
+        const auto& pi = pv.belief->stationary();
+        switch (spec[6]) {
+            case '1': w = m.p_uu(); break;
+            case '2': w = vm::p_plus(m); break;
+            case '3': w = pi.pi_u; break;
+            case '4': w = 1.0 - pi.pi_d; break;
+            default: ADD_FAILURE() << "unknown random spec " << spec;
+        }
+    }
+    if (spec.back() == 'w') w /= static_cast<double>(pv.w);
+    return w;
+}
+
+/// Scalar reference for select(), independent of the batched passes, the
+/// belief pins and the expectation cache: one worker at a time, straight
+/// from ct.hpp and the markov:: free functions.
+///  - greedy specs: argmin of the heuristic's own score() over
+///    ct_estimate, ties within 1e-12 broken toward the smaller CT;
+///  - hybrid: argmin of E(CT) / P_UD(E(CT)) over ct_plain;
+///  - random family: the Section 6.2 weights through weighted_index, with
+///    the uniform_int fallback when every weight is zero;
+///  - thr<p>:<inner>: drop informed workers with pi_u < p/100 (all of
+///    them kept when that empties the set), then the inner spec.
+vs::ProcId reference_select(const std::string& spec, const vs::SchedView& view,
+                            std::span<const vs::ProcId> eligible,
+                            std::span<const int> nq,
+                            volsched::util::Rng& rng) {
+    if (spec.rfind("thr", 0) == 0) {
+        const auto colon = spec.find(':');
+        const double threshold =
+            static_cast<double>(std::stoi(spec.substr(3, colon - 3))) / 100.0;
+        std::vector<vs::ProcId> kept;
+        for (const vs::ProcId q : eligible) {
+            const auto* belief = view.procs[q].belief;
+            if (belief == nullptr || belief->stationary().pi_u >= threshold)
+                kept.push_back(q);
+        }
+        const std::string inner = spec.substr(colon + 1);
+        if (kept.empty())
+            return reference_select(inner, view, eligible, nq, rng);
+        return reference_select(inner, view, kept, nq, rng);
+    }
+    if (spec.rfind("random", 0) == 0) {
+        std::vector<double> weights;
+        for (const vs::ProcId q : eligible)
+            weights.push_back(reference_weight(spec, view.procs[q]));
+        const std::size_t idx =
+            rng.weighted_index(weights.data(), weights.size());
+        if (idx >= eligible.size())
+            return eligible[rng.uniform_int(0, eligible.size() - 1)];
+        return eligible[idx];
+    }
+    vs::ProcId best = eligible[0];
+    double best_score = kInf;
+    if (spec == "hybrid") {
+        for (const vs::ProcId q : eligible) {
+            const double ct = vc::ct_plain(view, q, nq[q] + 1);
+            double score = ct;
+            if (const auto* belief = view.procs[q].belief) {
+                const auto& m = belief->matrix();
+                const auto& pi = belief->stationary();
+                const double expected = vm::e_workload(m, ct);
+                const double p_survive =
+                    std::isinf(expected)
+                        ? 0.0
+                        : vm::p_ud_approx(m, pi.pi_u, pi.pi_r, expected);
+                score = p_survive > 0.0 ? expected / p_survive : kInf;
+            }
+            if (score < best_score) {
+                best_score = score;
+                best = q;
+            }
+        }
+        return best;
+    }
+    const auto sched = vt::make_scheduler(spec);
+    const auto& greedy = dynamic_cast<const vc::GreedyScheduler&>(*sched);
+    const bool starred = spec.back() == '*';
+    double best_ct = kInf;
+    for (const vs::ProcId q : eligible) {
+        const double ct =
+            vc::ct_estimate(view, q, nq[q] + 1, nq[q] > 0, starred);
+        const double s = greedy.score(view, q, ct);
+        if (s < best_score - 1e-12 ||
+            (std::fabs(s - best_score) <= 1e-12 && ct < best_ct)) {
+            best = q;
+            best_score = s;
+            best_ct = ct;
+        }
+    }
+    return best;
+}
+
 } // namespace
 
 class HeuristicProperty : public ::testing::TestWithParam<int> {};
@@ -86,7 +194,7 @@ TEST_P(HeuristicProperty, EveryGreedyChoiceIsEligible) {
     std::vector<int> nq(6, 0);
     volsched::util::Rng rng(9);
     for (const auto& name : vc::all_heuristic_names()) {
-        auto sched = vc::make_scheduler(name);
+        auto sched = vt::make_scheduler(name);
         const auto pick = sched->select(f.view, eligible, nq, rng);
         EXPECT_TRUE(pick == 1 || pick == 3 || pick == 4) << name;
     }
@@ -98,7 +206,7 @@ TEST_P(HeuristicProperty, SingleEligibleProcessorIsAlwaysChosen) {
     std::vector<int> nq(4, 0);
     volsched::util::Rng rng(10);
     for (const auto& name : vc::all_heuristic_names()) {
-        auto sched = vc::make_scheduler(name);
+        auto sched = vt::make_scheduler(name);
         EXPECT_EQ(sched->select(f.view, eligible, nq, rng), 2) << name;
     }
 }
@@ -124,7 +232,7 @@ TEST_P(HeuristicProperty, MctPrefersStrictlyDominatingProcessor) {
     f.view.procs = f.procs;
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(11);
-    auto sched = vc::make_scheduler("mct");
+    auto sched = vt::make_scheduler("mct");
     EXPECT_EQ(sched->select(f.view, all_procs(2), nq, rng), 1);
 }
 
@@ -144,7 +252,7 @@ TEST_P(HeuristicProperty, InformedFamiliesAgreeOnIdenticalProcessors) {
     f.view.procs = f.procs;
     std::vector<int> nq(5, 0);
     for (const auto& name : vc::greedy_heuristic_names()) {
-        auto sched = vc::make_scheduler(name);
+        auto sched = vt::make_scheduler(name);
         EXPECT_EQ(sched->select(f.view, all_procs(5), nq, rng), 0) << name;
     }
 }
@@ -161,7 +269,7 @@ TEST_P(HeuristicProperty, BatchedScoresMatchScalarReferenceBitExactly) {
     const std::vector<int> nq = {0, 3, 1, 0, 2, 0, 5, 1};
     const auto eligible = all_procs(8);
     for (const auto& name : vc::greedy_heuristic_names()) {
-        auto sched = vc::make_scheduler(name);
+        auto sched = vt::make_scheduler(name);
         auto* greedy = dynamic_cast<vc::GreedyScheduler*>(sched.get());
         ASSERT_NE(greedy, nullptr) << name;
         const bool starred = !name.empty() && name.back() == '*';
@@ -220,8 +328,8 @@ TEST_P(HeuristicProperty, DecisionsInvariantUnderWorkerPermutation) {
     const auto& ext = vc::extension_heuristic_names();
     names.insert(names.end(), ext.begin(), ext.end());
     for (const auto& name : names) {
-        auto sched_f = vc::make_scheduler(name);
-        auto sched_g = vc::make_scheduler(name);
+        auto sched_f = vt::make_scheduler(name);
+        auto sched_g = vt::make_scheduler(name);
         volsched::util::Rng rng_f(77);
         volsched::util::Rng rng_g(77);
         sched_f->begin_round(f.view);
@@ -232,34 +340,60 @@ TEST_P(HeuristicProperty, DecisionsInvariantUnderWorkerPermutation) {
     }
 }
 
-TEST_P(HeuristicProperty, CachedSelectMatchesBypassedScalarSelect) {
-    // select() with the expectation cache engaged (batched passes) and
-    // with the cache bypassed (the pre-change scalar loops, kept verbatim
-    // for the benchmark A/B) must make identical decisions from identical
-    // RNG streams.
-    struct BypassGuard {
-        ~BypassGuard() { vm::ExpectationCache::set_bypass(false); }
-    } guard;
-    Fixture f(6, static_cast<std::uint64_t>(GetParam()) + 700);
-    const std::vector<int> nq = {1, 0, 2, 0, 0, 3};
-    const auto eligible = all_procs(6);
+TEST_P(HeuristicProperty, SelectMatchesScalarReference) {
+    // Every spec's select() (batched passes, pinned cache handles,
+    // per-round random weights) must pick what reference_select picks,
+    // pick after pick, and leave the RNG where the reference leaves it.
+    // Workers 2 and 5 are uninformed (LW and UD score them 0, so CT breaks
+    // the tie); workers 8 and 9 never come back UP, so their weights are
+    // all 0 and their informed scores infinite.  Each pick is charged to
+    // its worker's queue as the engine does, so greedy picks move around,
+    // and the random family draws 128 times per spec.
+    constexpr int p = 10;
+    Fixture f(p, static_cast<std::uint64_t>(GetParam()) + 700);
+    const vm::MarkovChain dead(vm::TransitionMatrix(
+        {{{0.0, 0.0, 1.0}, {0.0, 0.0, 1.0}, {0.0, 0.0, 1.0}}}));
+    f.chains[8] = dead;
+    f.chains[9] = dead;
+    f.procs[2].belief = nullptr;
+    f.procs[5].belief = nullptr;
+    f.view.procs = f.procs;
+    // The last round offers only the dead workers: the random family's
+    // uniform fallback.
+    const std::vector<std::vector<vs::ProcId>> rounds = {
+        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {0, 1, 3, 4, 5, 6, 7},
+        {1, 2, 3, 4, 5, 8},             {0, 2, 4, 6, 8},
+        {1, 3, 5, 7, 9},                {0, 1, 2, 5},
+        {3, 4, 5, 6, 7, 8, 9},          {8, 9}};
     auto names = vc::all_heuristic_names();
     const auto& ext = vc::extension_heuristic_names();
     names.insert(names.end(), ext.begin(), ext.end());
+    ASSERT_EQ(names.size(), 21u);
     for (const auto& name : names) {
-        auto cached = vc::make_scheduler(name);
-        auto scalar = vc::make_scheduler(name);
-        volsched::util::Rng rng_cached(5);
-        volsched::util::Rng rng_scalar(5);
-        cached->begin_round(f.view);
-        const auto pick_cached =
-            cached->select(f.view, eligible, nq, rng_cached);
-        vm::ExpectationCache::set_bypass(true);
-        scalar->begin_round(f.view);
-        const auto pick_scalar =
-            scalar->select(f.view, eligible, nq, rng_scalar);
-        vm::ExpectationCache::set_bypass(false);
-        EXPECT_EQ(pick_cached, pick_scalar) << name;
+        auto sched = vt::make_scheduler(name);
+        volsched::util::Rng rng(5);
+        volsched::util::Rng ref_rng(5);
+        bool diverged = false;
+        for (std::size_t r = 0; r < rounds.size() && !diverged; ++r) {
+            std::vector<int> nq(p, 0);
+            sched->begin_round(f.view);
+            for (int pick = 0; pick < 16; ++pick) {
+                const auto got = sched->select(f.view, rounds[r], nq, rng);
+                const auto want =
+                    reference_select(name, f.view, rounds[r], nq, ref_rng);
+                if (got != want) {
+                    ADD_FAILURE() << name << ": round " << r << " pick "
+                                  << pick << " chose " << got
+                                  << ", reference " << want;
+                    diverged = true;
+                    break;
+                }
+                ++nq[static_cast<std::size_t>(got)];
+            }
+        }
+        if (!diverged) {
+            EXPECT_EQ(rng(), ref_rng()) << name << ": RNG streams diverged";
+        }
     }
 }
 

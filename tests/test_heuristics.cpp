@@ -11,6 +11,7 @@
 #include "util/rng.hpp"
 
 namespace vc = volsched::core;
+namespace vt = volsched::test;
 namespace vs = volsched::sim;
 namespace vm = volsched::markov;
 
@@ -59,7 +60,7 @@ TEST(Factory, AllSeventeenNamesConstruct) {
     const auto& names = vc::all_heuristic_names();
     EXPECT_EQ(names.size(), 17u);
     for (const auto& name : names) {
-        const auto sched = vc::make_scheduler(name);
+        const auto sched = vt::make_scheduler(name);
         ASSERT_NE(sched, nullptr) << name;
         EXPECT_EQ(sched->name(), name);
     }
@@ -70,8 +71,8 @@ TEST(Factory, GreedySubsetIsEight) {
 }
 
 TEST(Factory, UnknownNameThrows) {
-    EXPECT_THROW(vc::make_scheduler("bogus"), std::invalid_argument);
-    EXPECT_THROW(vc::make_scheduler("EMCT"), std::invalid_argument); // case
+    EXPECT_THROW(vt::make_scheduler("bogus"), std::invalid_argument);
+    EXPECT_THROW(vt::make_scheduler("EMCT"), std::invalid_argument); // case
 }
 
 TEST(Mct, PicksSmallestCompletionTime) {
@@ -81,7 +82,7 @@ TEST(Mct, PicksSmallestCompletionTime) {
     f.procs[2].w = 5;
     f.procs[1].delay = 0;
     auto& view = f.finalize();
-    auto sched = vc::make_scheduler("mct");
+    auto sched = vt::make_scheduler("mct");
     std::vector<int> nq(3, 0);
     volsched::util::Rng rng(1);
     EXPECT_EQ(sched->select(view, all_procs(3), nq, rng), 1);
@@ -94,7 +95,7 @@ TEST(Mct, DelayOutweighsSpeed) {
     f.procs[1].w = 4;
     f.procs[1].delay = 0;
     auto& view = f.finalize();
-    auto sched = vc::make_scheduler("mct");
+    auto sched = vt::make_scheduler("mct");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
     EXPECT_EQ(sched->select(view, all_procs(2), nq, rng), 1);
@@ -105,7 +106,7 @@ TEST(Mct, QueueLengthMatters) {
     f.procs[0].w = 3;
     f.procs[1].w = 4;
     auto& view = f.finalize();
-    auto sched = vc::make_scheduler("mct");
+    auto sched = vt::make_scheduler("mct");
     volsched::util::Rng rng(1);
     // First pick: P0 (faster).  With 3 tasks already queued on P0 this
     // round, the next task goes to P1.
@@ -122,8 +123,8 @@ TEST(Emct, ReducesToMctWhenNoReclaimed) {
     f.procs[1].w = 7;
     f.set_chains({always_up_chain(), always_up_chain()});
     auto& view = f.finalize();
-    auto emct = vc::make_scheduler("emct");
-    auto mct = vc::make_scheduler("mct");
+    auto emct = vt::make_scheduler("emct");
+    auto mct = vt::make_scheduler("mct");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
     EXPECT_EQ(emct->select(view, all_procs(2), nq, rng),
@@ -137,12 +138,12 @@ TEST(Emct, PenalizesReclaimedProneProcessor) {
     f.procs[1].w = 3;
     f.set_chains({flaky_chain(0.5), always_up_chain()});
     auto& view = f.finalize();
-    auto emct = vc::make_scheduler("emct");
+    auto emct = vt::make_scheduler("emct");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
     EXPECT_EQ(emct->select(view, all_procs(2), nq, rng), 1);
     // MCT cannot see the difference and keeps the tie-break winner P0.
-    auto mct = vc::make_scheduler("mct");
+    auto mct = vt::make_scheduler("mct");
     EXPECT_EQ(mct->select(view, all_procs(2), nq, rng), 0);
 }
 
@@ -153,7 +154,7 @@ TEST(Emct, FlakyButMuchFasterCanStillWin) {
     f.procs[1].w = 20; // reliable but 10x slower
     f.set_chains({flaky_chain(0.05), always_up_chain()});
     auto& view = f.finalize();
-    auto emct = vc::make_scheduler("emct");
+    auto emct = vt::make_scheduler("emct");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
     EXPECT_EQ(emct->select(view, all_procs(2), nq, rng), 0);
@@ -166,7 +167,7 @@ TEST(Lw, PrefersCrashSafeProcessor) {
     f.procs[1].w = 3;
     f.set_chains({crashy_chain(0.05), always_up_chain()});
     auto& view = f.finalize();
-    auto lw = vc::make_scheduler("lw");
+    auto lw = vt::make_scheduler("lw");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
     EXPECT_EQ(lw->select(view, all_procs(2), nq, rng), 1);
@@ -178,7 +179,7 @@ TEST(Lw, AllSafeFallsBackToCtTieBreak) {
     f.procs[1].w = 2;
     f.set_chains({always_up_chain(), always_up_chain()});
     auto& view = f.finalize();
-    auto lw = vc::make_scheduler("lw");
+    auto lw = vt::make_scheduler("lw");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
     // P+ = 1 for both: scores tie at 0, the smaller CT (P1) wins.
@@ -191,7 +192,7 @@ TEST(Ud, PrefersLowCrashProbabilityOverWorkload) {
     f.procs[1].w = 3;
     f.set_chains({crashy_chain(0.10), crashy_chain(0.01)});
     auto& view = f.finalize();
-    auto ud = vc::make_scheduler("ud");
+    auto ud = vt::make_scheduler("ud");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(1);
     EXPECT_EQ(ud->select(view, all_procs(2), nq, rng), 1);
@@ -204,8 +205,8 @@ TEST(StarredVariants, ReactToCongestion) {
     ViewFixture f(2, 1, 10, 3);
     f.procs[0].w = 1;
     f.procs[1].w = 4;
-    auto mct_star = vc::make_scheduler("mct*");
-    auto mct = vc::make_scheduler("mct");
+    auto mct_star = vt::make_scheduler("mct*");
+    auto mct = vt::make_scheduler("mct");
     volsched::util::Rng rng(1);
     std::vector<int> nq = {1, 0};
     // Plain: CT(P0)=3+max(3,1)+1=7 (n=2), CT(P1)=3+4=7 -> tie, P0 by CT tie?
@@ -221,7 +222,7 @@ TEST(StarredVariants, ReactToCongestion) {
 TEST(RandomHeuristics, UniformCoversAllEligible) {
     ViewFixture f(4, 4, 10, 2);
     auto& view = f.finalize();
-    auto sched = vc::make_scheduler("random");
+    auto sched = vt::make_scheduler("random");
     std::vector<int> nq(4, 0);
     volsched::util::Rng rng(5);
     std::map<int, int> counts;
@@ -236,7 +237,7 @@ TEST(RandomHeuristics, Random1FavorsStableUp) {
     ViewFixture f(2, 4, 10, 2);
     f.set_chains({flaky_chain(0.5), always_up_chain()});
     auto& view = f.finalize();
-    auto sched = vc::make_scheduler("random1");
+    auto sched = vt::make_scheduler("random1");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(6);
     int p1 = 0;
@@ -253,7 +254,7 @@ TEST(RandomHeuristics, SpeedWeightingPrefersFastProcessors) {
     f.procs[1].w = 1;
     f.set_chains({always_up_chain(), always_up_chain()});
     auto& view = f.finalize();
-    auto sched = vc::make_scheduler("random1w");
+    auto sched = vt::make_scheduler("random1w");
     std::vector<int> nq(2, 0);
     volsched::util::Rng rng(7);
     int p1 = 0;
@@ -266,7 +267,7 @@ TEST(RandomHeuristics, SpeedWeightingPrefersFastProcessors) {
 TEST(RandomHeuristics, RespectsEligibleSubset) {
     ViewFixture f(4, 4, 10, 2);
     auto& view = f.finalize();
-    auto sched = vc::make_scheduler("random");
+    auto sched = vt::make_scheduler("random");
     std::vector<int> nq(4, 0);
     volsched::util::Rng rng(8);
     const std::vector<vs::ProcId> eligible = {1, 3};
@@ -283,7 +284,7 @@ TEST(GreedyHeuristics, DeterministicAcrossCalls) {
     std::vector<int> nq(5, 0);
     volsched::util::Rng rng(9);
     for (const auto& name : vc::greedy_heuristic_names()) {
-        auto sched = vc::make_scheduler(name);
+        auto sched = vt::make_scheduler(name);
         const auto first = sched->select(view, all_procs(5), nq, rng);
         for (int i = 0; i < 10; ++i)
             EXPECT_EQ(sched->select(view, all_procs(5), nq, rng), first)

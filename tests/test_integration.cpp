@@ -5,20 +5,19 @@
 
 #include <map>
 
-#include "core/factory.hpp"
 #include "exp/dfb.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "sim/engine.hpp"
+#include "support/fixtures.hpp"
 #include "trace/empirical.hpp"
 #include "trace/semi_markov.hpp"
-#include "sim/engine.hpp"
 #include "util/rng.hpp"
 
 namespace ve = volsched::exp;
 namespace vs = volsched::sim;
 namespace vm = volsched::markov;
 namespace vt = volsched::trace;
-namespace vc = volsched::core;
 
 namespace {
 
@@ -97,7 +96,7 @@ TEST(Integration, AllHeuristicsCompleteOnSemiMarkovTraces) {
     cfg.max_slots = 500000;
     const vs::Simulation sim(pf, std::move(models), beliefs, cfg, 99);
     for (const auto& name : {"emct*", "ud*", "mct", "random2w"}) {
-        const auto sched = vc::make_scheduler(name);
+        const auto sched = volsched::test::make_scheduler(name);
         const auto metrics = sim.run(*sched);
         EXPECT_TRUE(metrics.completed) << name;
     }

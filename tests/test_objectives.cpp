@@ -5,9 +5,9 @@
 
 #include <memory>
 
-#include "core/factory.hpp"
 #include "markov/gen.hpp"
 #include "sim/engine.hpp"
+#include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 #include "util/rng.hpp"
 
@@ -42,7 +42,7 @@ long long predicted_min_slots(int iterations) {
 
 TEST(Objectives, MinSlotsMatchesHandDerivedSchedule) {
     auto sim = always_up_sim();
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     for (int k = 1; k <= 5; ++k)
         EXPECT_EQ(sim.min_slots_for_iterations(*sched, k),
                   predicted_min_slots(k))
@@ -51,14 +51,14 @@ TEST(Objectives, MinSlotsMatchesHandDerivedSchedule) {
 
 TEST(Objectives, MinSlotsReportsHorizonFailure) {
     auto sim = always_up_sim();
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     // Horizon (config.max_slots = 100000) cannot fit 20000 iterations.
     EXPECT_EQ(sim.min_slots_for_iterations(*sched, 20000), -1);
 }
 
 TEST(Objectives, DeadlineRunCountsIterations) {
     auto sim = always_up_sim();
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto at_deadline = [&](long long d) {
         return sim.run_for_deadline(*sched, d).iterations_completed;
     };
@@ -76,7 +76,7 @@ class DualityProperty : public ::testing::TestWithParam<long long> {};
 TEST_P(DualityProperty, DeterministicPlatform) {
     const long long deadline = GetParam();
     auto sim = always_up_sim();
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const int achieved =
         sim.run_for_deadline(*sched, deadline).iterations_completed;
     if (achieved > 0) {
@@ -104,7 +104,7 @@ TEST(Objectives, DualityOnStochasticPlatform) {
     cfg.tasks_per_iteration = 5;
     cfg.max_slots = 500000;
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 321);
-    const auto sched = volsched::core::make_scheduler("emct");
+    const auto sched = volsched::test::make_scheduler("emct");
     // The availability realization is seed-determined, so both objective
     // directions see the same world and the duality must hold exactly.
     for (long long deadline : {50LL, 150LL, 400LL, 1000LL}) {
@@ -124,7 +124,7 @@ TEST(Objectives, DualityOnStochasticPlatform) {
 
 TEST(Objectives, DeadlineRunNeverClaimsCompletion) {
     auto sim = always_up_sim();
-    const auto sched = volsched::core::make_scheduler("mct");
+    const auto sched = volsched::test::make_scheduler("mct");
     const auto metrics = sim.run_for_deadline(*sched, 100);
     EXPECT_FALSE(metrics.completed); // iteration budget is unbounded
     EXPECT_EQ(metrics.makespan, 100);

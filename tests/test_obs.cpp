@@ -23,7 +23,6 @@
 
 #include "api/simulation_builder.hpp"
 #include "ckpt/registry.hpp"
-#include "core/factory.hpp"
 #include "exp/campaign.hpp"
 #include "exp/status.hpp"
 #include "obs/registry.hpp"
@@ -39,7 +38,6 @@
 #include "trace/sojourn.hpp"
 #include "util/json.hpp"
 
-namespace vc = volsched::core;
 namespace ve = volsched::exp;
 namespace vk = volsched::ckpt;
 namespace vm = volsched::markov;
@@ -114,7 +112,7 @@ std::vector<Regime> regimes() {
                       cfg.tracer = tracer;
                       const auto sim =
                           vs::Simulation::from_chains(pf, chains, cfg, 17);
-                      const auto sched = vc::make_scheduler("mct");
+                      const auto sched = vt::make_scheduler("mct");
                       return sim.run(*sched);
                   }});
 
@@ -160,7 +158,7 @@ std::vector<Regime> regimes() {
                                      .event_driven(event_core)
                                      .seed(23)
                                      .build();
-                      const auto sched = vc::make_scheduler("emct");
+                      const auto sched = vt::make_scheduler("emct");
                       return sim.run(*sched);
                   }});
 
@@ -186,7 +184,7 @@ std::vector<Regime> regimes() {
                       cfg.tracer = tracer;
                       const auto sim =
                           vs::Simulation::from_chains(pf, chains, cfg, 29);
-                      const auto sched = vc::make_scheduler("mct");
+                      const auto sched = vt::make_scheduler("mct");
                       return sim.run(*sched);
                   }});
     return rs;
@@ -535,7 +533,7 @@ TEST(CacheCounters, GreedyRunReportsCacheTrafficInMetricsAndJson) {
         3, vt::chain3(0.35, 0.05, 0.10, 0.30, 0.15, 0.05));
     const auto sim = vs::Simulation::from_chains(
         pf, chains, vt::audited_config(2, 4), 17);
-    const auto sched = vc::make_scheduler("emct");
+    const auto sched = vt::make_scheduler("emct");
     const auto m = sim.run(*sched);
     EXPECT_GT(m.cache_hits + m.cache_misses, 0)
         << "a scoring heuristic must touch the expectation cache";
@@ -559,7 +557,7 @@ TEST(CacheCounters, NonScoringSchedulerReportsZero) {
     const std::vector<vm::MarkovChain> chains(2, vt::always_up_chain());
     const auto sim = vs::Simulation::from_chains(
         pf, chains, vt::audited_config(1, 3), 5);
-    const auto sched = vc::make_scheduler("random");
+    const auto sched = vt::make_scheduler("random");
     const auto m = sim.run(*sched);
     EXPECT_EQ(m.cache_hits, 0);
     EXPECT_EQ(m.cache_misses, 0);

@@ -8,13 +8,11 @@
 
 #include <cmath>
 
-#include "core/factory.hpp"
 #include "markov/expectation.hpp"
 #include "sim/scheduler.hpp"
 #include "support/fixtures.hpp"
 #include "util/rng.hpp"
 
-namespace vc = volsched::core;
 namespace vs = volsched::sim;
 namespace vm = volsched::markov;
 namespace vt = volsched::test;
@@ -24,7 +22,7 @@ namespace {
 /// Empirical pick fraction of processor 0 over n draws.
 double pick0_fraction(vt::ViewFixture& f, const std::string& heuristic,
                       int n = 60000) {
-    const auto sched = vc::make_scheduler(heuristic);
+    const auto sched = vt::make_scheduler(heuristic);
     const auto counts = vt::pick_counts(f, *sched, n, 0xABCDEF);
     return static_cast<double>(counts[0]) / static_cast<double>(n);
 }
@@ -111,7 +109,7 @@ TEST(RandomStats, UniformPassesChiSquaredOverEightProcs) {
     for (std::size_t q = 0; q < f.procs.size(); ++q)
         f.procs[q].w = 1 + static_cast<int>(q);
 
-    const auto sched = vc::make_scheduler("random");
+    const auto sched = vt::make_scheduler("random");
     const int n = 80000;
     const auto counts = vt::pick_counts(f, *sched, n, 20240717);
     const std::vector<double> uniform(8, 1.0 / 8.0);
@@ -130,7 +128,7 @@ TEST(RandomStats, WeightedPicksPassChiSquaredAgainstTheirWeights) {
     vt::ViewFixture f({vt::chain3(0.5, 0.25, 0.4, 0.5),
                        vt::chain3(0.75, 0.12, 0.4, 0.5),
                        vt::chain3(0.95, 0.02, 0.4, 0.5)});
-    const auto sched = vc::make_scheduler("random1");
+    const auto sched = vt::make_scheduler("random1");
     const auto counts = vt::pick_counts(f, *sched, 60000, 0xFEED);
     const std::vector<double> weights = {0.5, 0.75, 0.95};
     const double stat = vt::chi_squared(counts, weights);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "api/simulation_builder.hpp"
-#include "core/factory.hpp"
 #include "exp/scenario.hpp"
 #include "markov/availability.hpp"
 #include "markov/realized_trace.hpp"
@@ -241,7 +240,7 @@ TEST(RealizedTrace, SimulationSharesOneRealizationAcrossRuns) {
         << "realization() must hand out the one cached snapshot";
     EXPECT_EQ(traces->size(), rs.platform.size());
 
-    const auto sched = volsched::core::make_scheduler("emct");
+    const auto sched = vt::make_scheduler("emct");
     const auto m1 = sim.run(*sched);
     const auto m2 = sim.run(*sched);
     EXPECT_EQ(m1.makespan, m2.makespan);
@@ -253,7 +252,7 @@ TEST(RealizedTrace, BuilderRealizedAttachesAndValidatesSnapshots) {
     const auto sc = vt::small_scenario(314);
     const auto rs = ve::realize(sc);
     const auto cfg = vt::audited_config(2, sc.tasks);
-    const auto sched = volsched::core::make_scheduler("mct*");
+    const auto sched = vt::make_scheduler("mct*");
 
     // Baseline: private realization.
     const auto base = vs::Simulation::from_chains(rs.platform, rs.chains,

@@ -124,7 +124,7 @@ TEST(SchedulerRegistry, AllPaperAndExtensionNamesResolve) {
 TEST(SchedulerRegistry, MacroRegistrationFromThisTuIsVisible) {
     // Both through the registry and through the legacy factory shim.
     EXPECT_TRUE(va::SchedulerRegistry::instance().contains("test-first"));
-    EXPECT_EQ(vc::make_scheduler("test-first")->name(), "test-first");
+    EXPECT_EQ(vt::make_scheduler("test-first")->name(), "test-first");
 }
 
 TEST(SchedulerRegistry, ShorthandAndKeyValueSpecsAreEquivalent) {
@@ -266,7 +266,7 @@ TEST(SimulationBuilder, BuilderPathBitMatchesConstructorPath) {
         ca.actions = &ta;
         const auto a =
             vs::Simulation::from_chains(rs.platform, rs.chains, ca, 5);
-        const auto ma = a.run(*vc::make_scheduler(name));
+        const auto ma = a.run(*vt::make_scheduler(name));
 
         const auto b = vs::Simulation::builder()
                            .platform(rs.platform)
@@ -314,7 +314,7 @@ TEST(SimulationBuilder, ReplayAndEmpiricalSourcesRun) {
                               .tasks_per_iteration(4)
                               .seed(3)
                               .build();
-    const auto mr = replayed.run(*vc::make_scheduler("mct"));
+    const auto mr = replayed.run(*vt::make_scheduler("mct"));
     EXPECT_TRUE(mr.completed);
 
     // empirical(): same replay plus per-trace fitted Markov beliefs, which
@@ -326,7 +326,7 @@ TEST(SimulationBuilder, ReplayAndEmpiricalSourcesRun) {
                                .tasks_per_iteration(4)
                                .seed(3)
                                .build();
-    const auto me = empirical.run(*vc::make_scheduler("emct*"));
+    const auto me = empirical.run(*vt::make_scheduler("emct*"));
     EXPECT_TRUE(me.completed);
 
     EXPECT_THROW((void)vs::Simulation::builder()

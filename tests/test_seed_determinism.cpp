@@ -43,7 +43,7 @@ vs::RunMetrics run_traced(const ve::RealizedScenario& rs,
     cfg.actions = &trace;
     const auto sim =
         vs::Simulation::from_chains(rs.platform, rs.chains, cfg, sim_seed);
-    const auto sched = vc::make_scheduler(heuristic);
+    const auto sched = vt::make_scheduler(heuristic);
     return sim.run(*sched);
 }
 
@@ -159,7 +159,7 @@ TEST(SeedDeterminism, BuilderPathReplaysTheConstructorPathExactly) {
                              .actions(&t2)
                              .seed(5)
                              .build();
-        const auto sched = vc::make_scheduler(name);
+        const auto sched = vt::make_scheduler(name);
         const auto m2 = sim.run(*sched);
 
         EXPECT_EQ(m1.makespan, m2.makespan) << name;
@@ -195,14 +195,14 @@ TEST(SeedDeterminism, SlotSkippingLeavesActionTracesUnchanged) {
         cfg.actions = &skip_trace;
         const auto skipping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
-        const auto sched1 = vc::make_scheduler(name);
+        const auto sched1 = vt::make_scheduler(name);
         const auto m1 = skipping.run(*sched1);
 
         cfg.skip_dead_slots = false;
         cfg.actions = &step_trace;
         const auto stepping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
-        const auto sched2 = vc::make_scheduler(name);
+        const auto sched2 = vt::make_scheduler(name);
         const auto m2 = stepping.run(*sched2);
 
         EXPECT_EQ(m2.dead_slots_skipped, 0) << name;
@@ -276,7 +276,7 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
                            .event_driven(false) // pins the slot loop's skip
                            .seed(23)
                            .build();
-            const auto sched = vc::make_scheduler(name);
+            const auto sched = vt::make_scheduler(name);
             metrics[skip] = sim.run(*sched);
         }
         EXPECT_EQ(metrics[0].dead_slots_skipped, 0) << name;
@@ -347,7 +347,7 @@ std::string greedy_run_blob(bool event_core) {
         cfg.timeline = &timeline;
         const auto sim =
             vs::Simulation::from_chains(rs.platform, rs.chains, cfg, 5);
-        const auto sched = vc::make_scheduler(name);
+        const auto sched = vt::make_scheduler(name);
         const auto m = sim.run(*sched);
         blob += "== " + name + " ==\n";
         blob += vs::metrics_to_json(m);
@@ -497,7 +497,7 @@ std::string regime_run_blob(bool event_core) {
             cfg.tracer = &tracer;
             const auto sim =
                 vs::Simulation::from_chains(rs.platform, rs.chains, cfg, 5);
-            const auto sched = vc::make_scheduler(spec);
+            const auto sched = vt::make_scheduler(spec);
             const auto m = sim.run(*sched);
             std::ostringstream csv;
             events.write_csv(csv);

@@ -6,7 +6,6 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace vu = volsched::util;
@@ -190,11 +189,4 @@ TEST(Json, AsIntThrowsInsteadOfWrapping) {
          {"2147483648", "-2147483649", "4294967297", "1.5", "\"1\""})
         EXPECT_THROW((void)Value::parse(text).as_int(), std::invalid_argument)
             << text;
-}
-
-TEST(Log, LevelFiltering) {
-    vu::set_log_level(vu::LogLevel::Warn);
-    EXPECT_EQ(vu::log_level(), vu::LogLevel::Warn);
-    vu::set_log_level(vu::LogLevel::Info);
-    EXPECT_EQ(vu::log_level(), vu::LogLevel::Info);
 }
