@@ -165,23 +165,8 @@ SimulationBuilder& SimulationBuilder::audit(bool on) {
     return *this;
 }
 
-SimulationBuilder& SimulationBuilder::events(sim::EventLog* log) {
-    config_.events = log;
-    return *this;
-}
-
-SimulationBuilder& SimulationBuilder::timeline(sim::Timeline* tl) {
-    config_.timeline = tl;
-    return *this;
-}
-
-SimulationBuilder& SimulationBuilder::actions(sim::ActionTrace* at) {
-    config_.actions = at;
-    return *this;
-}
-
-SimulationBuilder& SimulationBuilder::trace(obs::TraceRecorder* rec) {
-    config_.tracer = rec;
+SimulationBuilder& SimulationBuilder::observe(sim::EngineObserver* observer) {
+    config_.observers.push_back(observer);
     return *this;
 }
 

@@ -115,14 +115,12 @@ public:
     SimulationBuilder& max_slots(long long n);
     SimulationBuilder& plan_class(sim::SchedulerClass c);
     SimulationBuilder& audit(bool on = true);
-    SimulationBuilder& events(sim::EventLog* log);
-    SimulationBuilder& timeline(sim::Timeline* tl);
-    SimulationBuilder& actions(sim::ActionTrace* at);
-    /// Attaches a sim-time tracer (obs/trace.hpp; not owned, may be null):
-    /// the run is recorded as per-worker spans exportable as
-    /// Perfetto-loadable Chrome trace JSON.  Observer-only — attaching a
-    /// tracer leaves every other output byte-identical.
-    SimulationBuilder& trace(obs::TraceRecorder* rec);
+    /// Attaches an observer to every run (sim/observer.hpp; not owned,
+    /// non-null): a sim::EventLog, sim::Timeline, sim::ActionTrace, an
+    /// obs::TraceRecorder (Perfetto-loadable Chrome trace JSON), or any
+    /// other EngineObserver.  Observer-only — attaching one leaves every
+    /// other output byte-identical.
+    SimulationBuilder& observe(sim::EngineObserver* observer);
 
     /// Attaches a checkpoint/restart policy by registry spec — "none",
     /// "periodic20", "daly", "risk(percent=25)", ... (ckpt/registry.hpp;

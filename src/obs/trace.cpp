@@ -5,15 +5,19 @@
 #include <sstream>
 #include <utility>
 
+#include "sim/events.hpp"
 #include "util/json.hpp"
 
 namespace volsched::obs {
 namespace {
 
-const char* state_name(char code) noexcept {
-    switch (code) {
-    case 'u': return "up";
-    case 'r': return "reclaimed";
+using markov::ProcState;
+
+/// The avail-lane span name of a state.
+const char* span_name(ProcState state) noexcept {
+    switch (state) {
+    case ProcState::Up: return "up";
+    case ProcState::Reclaimed: return "reclaimed";
     default: return "down";
     }
 }
@@ -30,8 +34,10 @@ void TraceRecorder::thread_name(int tid, std::string name) {
     events_.push_back(std::move(e));
 }
 
-void TraceRecorder::begin_run(int procs) {
+void TraceRecorder::begin_run(const sim::Platform& platform) {
+    const int procs = platform.size();
     procs_ = procs;
+    t_data_ = platform.t_data;
     events_.clear();
     open_.assign(static_cast<std::size_t>(1 + 4 * procs), OpenSpan{});
     thread_name(0, "engine");
@@ -113,20 +119,99 @@ void TraceRecorder::instant_engine(long long slot, const char* name) {
     events_.push_back(std::move(e));
 }
 
-void TraceRecorder::state_change(long long slot, int proc, char code) {
+void TraceRecorder::state_change(long long slot, int proc, ProcState state) {
     OpenSpan& avail = open(proc, kLaneAvail);
     if (avail.active) close_span(avail, tid_of(proc, kLaneAvail), slot, {});
     avail.active = true;
     avail.ts = slot;
-    avail.name = state_name(code);
-    if (code == 'd') {
+    avail.name = span_name(state);
+    if (state == ProcState::Down) {
         span_cut(slot, proc, kLaneTransfer, "lost");
         span_cut(slot, proc, kLaneCompute, "lost");
         span_cut(slot, proc, kLaneCkpt, "lost");
     }
 }
 
-void TraceRecorder::elided(long long from, long long to, bool dead) {
+void TraceRecorder::on_event(const sim::Event& e) {
+    using sim::EventKind;
+    const auto task_args = [&e] {
+        std::string a = "{\"task\":" + std::to_string(e.logical) +
+                        ",\"iter\":" + std::to_string(e.iteration);
+        if (e.replica) a += ",\"replica\":true";
+        a += "}";
+        return a;
+    };
+    switch (e.kind) {
+    case EventKind::StateChange:
+        // A DOWN handoff also cuts the activity lanes ("lost") inside
+        // state_change — this covers the in-flight program download a
+        // crash wipes without emitting any WorkLost event.
+        state_change(e.slot, e.proc, e.state);
+        break;
+    case EventKind::ProgStart:
+        span_begin(e.slot, e.proc, kLaneTransfer, "prog");
+        break;
+    case EventKind::ProgComplete:
+        span_end(e.slot, e.proc, kLaneTransfer);
+        break;
+    case EventKind::DataStart:
+        // Zero-cost data transfers (t_data == 0) complete at their start
+        // event and never emit DataComplete — record an instant so the
+        // transfer lane is not left open.
+        if (t_data_ == 0)
+            instant(e.slot, e.proc, kLaneTransfer, "data (free)");
+        else
+            span_begin(e.slot, e.proc, kLaneTransfer, "data", task_args());
+        break;
+    case EventKind::DataComplete:
+        span_end(e.slot, e.proc, kLaneTransfer);
+        break;
+    case EventKind::ComputeStart:
+        // Promotion happens at end of slot s; the computation's first
+        // advancing slot is s + 1 (and completions of slot s have already
+        // closed the lane, so the handoff order is safe).
+        span_begin(e.slot + 1, e.proc, kLaneCompute, "compute", task_args());
+        break;
+    case EventKind::TaskComplete:
+        span_end(e.slot, e.proc, kLaneCompute);
+        break;
+    case EventKind::WorkLost:
+        span_cut(e.slot, e.proc, kLaneTransfer, "lost");
+        span_cut(e.slot, e.proc, kLaneCompute, "lost");
+        break;
+    case EventKind::ReplicaCommitted:
+        instant(e.slot, e.proc, kLaneTransfer, "replica committed");
+        break;
+    case EventKind::ReplicaCancelled:
+        span_cut(e.slot, e.proc, kLaneTransfer, "cancelled");
+        span_cut(e.slot, e.proc, kLaneCompute, "cancelled");
+        break;
+    case EventKind::ProactiveCancel:
+        span_cut(e.slot, e.proc, kLaneTransfer, "proactive");
+        span_cut(e.slot, e.proc, kLaneCompute, "proactive");
+        break;
+    case EventKind::IterationComplete:
+        instant_engine(e.slot, "iteration complete");
+        break;
+    case EventKind::CheckpointStart:
+        span_begin(e.slot, e.proc, kLaneCkpt, "ckpt", task_args());
+        break;
+    case EventKind::CheckpointCommit:
+        span_end(e.slot, e.proc, kLaneCkpt);
+        break;
+    case EventKind::CheckpointLost:
+        span_cut(e.slot, e.proc, kLaneCkpt, "lost");
+        break;
+    case EventKind::Recovery:
+        instant(e.slot, e.proc, kLaneCompute, "recovery");
+        break;
+    }
+}
+
+void TraceRecorder::on_round(long long t) { instant_engine(t, "sched round"); }
+
+void TraceRecorder::on_inert(long long from, long long to, bool dead,
+                             sim::SlotRow /*row*/) {
     TraceEvent e;
     e.ts = from;
     e.dur = std::max<long long>(0, to - from);

@@ -1,7 +1,8 @@
 #pragma once
 /// \file action_trace.hpp
-/// Exact per-slot action recording: for every (processor, slot) the engine
-/// writes what was received (program / task data) and what was computed.
+/// Exact per-slot action recording: for every (processor, slot), what was
+/// received (program / task data) and what was computed.  Attach via
+/// EngineConfig::observers (SimulationBuilder::observe).
 /// The conventions match offline/schedule.hpp (`-2` program, `-1` none,
 /// task id otherwise), so a recorded on-line run can be replayed through
 /// the off-line validator — an end-to-end certification that the engine
@@ -12,6 +13,7 @@
 
 #include <vector>
 
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 
 namespace volsched::sim {
@@ -23,22 +25,14 @@ struct RecordedAction {
     int compute = -1;
 };
 
-class ActionTrace {
+class ActionTrace : public EngineObserver {
 public:
-    void begin(int procs) {
-        rows_.assign(static_cast<std::size_t>(procs), {});
+    void begin_run(const Platform& platform) override {
+        rows_.assign(static_cast<std::size_t>(platform.size()), {});
     }
-
-    /// Opens the next slot (one empty record per processor).
-    void next_slot() {
-        for (auto& row : rows_) row.emplace_back();
-    }
-
-    void set_recv(ProcId proc, int value) {
-        rows_[proc].back().recv = value;
-    }
-    void set_compute(ProcId proc, int task) {
-        rows_[proc].back().compute = task;
+    void on_slot(long long /*t*/, SlotRow row) override {
+        for (std::size_t q = 0; q < rows_.size(); ++q)
+            rows_[q].push_back({row[q].recv, row[q].compute});
     }
 
     [[nodiscard]] int procs() const noexcept {

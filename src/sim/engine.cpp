@@ -11,7 +11,6 @@
 
 #include "ckpt/policy.hpp"
 #include "markov/expectation.hpp"
-#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace volsched::sim {
@@ -138,10 +137,8 @@ public:
     RunMetrics run(Scheduler& sched) {
         start_iteration();
         metrics_.per_proc.assign(static_cast<std::size_t>(pf_.size()), {});
-        if (config_.timeline) config_.timeline->begin(pf_.size());
-        if (config_.actions) config_.actions->begin(pf_.size());
-        if (config_.tracer) config_.tracer->begin_run(pf_.size());
-        slot_flags_.assign(static_cast<std::size_t>(pf_.size()), 0);
+        row_.assign(static_cast<std::size_t>(pf_.size()), {});
+        for (EngineObserver* o : config_.observers) o->begin_run(pf_);
         long long t = 0;
         while (t < config_.max_slots) {
             // A realization that starts with every worker absent: do slot
@@ -174,7 +171,7 @@ public:
                 // Dead-stretch fast-forward: with every worker DOWN or
                 // RECLAIMED nothing can transfer, compute, or complete, so
                 // the slot loop is a no-op until some processor changes
-                // state; fast_forward back-fills the recorders up to it.
+                // state; fast_forward reports the stretch to observers.
                 const long long change = next_state_change(t - 1);
                 if (change > t) {
                     fast_forward(t, change);
@@ -184,9 +181,6 @@ public:
                 }
             }
             slot_ = t;
-            if (config_.actions) config_.actions->next_slot();
-            std::fill(slot_flags_.begin(), slot_flags_.end(),
-                      static_cast<std::uint8_t>(0));
             advance_states(t);
             int budget = pf_.ncom;
             transfers_this_slot_ = 0;
@@ -196,7 +190,8 @@ public:
             plan_and_commit(sched, t, budget);
             advance_compute();
             if (config_.audit) audit_bandwidth();
-            record_timeline();
+            if (!config_.observers.empty())
+                publish_row([&](EngineObserver& o) { o.on_slot(t, row_); });
             const bool finished = end_of_slot(t);
             if (config_.audit) {
                 audit_invariants();
@@ -206,7 +201,7 @@ public:
                 metrics_.completed = true;
                 metrics_.makespan = t + 1;
                 metrics_.iterations_completed = config_.iterations;
-                if (config_.tracer) config_.tracer->end_run(t + 1);
+                for (EngineObserver* o : config_.observers) o->end_run(t + 1);
                 return metrics_;
             }
             ++t;
@@ -214,7 +209,8 @@ public:
         metrics_.completed = false;
         metrics_.makespan = config_.max_slots;
         metrics_.iterations_completed = iterations_done_;
-        if (config_.tracer) config_.tracer->end_run(config_.max_slots);
+        for (EngineObserver* o : config_.observers)
+            o->end_run(config_.max_slots);
         return metrics_;
     }
 
@@ -500,19 +496,15 @@ private:
     /// Advances the steady stretch [from, to) arithmetically: states are
     /// frozen, the first ncom transfers to/from UP workers in the FIFO and
     /// every unobstructed computation drain one unit per slot (none to
-    /// zero, so the FIFO keeps its entries and order), and the recorders
-    /// receive the identical per-slot output the slot loop would have
-    /// produced.  Precondition: steady_horizon(from) >= to.  With no worker
-    /// UP this is the dead-stretch skip of both cores: it only back-fills
-    /// `d`/`r` timeline codes and empty action slots, and counts the
-    /// stretch in dead_slots_skipped.  Callers count slots_elided.
+    /// zero, so the FIFO keeps its entries and order), and observers
+    /// receive the stretch's one activity row through one on_inert call.
+    /// Precondition: steady_horizon(from) >= to.  With no worker UP this is
+    /// the dead-stretch skip of both cores: the row holds no activity, and
+    /// the stretch counts in dead_slots_skipped.  Callers count
+    /// slots_elided.
     void fast_forward(long long from, long long to) {
         const long long n = to - from;
         if (config_.audit) audit_steady_range(from, to);
-        ff_recv_.assign(static_cast<std::size_t>(pf_.size()), kNoAction);
-        ff_compute_.assign(static_cast<std::size_t>(pf_.size()), kNoAction);
-        std::fill(slot_flags_.begin(), slot_flags_.end(),
-                  static_cast<std::uint8_t>(0));
         int advancing = 0;
         for (const ActiveTransfer& tr : fifo_) {
             if (advancing == pf_.ncom) break;
@@ -521,15 +513,13 @@ private:
             ++advancing;
             if (tr.kind == TransferKind::Prog) {
                 w.prog_remaining -= static_cast<int>(n);
-                slot_flags_[tr.proc] |= kFlagProg;
-                ff_recv_[tr.proc] = -2;
+                row_[tr.proc].recv = -2;
             } else if (tr.kind == TransferKind::Data) {
                 instances_[w.staged].data_remaining -= static_cast<int>(n);
-                slot_flags_[tr.proc] |= kFlagData;
-                ff_recv_[tr.proc] = instances_[w.staged].logical;
+                row_[tr.proc].recv = instances_[w.staged].logical;
             } else {
                 w.ckpt_remaining -= static_cast<int>(n);
-                slot_flags_[tr.proc] |= kFlagCkpt;
+                row_[tr.proc].ckpt = true;
                 metrics_.checkpoint_slots += n;
                 continue;
             }
@@ -544,44 +534,13 @@ private:
             w.since_ckpt += static_cast<int>(n);
             metrics_.compute_slots += n;
             metrics_.per_proc[q].compute_slots += n;
-            slot_flags_[q] |= kFlagCompute;
-            ff_compute_[q] = instances_[w.computing].logical;
+            row_[q].compute = instances_[w.computing].logical;
         }
         if (up_count_ == 0) metrics_.dead_slots_skipped += n;
-        if (config_.tracer) config_.tracer->elided(from, to, up_count_ == 0);
-        if (config_.timeline) {
-            for (int q = 0; q < pf_.size(); ++q) {
-                char code = '.';
-                const ProcState st = workers_[q].state;
-                if (st == ProcState::Down) code = 'd';
-                else if (st == ProcState::Reclaimed) code = 'r';
-                else {
-                    const std::uint8_t f = slot_flags_[q];
-                    const bool compute = f & kFlagCompute;
-                    const bool data = f & kFlagData;
-                    const bool prog = f & kFlagProg;
-                    const bool ckpt = f & kFlagCkpt;
-                    if (compute && data) code = 'B';
-                    else if (compute) code = 'C';
-                    else if (ckpt) code = 'K';
-                    else if (data) code = 'D';
-                    else if (prog) code = 'P';
-                }
-                for (long long s = from; s < to; ++s)
-                    config_.timeline->record(q, code);
-            }
-        }
-        if (config_.actions) {
-            for (long long s = from; s < to; ++s) {
-                config_.actions->next_slot();
-                for (int q = 0; q < pf_.size(); ++q) {
-                    if (ff_recv_[q] != kNoAction)
-                        config_.actions->set_recv(q, ff_recv_[q]);
-                    if (ff_compute_[q] != kNoAction)
-                        config_.actions->set_compute(q, ff_compute_[q]);
-                }
-            }
-        }
+        if (!config_.observers.empty())
+            publish_row([&](EngineObserver& o) {
+                o.on_inert(from, to, up_count_ == 0, row_);
+            });
     }
 
     /// Audit-mode re-verification of an elided range: replays the stretch's
@@ -800,17 +759,15 @@ private:
                 // action (the action trace records the receive/compute
                 // model the off-line validator checks) and not counted in
                 // transfer_slots (program + data); it has its own counter.
-                slot_flags_[tr.proc] |= kFlagCkpt;
+                row_[tr.proc].ckpt = true;
                 ++metrics_.checkpoint_slots;
             } else if (tr.kind == TransferKind::Prog) {
-                slot_flags_[tr.proc] |= kFlagProg;
-                record_recv(tr.proc, -2);
+                row_[tr.proc].recv = -2;
                 ++metrics_.per_proc[tr.proc].transfer_slots;
                 ++metrics_.transfer_slots;
             } else {
-                slot_flags_[tr.proc] |= kFlagData;
-                record_recv(tr.proc,
-                            instances_[workers_[tr.proc].staged].logical);
+                row_[tr.proc].recv =
+                    instances_[workers_[tr.proc].staged].logical;
                 ++metrics_.per_proc[tr.proc].transfer_slots;
                 ++metrics_.transfer_slots;
             }
@@ -867,7 +824,7 @@ private:
             ++metrics_.checkpoint_slots;
             ++transfers_this_slot_;
             --budget;
-            slot_flags_[q] |= kFlagCkpt;
+            row_[q].ckpt = true;
             emit(EventKind::CheckpointStart, q, logical, replica);
         }
     }
@@ -933,8 +890,7 @@ private:
             ++metrics_.transfer_slots;
             ++transfers_this_slot_;
             --budget;
-            slot_flags_[q] |= kFlagData;
-            record_recv(q, inst.logical);
+            row_[q].recv = inst.logical;
             emit(EventKind::DataStart, q, inst.logical,
                  inst.kind == InstKind::Replica);
         }
@@ -986,8 +942,7 @@ private:
         replica_plan_.clear();
 
         if (must_plan) {
-            if (config_.tracer)
-                config_.tracer->instant_engine(t, "sched round");
+            for (EngineObserver* o : config_.observers) o->on_round(t);
             sched.begin_round(view);
 
             // 1. Original tasks, in logical order, one by one.  A processor
@@ -1171,8 +1126,7 @@ private:
             ++metrics_.transfer_slots;
             ++transfers_this_slot_;
             --budget;
-            slot_flags_[q] |= kFlagData;
-            record_recv(q, inst.logical);
+            row_[q].recv = inst.logical;
             emit(EventKind::DataStart, q, inst.logical,
                  inst.kind == InstKind::Replica);
             return true;
@@ -1196,8 +1150,7 @@ private:
             ++metrics_.transfer_slots;
             ++transfers_this_slot_;
             --budget;
-            slot_flags_[q] |= kFlagProg;
-            record_recv(q, -2);
+            row_[q].recv = -2;
             emit(EventKind::ProgStart, q, inst.logical,
                  inst.kind == InstKind::Replica);
             stage(inst, id, q, t);
@@ -1244,32 +1197,7 @@ private:
             ++w.since_ckpt;
             ++metrics_.compute_slots;
             ++metrics_.per_proc[q].compute_slots;
-            slot_flags_[q] |= kFlagCompute;
-            record_compute(q, instances_[w.computing].logical);
-        }
-    }
-
-    /// Writes each worker's activity code for the slot that just ran.
-    void record_timeline() {
-        if (!config_.timeline) return;
-        for (int q = 0; q < pf_.size(); ++q) {
-            const ProcState st = workers_[q].state;
-            char code = '.';
-            if (st == ProcState::Down) code = 'd';
-            else if (st == ProcState::Reclaimed) code = 'r';
-            else {
-                const std::uint8_t f = slot_flags_[q];
-                const bool compute = f & kFlagCompute;
-                const bool data = f & kFlagData;
-                const bool prog = f & kFlagProg;
-                const bool ckpt = f & kFlagCkpt;
-                if (compute && data) code = 'B';
-                else if (compute) code = 'C';
-                else if (ckpt) code = 'K';
-                else if (data) code = 'D';
-                else if (prog) code = 'P';
-            }
-            config_.timeline->record(q, code);
+            row_[q].compute = instances_[w.computing].logical;
         }
     }
 
@@ -1405,15 +1333,6 @@ private:
 
     // ---- helpers -------------------------------------------------------
 
-    static constexpr std::uint8_t kFlagProg = 1;
-    static constexpr std::uint8_t kFlagData = 2;
-    static constexpr std::uint8_t kFlagCompute = 4;
-    static constexpr std::uint8_t kFlagCkpt = 8;
-
-    /// "No recorded action" sentinel for the fast-forward back-fill (-2 is
-    /// the action trace's program marker, >= 0 a logical task).
-    static constexpr int kNoAction = -3;
-
     /// Shortest inert stretch worth a fast_forward (below it, the closed-
     /// form setup costs more than stepping the slots; dead stretches are
     /// exempt so the skip count matches the slot loop's).
@@ -1423,17 +1342,22 @@ private:
     /// normal phases without re-running the prediction.
     long long known_inert_until_ = 0;
 
-    void record_recv(ProcId q, int value) {
-        if (config_.actions) config_.actions->set_recv(q, value);
-    }
-    void record_compute(ProcId q, int task) {
-        if (config_.actions) config_.actions->set_compute(q, task);
+    /// Completes the activity row with the worker states, hands it to
+    /// `hook` on every observer, and clears it for the next slot.  Only
+    /// called when an observer is attached: an unobserved run writes the
+    /// row in its slot phases but never reads or clears it.
+    template <typename Hook>
+    void publish_row(const Hook& hook) {
+        for (int q = 0; q < pf_.size(); ++q)
+            row_[q].state = workers_[q].state;
+        for (EngineObserver* o : config_.observers) hook(*o);
+        std::fill(row_.begin(), row_.end(), SlotActivity{});
     }
 
     void emit(EventKind kind, ProcId proc, int logical = -1,
               bool replica = false,
               ProcState state = ProcState::Up) {
-        if (!config_.events && !config_.tracer) return;
+        if (config_.observers.empty()) return;
         Event e;
         e.slot = slot_;
         e.kind = kind;
@@ -1442,104 +1366,7 @@ private:
         e.logical = logical;
         e.replica = replica;
         e.state = state;
-        if (config_.tracer) trace_event(e);
-        if (config_.events) config_.events->append(e);
-    }
-
-    /// Mirrors one engine event into the tracer's span model.  Pure
-    /// observer: reads the same Event the log receives (plus the platform's
-    /// transfer-cost constants, to classify zero-cost transfers) and never
-    /// writes engine state.
-    void trace_event(const Event& e) {
-        using obs::TraceRecorder;
-        TraceRecorder& tr = *config_.tracer;
-        const auto task_args = [&e] {
-            std::string a = "{\"task\":" + std::to_string(e.logical) +
-                            ",\"iter\":" + std::to_string(e.iteration);
-            if (e.replica) a += ",\"replica\":true";
-            a += "}";
-            return a;
-        };
-        switch (e.kind) {
-        case EventKind::StateChange: {
-            const char code = e.state == ProcState::Up        ? 'u'
-                              : e.state == ProcState::Reclaimed ? 'r'
-                                                                : 'd';
-            // A DOWN handoff also cuts the activity lanes ("lost") inside
-            // state_change — this covers the in-flight program download a
-            // crash wipes without emitting any WorkLost event.
-            tr.state_change(e.slot, e.proc, code);
-            break;
-        }
-        case EventKind::ProgStart:
-            tr.span_begin(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                          "prog");
-            break;
-        case EventKind::ProgComplete:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneTransfer);
-            break;
-        case EventKind::DataStart:
-            // Zero-cost data transfers (t_data == 0) complete at their
-            // start event and never emit DataComplete — record an instant
-            // so the transfer lane is not left open.
-            if (pf_.t_data == 0)
-                tr.instant(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                           "data (free)");
-            else
-                tr.span_begin(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                              "data", task_args());
-            break;
-        case EventKind::DataComplete:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneTransfer);
-            break;
-        case EventKind::ComputeStart:
-            // Promotion happens at end of slot s; the computation's first
-            // advancing slot is s + 1 (and completions of slot s have
-            // already closed the lane, so the handoff order is safe).
-            tr.span_begin(e.slot + 1, e.proc, TraceRecorder::kLaneCompute,
-                          "compute", task_args());
-            break;
-        case EventKind::TaskComplete:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneCompute);
-            break;
-        case EventKind::WorkLost:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneTransfer, "lost");
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCompute, "lost");
-            break;
-        case EventKind::ReplicaCommitted:
-            tr.instant(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                       "replica committed");
-            break;
-        case EventKind::ReplicaCancelled:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                        "cancelled");
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCompute,
-                        "cancelled");
-            break;
-        case EventKind::ProactiveCancel:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneTransfer,
-                        "proactive");
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCompute,
-                        "proactive");
-            break;
-        case EventKind::IterationComplete:
-            tr.instant_engine(e.slot, "iteration complete");
-            break;
-        case EventKind::CheckpointStart:
-            tr.span_begin(e.slot, e.proc, TraceRecorder::kLaneCkpt, "ckpt",
-                          task_args());
-            break;
-        case EventKind::CheckpointCommit:
-            tr.span_end(e.slot, e.proc, TraceRecorder::kLaneCkpt);
-            break;
-        case EventKind::CheckpointLost:
-            tr.span_cut(e.slot, e.proc, TraceRecorder::kLaneCkpt, "lost");
-            break;
-        case EventKind::Recovery:
-            tr.instant(e.slot, e.proc, TraceRecorder::kLaneCompute,
-                       "recovery");
-            break;
-        }
+        for (EngineObserver* o : config_.observers) o->on_event(e);
     }
 
     /// Delay(q) of Section 6.3.1: remaining program + committed data +
@@ -1768,7 +1595,9 @@ private:
     long long plan_counter_ = 0;
     int transfers_this_slot_ = 0;
     long long slot_ = 0;
-    std::vector<std::uint8_t> slot_flags_;
+    /// This slot's activity per worker, written by the slot phases (or by
+    /// fast_forward for a whole stretch) and handed to the observers.
+    std::vector<SlotActivity> row_;
 
     RunMetrics metrics_;
 
@@ -1781,8 +1610,6 @@ private:
     std::vector<int> commit_order_;
     std::vector<std::pair<int, ProcId>> replica_plan_;
     std::vector<int> planned_logical_;
-    std::vector<int> ff_recv_;    ///< fast-forward: constant recv per proc
-    std::vector<int> ff_compute_; ///< fast-forward: constant compute per proc
 };
 
 } // namespace
@@ -1813,6 +1640,9 @@ Simulation::Simulation(
         throw std::invalid_argument("Simulation: negative replica cap");
     if (config_.checkpoint_cost < 0)
         throw std::invalid_argument("Simulation: negative checkpoint cost");
+    if (std::find(config_.observers.begin(), config_.observers.end(),
+                  nullptr) != config_.observers.end())
+        throw std::invalid_argument("Simulation: null observer");
 }
 
 Simulation Simulation::from_chains(Platform platform,

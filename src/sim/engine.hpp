@@ -42,7 +42,8 @@
 ///    completions computed in closed form from the current counters, and
 ///    scheduler decision points — and advances every provably-inert slot in
 ///    between arithmetically (RunMetrics::slots_elided counts them).
-///    Action traces, timelines, events, and RunMetrics are bit-identical
+///    Observers (sim/observer.hpp) receive each elided stretch through one
+///    on_inert call; what they record, and RunMetrics, are bit-identical
 ///    to the slot loop; audit mode re-verifies every elided range.
 
 #include <memory>
@@ -51,12 +52,11 @@
 #include "markov/availability.hpp"
 #include "markov/chain.hpp"
 #include "markov/realized_trace.hpp"
-#include "sim/action_trace.hpp"
 #include "sim/events.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/timeline.hpp"
 
 namespace volsched::api {
 class SimulationBuilder; // defined in api/simulation_builder.hpp
@@ -64,10 +64,6 @@ class SimulationBuilder; // defined in api/simulation_builder.hpp
 
 namespace volsched::ckpt {
 class CheckpointPolicy; // defined in ckpt/policy.hpp
-}
-
-namespace volsched::obs {
-class TraceRecorder; // defined in obs/trace.hpp
 }
 
 namespace volsched::sim {
@@ -104,10 +100,10 @@ struct EngineConfig {
     /// Slot loop only (the event core ignores it): when true (default),
     /// stretches in which no worker is UP and no availability state change
     /// occurs are fast-forwarded to the next state change (RunMetrics::
-    /// dead_slots_skipped counts them), with timelines and action traces
-    /// back-filled.  Output is bit-identical either way; false steps dead
-    /// slots through the real phases, the tests' independent check of the
-    /// back-fill.
+    /// dead_slots_skipped counts them), and observers receive the stretch
+    /// through one on_inert call.  Output is bit-identical either way;
+    /// false steps dead slots through the real phases, the tests'
+    /// independent check of the fast-forward.
     bool skip_dead_slots = true;
     /// When true (default), the engine runs its event-driven core: between
     /// consecutive candidate events (availability transitions from the RLE
@@ -134,18 +130,14 @@ struct EngineConfig {
     /// Master transfer slot-units one checkpoint upload costs (>= 0; zero
     /// commits instantly, like a zero-cost data transfer).
     int checkpoint_cost = 1;
-    /// Optional structured event log (not owned; may be null).
-    EventLog* events = nullptr;
-    /// Optional per-slot activity recorder (not owned; may be null).
-    Timeline* timeline = nullptr;
-    /// Optional exact action recorder (not owned; may be null); lets a run
-    /// be re-validated through the off-line model checker.
-    ActionTrace* actions = nullptr;
-    /// Optional sim-time tracer (not owned; may be null): records the run as
-    /// per-worker spans exportable as Perfetto-loadable Chrome trace JSON
-    /// (obs/trace.hpp).  Strictly observer-only — attaching a tracer leaves
-    /// every other output byte-identical.
-    obs::TraceRecorder* tracer = nullptr;
+    /// Observers of each run (not owned, non-null; none by default), told
+    /// of its events, per-slot activity, elided stretches and scheduling
+    /// rounds in attachment order (sim/observer.hpp).  The recorders are
+    /// EventLog, Timeline, ActionTrace (which lets a run be re-validated
+    /// through the off-line model checker) and obs::TraceRecorder.
+    /// Strictly observer-only: attaching any of them leaves every other
+    /// output byte-identical.
+    std::vector<EngineObserver*> observers;
 };
 
 /// One reproducible simulation: a platform, one availability process per

@@ -1,11 +1,12 @@
 #pragma once
 /// \file events.hpp
 /// Structured event log for simulation runs.  When an EventLog is attached
-/// to the engine (EngineConfig::events), every protocol-level occurrence is
-/// recorded: state transitions, transfer starts/completions, computation
-/// starts, task completions, work loss, replication decisions, and
-/// iteration boundaries.  Useful for debugging schedules, building Gantt
-/// views, and post-hoc analysis of heuristic behaviour.
+/// to the engine (EngineConfig::observers, SimulationBuilder::observe),
+/// every protocol-level occurrence is recorded: state transitions, transfer
+/// starts/completions, computation starts, task completions, work loss,
+/// replication decisions, and iteration boundaries.  Useful for debugging
+/// schedules, building Gantt views, and post-hoc analysis of heuristic
+/// behaviour.
 
 #include <cstdint>
 #include <iosfwd>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "markov/state.hpp"
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 
 namespace volsched::sim {
@@ -49,11 +51,11 @@ struct Event {
     markov::ProcState state = markov::ProcState::Up; ///< for StateChange
 };
 
-/// Append-only event container.
-class EventLog {
+/// Append-only event container; holds the events of the latest run.
+class EventLog : public EngineObserver {
 public:
-    void append(const Event& event) { events_.push_back(event); }
-    void clear() noexcept { events_.clear(); }
+    void begin_run(const Platform& /*platform*/) override { events_.clear(); }
+    void on_event(const Event& event) override { events_.push_back(event); }
 
     [[nodiscard]] std::span<const Event> events() const noexcept {
         return events_;

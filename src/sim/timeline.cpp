@@ -5,12 +5,31 @@
 
 namespace volsched::sim {
 
-void Timeline::begin(int procs) {
-    rows_.assign(static_cast<std::size_t>(procs), std::string{});
+namespace {
+
+/// The code of one worker's slot (the table in timeline.hpp).
+char code(const SlotActivity& activity) noexcept {
+    if (activity.state == markov::ProcState::Down) return 'd';
+    if (activity.state == markov::ProcState::Reclaimed) return 'r';
+    const bool compute = activity.compute >= 0;
+    const bool data = activity.recv >= 0;
+    if (compute && data) return 'B';
+    if (compute) return 'C';
+    if (activity.ckpt) return 'K';
+    if (data) return 'D';
+    if (activity.recv == -2) return 'P';
+    return '.';
 }
 
-void Timeline::record(ProcId proc, char code) {
-    rows_[proc].push_back(code);
+} // namespace
+
+void Timeline::begin_run(const Platform& platform) {
+    rows_.assign(static_cast<std::size_t>(platform.size()), std::string{});
+}
+
+void Timeline::on_slot(long long /*t*/, SlotRow row) {
+    for (std::size_t q = 0; q < rows_.size(); ++q)
+        rows_[q].push_back(code(row[q]));
 }
 
 char Timeline::at(ProcId proc, long long slot) const noexcept {

@@ -1,28 +1,27 @@
 #pragma once
 /// \file timeline.hpp
 /// Per-slot activity recording: one character per (processor, slot),
-/// rendered as an ASCII Gantt chart.  Attach via EngineConfig::timeline.
+/// rendered as an ASCII Gantt chart.  Attach via EngineConfig::observers
+/// (SimulationBuilder::observe).
 ///
 /// Codes:
 ///   'd' DOWN   'r' RECLAIMED   '.' UP and idle
 ///   'P' receiving the program      'D' receiving task data
 ///   'C' computing                  'B' computing + receiving data
+///   'K' uploading a checkpoint
 
 #include <string>
 #include <vector>
 
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 
 namespace volsched::sim {
 
-class Timeline {
+class Timeline : public EngineObserver {
 public:
-    /// (Re)initializes for a platform of `procs` processors.
-    void begin(int procs);
-
-    /// Appends the code for processor `proc` at the next slot; the engine
-    /// calls this once per processor per slot, in slot order.
-    void record(ProcId proc, char code);
+    void begin_run(const Platform& platform) override;
+    void on_slot(long long t, SlotRow row) override;
 
     [[nodiscard]] int procs() const noexcept {
         return static_cast<int>(rows_.size());

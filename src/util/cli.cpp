@@ -115,6 +115,18 @@ bool Cli::parse(int argc, const char* const* argv) {
         }
         Option& opt = it->second;
         if (opt.kind == Kind::Flag) {
+            // Only values get_flag reads: "--timeline=on" must not run as
+            // if the flag were unset.
+            if (has_value && value != "1" && value != "true" &&
+                value != "yes" && value != "0" && value != "false" &&
+                value != "no") {
+                std::fprintf(stderr,
+                             "%s: flag --%s wants 1/true/yes or 0/false/no, "
+                             "got '%s'\n",
+                             program_.c_str(), name.c_str(), value.c_str());
+                exit_code_ = 2;
+                return false;
+            }
             opt.value = has_value ? value : "1";
             continue;
         }

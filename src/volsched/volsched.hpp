@@ -45,6 +45,7 @@
 #include "sim/events.hpp"
 #include "sim/metrics.hpp"
 #include "sim/metrics_io.hpp"
+#include "sim/observer.hpp"
 #include "sim/platform.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timeline.hpp"

@@ -12,7 +12,9 @@
 #include "core/factory.hpp"
 #include "markov/gen.hpp"
 #include "offline/schedule.hpp"
+#include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/timeline.hpp"
 #include "support/fixtures.hpp"
 #include "util/rng.hpp"
 
@@ -80,8 +82,7 @@ TEST_P(CrossValidation, EngineRunPassesOfflineValidator) {
     cfg.replica_cap = 0; // the validator forbids duplicate completions
     cfg.audit = true;
     cfg.max_slots = 500000;
-    cfg.timeline = &timeline;
-    cfg.actions = &actions;
+    cfg.observers = {&timeline, &actions};
 
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, seed);
     // Alternate heuristics across seeds for coverage.
@@ -111,8 +112,7 @@ TEST(CrossValidation, DeterministicPipelineValidates) {
     cfg.tasks_per_iteration = 2;
     cfg.replica_cap = 0;
     cfg.audit = true;
-    cfg.timeline = &timeline;
-    cfg.actions = &actions;
+    cfg.observers = {&timeline, &actions};
     const auto pf = vs::Platform::homogeneous(1, 3, 1, 2, 2);
     // Always-UP chain.
     const vm::MarkovChain chain(vm::TransitionMatrix({{{1, 0, 0},

@@ -285,6 +285,14 @@ TEST(EngineConfigChecks, RejectsInvalidConstruction) {
     vs::Platform bad;
     bad.ncom = 1;
     EXPECT_THROW(vs::Simulation(bad, {}, {}, cfg, 1), std::invalid_argument);
+    // A null observer.
+    std::vector<std::unique_ptr<vm::AvailabilityModel>> models;
+    for (int q = 0; q < pf.size(); ++q)
+        models.push_back(std::make_unique<vt::ReplayAvailability>(
+            vt::RecordedTrace{{vm::ProcState::Up}}));
+    cfg.observers = {nullptr};
+    EXPECT_THROW(vs::Simulation(pf, std::move(models), {}, cfg, 1),
+                 std::invalid_argument);
 }
 
 TEST(EngineConfigChecks, RejectsBadIterationCounts) {

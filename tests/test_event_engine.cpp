@@ -126,8 +126,7 @@ long long run_both_and_compare(const vs::Platform& pf,
     for (int event = 0; event < 2; ++event) {
         vs::EngineConfig c = cfg;
         c.event_driven = (event == 1);
-        c.timeline = &out[event].timeline;
-        c.actions = &out[event].actions;
+        c.observers = {&out[event].timeline, &out[event].actions};
         const auto sim = vs::Simulation::from_chains(pf, chains, c, seed);
         const auto sched = vt::make_scheduler(heuristic);
         out[event].m = sim.run(*sched);
@@ -196,8 +195,8 @@ TEST(EventEngine, SemiMarkovRegimeMatchesSlotLoopExactly) {
                            .models(std::move(models))
                            .beliefs(beliefs)
                            .config(cfg)
-                           .timeline(&out[event].timeline)
-                           .actions(&out[event].actions)
+                           .observe(&out[event].timeline)
+                           .observe(&out[event].actions)
                            .event_driven(event == 1)
                            .seed(23)
                            .build();
@@ -278,8 +277,8 @@ TEST(EventEngine, InitialDeadStretchIsSkippedInFullByBothCores) {
                        .platform(pf)
                        .replay({tr, tr})
                        .config(cfg)
-                       .timeline(&out[arm].timeline)
-                       .actions(&out[arm].actions)
+                       .observe(&out[arm].timeline)
+                       .observe(&out[arm].actions)
                        .event_driven(arm == 0)
                        .seed(11)
                        .build();
@@ -408,8 +407,8 @@ void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
         vs::EngineConfig arm_cfg = cfg;
         arm_cfg.skip_dead_slots = arm != 2;
         auto sim = builder.config(arm_cfg)
-                       .timeline(&out[arm].timeline)
-                       .actions(&out[arm].actions)
+                       .observe(&out[arm].timeline)
+                       .observe(&out[arm].actions)
                        .event_driven(arm == 1)
                        .seed(c.seed)
                        .build();
@@ -495,9 +494,8 @@ TEST(EventEngine, SiblingCancellationPromotesStagedTaskInTheSameSlot) {
             for (int event = 0; event < 2; ++event) {
                 vs::EngineConfig cfg = vt::audited_config(3, 3);
                 cfg.event_driven = (event == 1);
-                cfg.events = &logs[event];
-                cfg.timeline = &out[event].timeline;
-                cfg.actions = &out[event].actions;
+                cfg.observers = {&logs[event], &out[event].timeline,
+                                 &out[event].actions};
                 const auto sim = vs::Simulation::from_chains(
                     rs.platform, rs.chains, cfg, seed);
                 const auto sched = vt::make_scheduler(spec);

@@ -8,6 +8,7 @@
 
 #include "markov/gen.hpp"
 #include "sim/engine.hpp"
+#include "sim/timeline.hpp"
 #include "support/fixtures.hpp"
 #include "trace/replay.hpp"
 #include "util/rng.hpp"
@@ -49,7 +50,7 @@ TEST(EventLogging, PipelineEmitsExpectedEventCounts) {
     // p=1, w=3, Tprog=2, Tdata=2, m=2, always UP (cf. EngineTiming).
     vs::EventLog log;
     auto cfg = config(1, 2);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                cfg);
     const auto sched = volsched::test::make_scheduler("mct");
@@ -69,7 +70,7 @@ TEST(EventLogging, PipelineEmitsExpectedEventCounts) {
 TEST(EventLogging, EventsAreChronological) {
     vs::EventLog log;
     auto cfg = config(2, 3);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(2, 2, 2, 1, 1),
                                {"u", "u"}, cfg);
     const auto sched = volsched::test::make_scheduler("mct");
@@ -81,10 +82,33 @@ TEST(EventLogging, EventsAreChronological) {
     }
 }
 
+TEST(EventLogging, EachRunRestartsTheLog) {
+    // A Simulation may run several times; one log attached to all of them
+    // holds the latest run only, exactly as a fresh log over one run would.
+    const auto pf = vs::Platform::homogeneous(2, 2, 2, 1, 1);
+    const std::vector<std::string> rows = {"uurduu", "uduuuu"};
+    auto cfg = config(2, 3);
+    vs::EventLog fresh;
+    cfg.observers = {&fresh};
+    const auto sched = volsched::test::make_scheduler("mct");
+    ASSERT_TRUE(make_replay_sim(pf, rows, cfg).run(*sched).completed);
+
+    vs::EventLog reused;
+    cfg.observers = {&reused};
+    const auto sim = make_replay_sim(pf, rows, cfg);
+    ASSERT_TRUE(sim.run(*sched).completed);
+    ASSERT_TRUE(sim.run(*sched).completed);
+    std::ostringstream want, got;
+    fresh.write_csv(want);
+    reused.write_csv(got);
+    EXPECT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(got.str(), want.str());
+}
+
 TEST(EventLogging, CrashEmitsWorkLost) {
     vs::EventLog log;
     auto cfg = config(1, 1);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 2, 1),
                                {"uuduuuuuu"}, cfg);
     const auto sched = volsched::test::make_scheduler("mct");
@@ -111,7 +135,7 @@ TEST(EventLogging, TaskCompletionsMatchMetrics) {
         pf.w.push_back(1 + static_cast<int>(rng.uniform_int(0, 9)));
     auto cfg = config(3, 6);
     cfg.replica_cap = 2;
-    cfg.events = &log;
+    cfg.observers = {&log};
     const auto sim = vs::Simulation::from_chains(pf, chains, cfg, 77);
     const auto sched = volsched::test::make_scheduler("emct*");
     const auto metrics = sim.run(*sched);
@@ -126,7 +150,7 @@ TEST(EventLogging, TaskCompletionsMatchMetrics) {
 TEST(EventLogging, CsvHasHeaderAndOneRowPerEvent) {
     vs::EventLog log;
     auto cfg = config(1, 1);
-    cfg.events = &log;
+    cfg.observers = {&log};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 1, 1), {"u"},
                                cfg);
     const auto sched = volsched::test::make_scheduler("mct");
@@ -148,7 +172,9 @@ TEST(EventKindNames, AllDistinct) {
         vs::EventKind::DataComplete,  vs::EventKind::ComputeStart,
         vs::EventKind::TaskComplete,  vs::EventKind::WorkLost,
         vs::EventKind::ReplicaCommitted, vs::EventKind::ReplicaCancelled,
-        vs::EventKind::ProactiveCancel, vs::EventKind::IterationComplete};
+        vs::EventKind::ProactiveCancel, vs::EventKind::IterationComplete,
+        vs::EventKind::CheckpointStart, vs::EventKind::CheckpointCommit,
+        vs::EventKind::CheckpointLost,  vs::EventKind::Recovery};
     for (std::size_t i = 0; i < std::size(kinds); ++i)
         for (std::size_t j = i + 1; j < std::size(kinds); ++j)
             EXPECT_STRNE(vs::event_kind_name(kinds[i]),
@@ -158,7 +184,7 @@ TEST(EventKindNames, AllDistinct) {
 TEST(TimelineRecording, DeterministicPipelineChart) {
     vs::Timeline timeline;
     auto cfg = config(1, 2);
-    cfg.timeline = &timeline;
+    cfg.observers = {&timeline};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 3, 1, 2, 2), {"u"},
                                cfg);
     const auto sched = volsched::test::make_scheduler("mct");
@@ -174,7 +200,7 @@ TEST(TimelineRecording, DeterministicPipelineChart) {
 TEST(TimelineRecording, StateCodesAppear) {
     vs::Timeline timeline;
     auto cfg = config(1, 1);
-    cfg.timeline = &timeline;
+    cfg.observers = {&timeline};
     auto sim = make_replay_sim(vs::Platform::homogeneous(1, 1, 1, 1, 1),
                                {"urduu"}, cfg);
     const auto sched = volsched::test::make_scheduler("mct");
@@ -186,7 +212,7 @@ TEST(TimelineRecording, StateCodesAppear) {
 TEST(TimelineRecording, RenderHasRulerAndRows) {
     vs::Timeline timeline;
     auto cfg = config(1, 2);
-    cfg.timeline = &timeline;
+    cfg.observers = {&timeline};
     auto sim = make_replay_sim(vs::Platform::homogeneous(2, 2, 2, 1, 1),
                                {"u", "u"}, cfg);
     const auto sched = volsched::test::make_scheduler("mct");

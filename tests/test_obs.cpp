@@ -30,6 +30,7 @@
 #include "obs/trace.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/events.hpp"
 #include "sim/metrics_io.hpp"
 #include "sim/timeline.hpp"
 #include "support/fixtures.hpp"
@@ -79,15 +80,15 @@ struct Snapshot {
     std::string metrics;
     std::string timeline;
     std::string actions;
-    std::string trace_json; ///< empty for the untraced arm
+    std::string trace_json; ///< empty for the untraced arms
 };
 
-/// The regimes under test; each builds and runs one simulation.
+/// The regimes under test; each builds and runs one simulation with the
+/// given observers attached.
 struct Regime {
     std::string label;
-    // Runs the regime and fills `out`; `tracer` is null for the off arm.
-    std::function<vs::RunMetrics(bool event_core, vo::TraceRecorder* tracer,
-                                 vs::Timeline* tl, vs::ActionTrace* at)>
+    std::function<vs::RunMetrics(bool event_core,
+                                 std::vector<vs::EngineObserver*> observers)>
         run;
 };
 
@@ -96,8 +97,8 @@ std::vector<Regime> regimes() {
 
     // Markov chains over a small heterogeneous platform (test_event_engine's
     // canonical fixture).
-    rs.push_back({"markov", [](bool event_core, vo::TraceRecorder* tracer,
-                               vs::Timeline* tl, vs::ActionTrace* at) {
+    rs.push_back({"markov", [](bool event_core,
+                               std::vector<vs::EngineObserver*> observers) {
                       vs::Platform pf;
                       pf.w = {2, 3, 4};
                       pf.ncom = 2;
@@ -107,9 +108,7 @@ std::vector<Regime> regimes() {
                           3, vt::chain3(0.35, 0.05, 0.10, 0.30, 0.15, 0.05));
                       vs::EngineConfig cfg = vt::audited_config(2, 4);
                       cfg.event_driven = event_core;
-                      cfg.timeline = tl;
-                      cfg.actions = at;
-                      cfg.tracer = tracer;
+                      cfg.observers = std::move(observers);
                       const auto sim =
                           vs::Simulation::from_chains(pf, chains, cfg, 17);
                       const auto sched = vt::make_scheduler("mct");
@@ -119,8 +118,8 @@ std::vector<Regime> regimes() {
     // Heavy-tailed semi-Markov sojourns: long absences exercise the event
     // core's elision (and the tracer's elided-range spans).
     rs.push_back({"semi-markov",
-                  [](bool event_core, vo::TraceRecorder* tracer,
-                     vs::Timeline* tl, vs::ActionTrace* at) {
+                  [](bool event_core,
+                     std::vector<vs::EngineObserver*> observers) {
                       using volsched::trace::SemiMarkovAvailability;
                       using volsched::trace::SemiMarkovParams;
                       using volsched::trace::SojournDist;
@@ -147,14 +146,12 @@ std::vector<Regime> regimes() {
                               std::make_unique<SemiMarkovAvailability>(
                                   params));
                       vs::EngineConfig cfg = vt::audited_config(2, 4);
-                      cfg.tracer = tracer;
+                      cfg.observers = std::move(observers);
                       auto sim = vs::Simulation::builder()
                                      .platform(pf)
                                      .models(std::move(models))
                                      .beliefs(beliefs)
                                      .config(cfg)
-                                     .timeline(tl)
-                                     .actions(at)
                                      .event_driven(event_core)
                                      .seed(23)
                                      .build();
@@ -164,8 +161,8 @@ std::vector<Regime> regimes() {
 
     // Checkpointed regime: upload events and recoveries add the ckpt lane.
     rs.push_back({"checkpointed",
-                  [](bool event_core, vo::TraceRecorder* tracer,
-                     vs::Timeline* tl, vs::ActionTrace* at) {
+                  [](bool event_core,
+                     std::vector<vs::EngineObserver*> observers) {
                       vs::Platform pf;
                       pf.w = {4, 6, 8};
                       pf.ncom = 2;
@@ -179,9 +176,7 @@ std::vector<Regime> regimes() {
                       cfg.checkpoint = policy.get();
                       cfg.checkpoint_cost = 2;
                       cfg.event_driven = event_core;
-                      cfg.timeline = tl;
-                      cfg.actions = at;
-                      cfg.tracer = tracer;
+                      cfg.observers = std::move(observers);
                       const auto sim =
                           vs::Simulation::from_chains(pf, chains, cfg, 29);
                       const auto sched = vt::make_scheduler("mct");
@@ -190,17 +185,27 @@ std::vector<Regime> regimes() {
     return rs;
 }
 
-Snapshot snapshot(const Regime& regime, bool event_core, bool traced) {
+/// Which observers a snapshot's run attaches.
+enum class Attach {
+    None,      ///< no observer at all
+    Recorders, ///< Timeline + ActionTrace
+    All,       ///< Timeline + ActionTrace + EventLog + TraceRecorder
+};
+
+Snapshot snapshot(const Regime& regime, bool event_core, Attach attach) {
     vs::Timeline tl;
     vs::ActionTrace at;
+    vs::EventLog log;
     vo::TraceRecorder rec;
-    const auto m =
-        regime.run(event_core, traced ? &rec : nullptr, &tl, &at);
+    std::vector<vs::EngineObserver*> observers;
+    if (attach != Attach::None) observers = {&tl, &at};
+    if (attach == Attach::All) observers.insert(observers.end(), {&log, &rec});
+    const auto m = regime.run(event_core, observers);
     Snapshot s;
     s.metrics = vs::metrics_to_json(m);
     s.timeline = tl.render();
     s.actions = actions_to_text(at);
-    if (traced) s.trace_json = rec.json();
+    if (attach == Attach::All) s.trace_json = rec.json();
     return s;
 }
 
@@ -268,9 +273,15 @@ TEST(TraceIdentity, TracingIsByteInvisibleInAllRegimesAndBothCores) {
         for (const bool event_core : {false, true}) {
             const std::string label =
                 regime.label + (event_core ? "/event" : "/slot");
-            const Snapshot off = snapshot(regime, event_core, false);
-            const Snapshot on = snapshot(regime, event_core, true);
+            const Snapshot off =
+                snapshot(regime, event_core, Attach::Recorders);
+            const Snapshot on = snapshot(regime, event_core, Attach::All);
             EXPECT_EQ(off.metrics, on.metrics) << label;
+            // Observation as a whole steers nothing either: a run with no
+            // observer at all matches the run with all four attached.
+            EXPECT_EQ(snapshot(regime, event_core, Attach::None).metrics,
+                      on.metrics)
+                << label;
             EXPECT_EQ(off.timeline, on.timeline) << label;
             EXPECT_EQ(off.actions, on.actions) << label;
             ASSERT_FALSE(on.trace_json.empty()) << label;
@@ -281,8 +292,8 @@ TEST(TraceIdentity, TracingIsByteInvisibleInAllRegimesAndBothCores) {
 
 TEST(TraceIdentity, TraceIsDeterministicAcrossRepeatedRuns) {
     const auto regime = regimes().front();
-    const Snapshot a = snapshot(regime, true, true);
-    const Snapshot b = snapshot(regime, true, true);
+    const Snapshot a = snapshot(regime, true, Attach::All);
+    const Snapshot b = snapshot(regime, true, Attach::All);
     EXPECT_EQ(a.trace_json, b.trace_json);
 }
 
@@ -290,10 +301,10 @@ TEST(TraceIdentity, InstalledRegistryDoesNotPerturbResults) {
     // The registry seam is the other observer: flipping it on around a run
     // must be byte-invisible too.
     const auto regime = regimes().front();
-    const Snapshot off = snapshot(regime, true, false);
+    const Snapshot off = snapshot(regime, true, Attach::Recorders);
     vo::Registry registry;
     vo::Registry::install(&registry);
-    const Snapshot on = snapshot(regime, true, false);
+    const Snapshot on = snapshot(regime, true, Attach::Recorders);
     vo::Registry::install(nullptr);
     EXPECT_EQ(off.metrics, on.metrics);
     EXPECT_EQ(off.timeline, on.timeline);

@@ -40,7 +40,7 @@ vs::RunMetrics run_traced(const ve::RealizedScenario& rs,
                           const std::string& heuristic, int tasks,
                           std::uint64_t sim_seed, vs::ActionTrace& trace) {
     vs::EngineConfig cfg = vt::audited_config(2, tasks);
-    cfg.actions = &trace;
+    cfg.observers = {&trace};
     const auto sim =
         vs::Simulation::from_chains(rs.platform, rs.chains, cfg, sim_seed);
     const auto sched = vt::make_scheduler(heuristic);
@@ -156,7 +156,7 @@ TEST(SeedDeterminism, BuilderPathReplaysTheConstructorPathExactly) {
                              .platform(rs.platform)
                              .markov(rs.chains)
                              .config(cfg)
-                             .actions(&t2)
+                             .observe(&t2)
                              .seed(5)
                              .build();
         const auto sched = vt::make_scheduler(name);
@@ -192,14 +192,14 @@ TEST(SeedDeterminism, SlotSkippingLeavesActionTracesUnchanged) {
         vs::EngineConfig cfg = vt::audited_config(2, 4);
         cfg.event_driven = false; // this test pins the slot loop's skip path
         cfg.skip_dead_slots = true;
-        cfg.actions = &skip_trace;
+        cfg.observers = {&skip_trace};
         const auto skipping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
         const auto sched1 = vt::make_scheduler(name);
         const auto m1 = skipping.run(*sched1);
 
         cfg.skip_dead_slots = false;
-        cfg.actions = &step_trace;
+        cfg.observers = {&step_trace};
         const auto stepping =
             vs::Simulation::from_chains(pf, chains, cfg, 17);
         const auto sched2 = vt::make_scheduler(name);
@@ -272,7 +272,7 @@ TEST(SeedDeterminism, SemiMarkovSlotSkippingLeavesActionTracesUnchanged) {
                            .models(std::move(models))
                            .beliefs(beliefs)
                            .config(cfg)
-                           .actions(&traces[skip])
+                           .observe(&traces[skip])
                            .event_driven(false) // pins the slot loop's skip
                            .seed(23)
                            .build();
@@ -343,8 +343,7 @@ std::string greedy_run_blob(bool event_core) {
         vs::Timeline timeline;
         vs::EngineConfig cfg = vt::audited_config(2, sc.tasks);
         cfg.event_driven = event_core;
-        cfg.actions = &trace;
-        cfg.timeline = &timeline;
+        cfg.observers = {&trace, &timeline};
         const auto sim =
             vs::Simulation::from_chains(rs.platform, rs.chains, cfg, 5);
         const auto sched = vt::make_scheduler(name);
@@ -491,10 +490,7 @@ std::string regime_run_blob(bool event_core) {
             cfg.event_driven = event_core;
             cfg.checkpoint = policy.get();
             cfg.checkpoint_cost = r.checkpoint_cost;
-            cfg.actions = &trace;
-            cfg.timeline = &timeline;
-            cfg.events = &events;
-            cfg.tracer = &tracer;
+            cfg.observers = {&trace, &timeline, &events, &tracer};
             const auto sim =
                 vs::Simulation::from_chains(rs.platform, rs.chains, cfg, 5);
             const auto sched = vt::make_scheduler(spec);

@@ -94,6 +94,35 @@ TEST(Cli, DefaultsSurviveWhenUnset) {
     EXPECT_FALSE(cli.get_flag("verbose"));
 }
 
+// A flag's value must be one get_flag reads: "--timeline=on" used to be
+// stored and then read as unset, so the run silently ignored it.
+TEST(Cli, FlagValuesMustBeBoolean) {
+    for (const char* on : {"1", "true", "yes"}) {
+        vu::Cli cli("prog", "test");
+        cli.add_flag("verbose", "chatty");
+        const std::string arg = std::string("--verbose=") + on;
+        const char* argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(cli.parse(2, argv)) << arg;
+        EXPECT_TRUE(cli.get_flag("verbose")) << arg;
+    }
+    for (const char* off : {"0", "false", "no"}) {
+        vu::Cli cli("prog", "test");
+        cli.add_flag("verbose", "chatty");
+        const std::string arg = std::string("--verbose=") + off;
+        const char* argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(cli.parse(2, argv)) << arg;
+        EXPECT_FALSE(cli.get_flag("verbose")) << arg;
+    }
+    for (const char* bad : {"on", "off", "", "2", "TRUE"}) {
+        vu::Cli cli("prog", "test");
+        cli.add_flag("verbose", "chatty");
+        const std::string arg = std::string("--verbose=") + bad;
+        const char* argv[] = {"prog", arg.c_str()};
+        EXPECT_FALSE(cli.parse(2, argv)) << arg;
+        EXPECT_EQ(cli.exit_code(), 2) << arg;
+    }
+}
+
 TEST(Cli, UnknownOptionFails) {
     vu::Cli cli("prog", "test");
     const char* argv[] = {"prog", "--nope"};

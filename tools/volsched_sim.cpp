@@ -228,9 +228,9 @@ int main(int argc, char** argv) {
     const bool want_events = !cli.get_string("events").empty();
     const bool want_timeline = cli.get_flag("timeline");
     const bool want_trace = !cli.get_string("trace-out").empty();
-    if (single && want_events) builder.events(&events);
-    if (single && want_timeline) builder.timeline(&timeline);
-    if (single && want_trace) builder.trace(&tracer);
+    if (single && want_events) builder.observe(&events);
+    if (single && want_timeline) builder.observe(&timeline);
+    if (single && want_trace) builder.observe(&tracer);
     if (!single && (want_events || want_timeline || want_trace))
         std::fprintf(stderr, "note: --events/--timeline/--trace-out only "
                              "apply to single-heuristic runs; ignoring\n");
