@@ -1,11 +1,6 @@
 #include "api/registry.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
-
-#include "util/fuzzy.hpp"
 
 namespace volsched::api {
 
@@ -28,92 +23,6 @@ SchedulerRegistry& SchedulerRegistry::instance() {
     return registry;
 }
 
-void SchedulerRegistry::add(SchedulerInfo info) {
-    if (info.name.empty())
-        throw std::invalid_argument(
-            "SchedulerRegistry::add: empty scheduler name");
-    for (char c : info.name)
-        if (is_spec_structural_char(c))
-            throw std::invalid_argument(
-                "SchedulerRegistry::add: name '" + info.name +
-                "' contains the spec-structural character '" + c + "'");
-    if (!info.factory)
-        throw std::invalid_argument("SchedulerRegistry::add: scheduler '" +
-                                    info.name + "' has no factory");
-    std::lock_guard lock(mutex_);
-    const auto [it, inserted] = entries_.try_emplace(info.name, info);
-    (void)it;
-    if (!inserted)
-        throw std::invalid_argument("SchedulerRegistry::add: scheduler '" +
-                                    info.name + "' is already registered");
-}
-
-bool SchedulerRegistry::erase(const std::string& name) {
-    std::lock_guard lock(mutex_);
-    return entries_.erase(name) > 0;
-}
-
-bool SchedulerRegistry::contains(const std::string& name) const {
-    std::lock_guard lock(mutex_);
-    return entries_.contains(name);
-}
-
-std::vector<SchedulerInfo> SchedulerRegistry::entries() const {
-    std::lock_guard lock(mutex_);
-    std::vector<SchedulerInfo> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, info] : entries_) out.push_back(info);
-    return out;
-}
-
-std::vector<std::string> SchedulerRegistry::names() const {
-    std::lock_guard lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, info] : entries_) out.push_back(name);
-    return out;
-}
-
-std::string SchedulerRegistry::suggestion_for(std::string_view name) const {
-    return util::closest_name(name, names());
-}
-
-SchedulerRegistry::Resolved
-SchedulerRegistry::resolve(const SchedulerSpec& spec) const {
-    std::unique_lock lock(mutex_);
-    if (const auto it = entries_.find(spec.name()); it != entries_.end())
-        return {it->second, spec};
-
-    // Trailing-integer shorthand: "thr50" == "thr(percent=50)".
-    const std::string& name = spec.name();
-    std::size_t digits = name.size();
-    while (digits > 0 &&
-           std::isdigit(static_cast<unsigned char>(name[digits - 1])))
-        --digits;
-    if (digits > 0 && digits < name.size()) {
-        const auto it = entries_.find(name.substr(0, digits));
-        if (it != entries_.end() && !it->second.shorthand_option.empty()) {
-            if (spec.option(it->second.shorthand_option) != nullptr)
-                throw std::invalid_argument(
-                    "scheduler spec '" + spec.canonical() + "': option '" +
-                    it->second.shorthand_option +
-                    "' given both as shorthand and as key=value");
-            SchedulerSpec expanded = spec;
-            expanded.set_name(it->first);
-            expanded.add_option(it->second.shorthand_option,
-                                name.substr(digits));
-            return {it->second, std::move(expanded)};
-        }
-    }
-
-    lock.unlock();
-    std::string message = "unknown heuristic '" + spec.name() + "'";
-    if (const std::string hint = suggestion_for(spec.name()); !hint.empty())
-        message += "; did you mean '" + hint + "'?";
-    message += "  (volsched_sim --list-heuristics prints all names)";
-    throw std::invalid_argument(message);
-}
-
 std::unique_ptr<sim::Scheduler>
 SchedulerRegistry::make(const std::string& spec_text) const {
     return make(SchedulerSpec::parse(spec_text));
@@ -122,20 +31,18 @@ SchedulerRegistry::make(const std::string& spec_text) const {
 std::unique_ptr<sim::Scheduler>
 SchedulerRegistry::make(const SchedulerSpec& spec) const {
     const Resolved resolved = resolve(spec);
-    if (resolved.info.takes_inner && !spec.has_inner())
-        throw std::invalid_argument(
-            "scheduler spec '" + spec.canonical() + "': '" +
-            resolved.info.name +
-            "' wraps another heuristic and needs an inner stage, e.g. '" +
-            spec.canonical() + ":emct'");
-    if (!resolved.info.takes_inner && spec.has_inner())
-        throw std::invalid_argument("scheduler spec '" + spec.canonical() +
-                                    "': '" + resolved.info.name +
-                                    "' does not accept an inner stage");
-    auto sched = resolved.info.factory(resolved.spec, *this);
+    const SchedulerInfo& info = resolved.info;
+    if (info.takes_inner && !spec.has_inner())
+        reject(spec, "'" + info.name +
+                         "' wraps another heuristic and needs an inner "
+                         "stage, e.g. '" +
+                         spec.canonical() + ":emct'");
+    if (!info.takes_inner && spec.has_inner())
+        reject(spec, "'" + info.name + "' does not accept an inner stage");
+    auto sched = info.factory(resolved.spec, *this);
     if (!sched)
-        throw std::logic_error("scheduler factory for '" +
-                               resolved.info.name + "' returned null");
+        throw std::logic_error("scheduler factory for '" + info.name +
+                               "' returned null");
     return sched;
 }
 
@@ -143,19 +50,6 @@ void SchedulerRegistry::validate(const std::string& spec_text) const {
     // Instantiation is cheap for every registered scheduler, and running
     // the real factory exercises option validation too.
     (void)make(spec_text);
-}
-
-bool detail::add_at_static_init(SchedulerInfo info) noexcept {
-    try {
-        SchedulerRegistry::instance().add(std::move(info));
-    } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "volsched: fatal error during scheduler "
-                     "registration: %s\n",
-                     e.what());
-        std::abort();
-    }
-    return true;
 }
 
 void require_no_options(const SchedulerSpec& spec) {

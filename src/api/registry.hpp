@@ -4,7 +4,9 @@
 /// closed if/else factory.  Every heuristic registers itself from its own
 /// translation unit with VOLSCHED_REGISTER_SCHEDULER; the registry resolves
 /// spec strings (see spec.hpp for the grammar) into scheduler instances and
-/// powers `--list-heuristics` and did-you-mean error messages.
+/// powers `--list-heuristics` and did-you-mean error messages.  The table,
+/// the shorthand and the diagnostics are SpecRegistry's (spec_registry.hpp),
+/// shared with the checkpoint-policy registry.
 ///
 /// Registering a new heuristic from application code:
 ///
@@ -30,14 +32,12 @@
 
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "api/spec.hpp"
+#include "api/spec_registry.hpp"
 #include "sim/scheduler.hpp"
 
 namespace volsched::api {
@@ -73,28 +73,12 @@ struct SchedulerInfo {
     std::string shorthand_option;
 };
 
-/// Process-wide registry of scheduler factories.  Thread-safe; lookups are
-/// case-sensitive, but did-you-mean suggestions are case-insensitive.
-class SchedulerRegistry {
+/// Process-wide registry of scheduler factories; add(), erase(),
+/// contains(), entries(), names() and suggestion_for() come from
+/// SpecRegistry.
+class SchedulerRegistry : public SpecRegistry<SchedulerInfo> {
 public:
     static SchedulerRegistry& instance();
-
-    /// Registers `info`; throws std::invalid_argument on an empty name, a
-    /// name containing spec-structural characters, a missing factory, or a
-    /// duplicate registration.
-    void add(SchedulerInfo info);
-
-    /// Removes a registration (primarily for tests); returns whether the
-    /// name was present.
-    bool erase(const std::string& name);
-
-    [[nodiscard]] bool contains(const std::string& name) const;
-
-    /// All registered entries, sorted by name.
-    [[nodiscard]] std::vector<SchedulerInfo> entries() const;
-
-    /// All registered names, sorted.
-    [[nodiscard]] std::vector<std::string> names() const;
 
     /// Resolves and instantiates a spec string.  Throws
     /// std::invalid_argument for grammar errors, unknown names (with a
@@ -111,30 +95,10 @@ public:
     /// callers such as ExperimentBuilder validate specs eagerly.
     void validate(const std::string& spec_text) const;
 
-    /// Closest registered name by (case-insensitive) edit distance, or ""
-    /// when nothing is close enough to suggest.
-    [[nodiscard]] std::string suggestion_for(std::string_view name) const;
-
 private:
-    SchedulerRegistry() = default;
-
-    struct Resolved {
-        SchedulerInfo info; // copied: safe against concurrent add()/erase()
-        SchedulerSpec spec; // shorthand expanded to its key=value form
-    };
-    [[nodiscard]] Resolved resolve(const SchedulerSpec& spec) const;
-
-    mutable std::mutex mutex_;
-    std::map<std::string, SchedulerInfo> entries_;
+    SchedulerRegistry()
+        : SpecRegistry({"scheduler spec", "heuristic", "--list-heuristics"}) {}
 };
-
-namespace detail {
-/// Static-init-safe add() used by VOLSCHED_REGISTER_SCHEDULER: an
-/// exception thrown during a namespace-scope registration would escape to
-/// std::terminate with no message, so this catches it, prints the
-/// diagnostic to stderr, and aborts deliberately.  Always returns true.
-bool add_at_static_init(SchedulerInfo info) noexcept;
-} // namespace detail
 
 /// Factory-side option validation helpers.  `require_no_options` is for
 /// schedulers that take none; `require_only_options` rejects any option key
@@ -150,7 +114,8 @@ void require_only_options(const SchedulerSpec& spec,
 /// unique within the TU.
 #define VOLSCHED_REGISTER_SCHEDULER(tag, ...)                                  \
     static const bool volsched_scheduler_registered_##tag [[maybe_unused]] =   \
-        ::volsched::api::detail::add_at_static_init(                           \
+        ::volsched::api::detail::add_at_static_init<                           \
+            ::volsched::api::SchedulerRegistry>(                               \
             ::volsched::api::SchedulerInfo __VA_ARGS__)
 
 /// Force-link anchor for registration TUs that live inside the volsched

@@ -1,13 +1,19 @@
 #include "api/spec.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "api/spec_registry.hpp"
+#include "util/cli.hpp"
 
 namespace volsched::api {
 namespace {
 
 [[noreturn]] void fail(std::string_view text, const std::string& what) {
-    throw std::invalid_argument("scheduler spec '" + std::string(text) +
-                                "': " + what);
+    throw std::invalid_argument("spec '" + std::string(text) + "': " + what);
 }
 
 std::string_view trim(std::string_view s) {
@@ -164,6 +170,56 @@ void require_only_options(const SchedulerSpec& spec,
                                         "': unknown option '" + key +
                                         "' for '" + spec.name() + "'");
     }
+}
+
+long require_int_option(const SchedulerSpec& spec, std::string_view key,
+                        long lo, long hi, std::string_view kind) {
+    const std::string* text = spec.option(key);
+    long value = 0;
+    if (text != nullptr && util::parse_whole(*text, value) && value >= lo &&
+        value <= hi)
+        return value;
+    const std::string range = "an integer in [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]";
+    throw std::invalid_argument(
+        std::string(kind) + " '" + spec.canonical() + "': " +
+        (text == nullptr ? "'" + spec.name() + "' needs option '" +
+                               std::string(key) + "', " + range
+                         : std::string(key) + " '" + *text + "' is not " +
+                               range));
+}
+
+std::string detail::closest_name(std::string_view name,
+                                 const std::vector<std::string>& candidates) {
+    const auto lower = [](std::string_view s) {
+        std::string out(s);
+        for (char& c : out)
+            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        return out;
+    };
+    // Levenshtein distance, one row at a time; the cutoff allows one edit
+    // per three characters, but always at least two.
+    const std::string a = lower(name);
+    std::string best;
+    std::size_t best_dist = std::max<std::size_t>(2, a.size() / 3) + 1;
+    for (const auto& candidate : candidates) {
+        const std::string b = lower(candidate);
+        std::vector<std::size_t> row(b.size() + 1);
+        for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+        for (std::size_t i = 1; i <= a.size(); ++i) {
+            std::size_t diag = std::exchange(row[0], i); // d(i-1, j-1)
+            for (std::size_t j = 1; j <= b.size(); ++j) {
+                const std::size_t subst = diag + (a[i - 1] != b[j - 1]);
+                diag = std::exchange(
+                    row[j], std::min({row[j] + 1, row[j - 1] + 1, subst}));
+            }
+        }
+        if (row[b.size()] < best_dist) {
+            best = candidate;
+            best_dist = row[b.size()];
+        }
+    }
+    return best;
 }
 
 } // namespace volsched::api

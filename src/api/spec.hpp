@@ -76,11 +76,18 @@ private:
 
 /// Factory-side option validation shared by the spec-driven registries
 /// (scheduler and checkpoint); `kind` labels diagnostics, e.g. "scheduler
-/// spec" or "checkpoint spec".  The registries wrap these with their own
-/// fixed label (api::require_no_options, ckpt::require_no_options, ...).
+/// spec" or "checkpoint spec".  The registries wrap the first two with
+/// their own fixed label (api::require_no_options, ckpt::require_no_options,
+/// ...).
 void require_no_options(const SchedulerSpec& spec, std::string_view kind);
 void require_only_options(const SchedulerSpec& spec,
                           std::initializer_list<std::string_view> allowed,
                           std::string_view kind);
+
+/// The value of option `key`, which must be present and a whole decimal
+/// integer in [lo, hi], read by util::parse_whole: no '+', no locale forms.
+/// Throws std::invalid_argument otherwise.
+long require_int_option(const SchedulerSpec& spec, std::string_view key,
+                        long lo, long hi, std::string_view kind);
 
 } // namespace volsched::api

@@ -7,9 +7,7 @@
 /// RNG, so engine determinism is preserved by construction.
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "ckpt/policies.hpp"
@@ -33,19 +31,6 @@ double crash_risk(const markov::TransitionMatrix& m, int remaining) noexcept {
 }
 
 namespace {
-
-/// Strict whole-token integer option parse with a spec-quoting diagnostic.
-long parse_int_option(const api::SchedulerSpec& spec, const char* key,
-                      const std::string& text, long lo, long hi) {
-    char* end = nullptr;
-    const long value = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || value < lo || value > hi)
-        throw std::invalid_argument(
-            "checkpoint spec '" + spec.canonical() + "': " + key + " '" +
-            text + "' is not an integer in [" + std::to_string(lo) + ", " +
-            std::to_string(hi) + "]");
-    return value;
-}
 
 /// The paper's model: never checkpoint.  Attaching this policy is
 /// bit-identical to attaching no policy at all (pinned by test_ckpt).
@@ -145,13 +130,8 @@ VOLSCHED_REGISTER_CHECKPOINT(periodic, {
     "checkpoint after every k compute slots (periodic20, periodic(k=20))",
     [](const api::SchedulerSpec& spec) -> std::unique_ptr<CheckpointPolicy> {
         require_only_options(spec, {"k"});
-        const std::string* k_text = spec.option("k");
-        if (k_text == nullptr)
-            throw std::invalid_argument(
-                "checkpoint spec '" + spec.canonical() +
-                "': 'periodic' needs an interval, e.g. periodic20 or "
-                "periodic(k=20)");
-        const long k = parse_int_option(spec, "k", *k_text, 1, 1'000'000'000);
+        const long k = api::require_int_option(spec, "k", 1, 1'000'000'000,
+                                               "checkpoint spec");
         return std::make_unique<PeriodicPolicy>(static_cast<int>(k));
     },
     /*shorthand_option=*/"k"});
@@ -171,14 +151,8 @@ VOLSCHED_REGISTER_CHECKPOINT(risk, {
     "(risk25, risk(percent=25))",
     [](const api::SchedulerSpec& spec) -> std::unique_ptr<CheckpointPolicy> {
         require_only_options(spec, {"percent"});
-        const std::string* percent_text = spec.option("percent");
-        if (percent_text == nullptr)
-            throw std::invalid_argument(
-                "checkpoint spec '" + spec.canonical() +
-                "': 'risk' needs a threshold, e.g. risk25 or "
-                "risk(percent=25)");
-        const long percent =
-            parse_int_option(spec, "percent", *percent_text, 0, 100);
+        const long percent = api::require_int_option(spec, "percent", 0, 100,
+                                                     "checkpoint spec");
         return std::make_unique<RiskPolicy>(static_cast<double>(percent) /
                                             100.0);
     },

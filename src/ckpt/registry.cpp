@@ -1,11 +1,6 @@
 #include "ckpt/registry.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
-
-#include "util/fuzzy.hpp"
 
 namespace volsched::ckpt {
 
@@ -23,92 +18,6 @@ CheckpointRegistry& CheckpointRegistry::instance() {
     return registry;
 }
 
-void CheckpointRegistry::add(CheckpointInfo info) {
-    if (info.name.empty())
-        throw std::invalid_argument(
-            "CheckpointRegistry::add: empty policy name");
-    for (char c : info.name)
-        if (api::is_spec_structural_char(c))
-            throw std::invalid_argument(
-                "CheckpointRegistry::add: name '" + info.name +
-                "' contains the spec-structural character '" + c + "'");
-    if (!info.factory)
-        throw std::invalid_argument("CheckpointRegistry::add: policy '" +
-                                    info.name + "' has no factory");
-    std::lock_guard lock(mutex_);
-    const auto [it, inserted] = entries_.try_emplace(info.name, info);
-    (void)it;
-    if (!inserted)
-        throw std::invalid_argument("CheckpointRegistry::add: policy '" +
-                                    info.name + "' is already registered");
-}
-
-bool CheckpointRegistry::erase(const std::string& name) {
-    std::lock_guard lock(mutex_);
-    return entries_.erase(name) > 0;
-}
-
-bool CheckpointRegistry::contains(const std::string& name) const {
-    std::lock_guard lock(mutex_);
-    return entries_.contains(name);
-}
-
-std::vector<CheckpointInfo> CheckpointRegistry::entries() const {
-    std::lock_guard lock(mutex_);
-    std::vector<CheckpointInfo> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, info] : entries_) out.push_back(info);
-    return out;
-}
-
-std::vector<std::string> CheckpointRegistry::names() const {
-    std::lock_guard lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, info] : entries_) out.push_back(name);
-    return out;
-}
-
-std::string CheckpointRegistry::suggestion_for(std::string_view name) const {
-    return util::closest_name(name, names());
-}
-
-CheckpointRegistry::Resolved
-CheckpointRegistry::resolve(const api::SchedulerSpec& spec) const {
-    std::unique_lock lock(mutex_);
-    if (const auto it = entries_.find(spec.name()); it != entries_.end())
-        return {it->second, spec};
-
-    // Trailing-integer shorthand: "periodic20" == "periodic(k=20)".
-    const std::string& name = spec.name();
-    std::size_t digits = name.size();
-    while (digits > 0 &&
-           std::isdigit(static_cast<unsigned char>(name[digits - 1])))
-        --digits;
-    if (digits > 0 && digits < name.size()) {
-        const auto it = entries_.find(name.substr(0, digits));
-        if (it != entries_.end() && !it->second.shorthand_option.empty()) {
-            if (spec.option(it->second.shorthand_option) != nullptr)
-                throw std::invalid_argument(
-                    "checkpoint spec '" + spec.canonical() + "': option '" +
-                    it->second.shorthand_option +
-                    "' given both as shorthand and as key=value");
-            api::SchedulerSpec expanded = spec;
-            expanded.set_name(it->first);
-            expanded.add_option(it->second.shorthand_option,
-                                name.substr(digits));
-            return {it->second, std::move(expanded)};
-        }
-    }
-
-    lock.unlock();
-    std::string message = "unknown checkpoint policy '" + spec.name() + "'";
-    if (const std::string hint = suggestion_for(spec.name()); !hint.empty())
-        message += "; did you mean '" + hint + "'?";
-    message += "  (volsched_sim --list-checkpoints prints all names)";
-    throw std::invalid_argument(message);
-}
-
 std::unique_ptr<CheckpointPolicy>
 CheckpointRegistry::make(const std::string& spec_text) const {
     return make(api::SchedulerSpec::parse(spec_text));
@@ -117,9 +26,7 @@ CheckpointRegistry::make(const std::string& spec_text) const {
 std::unique_ptr<CheckpointPolicy>
 CheckpointRegistry::make(const api::SchedulerSpec& spec) const {
     if (spec.has_inner())
-        throw std::invalid_argument(
-            "checkpoint spec '" + spec.canonical() +
-            "': checkpoint policies do not nest (no ':inner' stages)");
+        reject(spec, "checkpoint policies do not nest (no ':inner' stages)");
     const Resolved resolved = resolve(spec);
     auto policy = resolved.info.factory(resolved.spec);
     if (!policy)
@@ -130,19 +37,6 @@ CheckpointRegistry::make(const api::SchedulerSpec& spec) const {
 
 void CheckpointRegistry::validate(const std::string& spec_text) const {
     (void)make(spec_text);
-}
-
-bool detail::add_at_static_init(CheckpointInfo info) noexcept {
-    try {
-        CheckpointRegistry::instance().add(std::move(info));
-    } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "volsched: fatal error during checkpoint-policy "
-                     "registration: %s\n",
-                     e.what());
-        std::abort();
-    }
-    return true;
 }
 
 void require_no_options(const api::SchedulerSpec& spec) {

@@ -1,44 +1,28 @@
 #pragma once
 /// \file registry.hpp
-/// Self-registering checkpoint-policy registry, mirroring the scheduler
-/// registry (api/registry.hpp): every policy registers itself from its own
-/// translation unit with VOLSCHED_REGISTER_CHECKPOINT, and the registry
-/// resolves spec strings into policy instances, powers `volsched_sim
-/// --list-checkpoints`, and emits did-you-mean diagnostics for typos.
-///
-/// Specs reuse the api/spec grammar — `name[(key=value,...)]` — but
-/// checkpoint policies do not nest, so inner stages (":") are rejected.
-/// Like scheduler specs, a policy may declare a `shorthand_option` so a
-/// trailing integer is accepted as sugar: "periodic20" resolves exactly
-/// like "periodic(k=20)".
-///
-/// Registering a policy from application code:
-///
-///   VOLSCHED_REGISTER_CHECKPOINT(my_policy, {
-///       "mine", "my one-line description",
-///       [](const volsched::api::SchedulerSpec&) {
-///           return std::make_unique<MyPolicy>();
-///       }});
-///
-/// The static-library force-link note of api/registry.hpp applies here too:
-/// registration TUs inside libvolsched place VOLSCHED_CHECKPOINT_TU_ANCHOR
-/// and are referenced from the registry itself.
+/// Self-registering checkpoint-policy registry: api::SpecRegistry
+/// (api/spec_registry.hpp) over CheckpointInfo, the implementation the
+/// scheduler registry (api/registry.hpp) uses too.  Every policy registers
+/// itself from its own translation unit with VOLSCHED_REGISTER_CHECKPOINT
+/// (registration TUs inside libvolsched also place
+/// VOLSCHED_CHECKPOINT_TU_ANCHOR); the registry resolves spec strings into
+/// policy instances, powers `volsched_sim --list-checkpoints`, and emits
+/// did-you-mean diagnostics for typos.  Specs use the api/spec grammar, but
+/// policies do not nest, so inner stages (":") are rejected.  A
+/// `shorthand_option` accepts a trailing integer as sugar: "periodic20"
+/// resolves exactly like "periodic(k=20)".
 
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "api/spec.hpp"
+#include "api/spec_registry.hpp"
 #include "ckpt/policy.hpp"
 
 namespace volsched::ckpt {
-
-class CheckpointRegistry;
 
 /// One registered checkpoint policy.
 struct CheckpointInfo {
@@ -64,28 +48,12 @@ struct CheckpointInfo {
     std::string shorthand_option;
 };
 
-/// Process-wide registry of checkpoint-policy factories.  Thread-safe;
-/// lookups are case-sensitive, did-you-mean suggestions are not.
-class CheckpointRegistry {
+/// Process-wide registry of checkpoint-policy factories; add(), erase(),
+/// contains(), entries(), names() and suggestion_for() come from
+/// api::SpecRegistry.
+class CheckpointRegistry : public api::SpecRegistry<CheckpointInfo> {
 public:
     static CheckpointRegistry& instance();
-
-    /// Registers `info`; throws std::invalid_argument on an empty name, a
-    /// name containing spec-structural characters, a missing factory, or a
-    /// duplicate registration.
-    void add(CheckpointInfo info);
-
-    /// Removes a registration (primarily for tests); returns whether the
-    /// name was present.
-    bool erase(const std::string& name);
-
-    [[nodiscard]] bool contains(const std::string& name) const;
-
-    /// All registered entries, sorted by name.
-    [[nodiscard]] std::vector<CheckpointInfo> entries() const;
-
-    /// All registered names, sorted.
-    [[nodiscard]] std::vector<std::string> names() const;
 
     /// Resolves and instantiates a spec string.  Throws
     /// std::invalid_argument for grammar errors, unknown names (with a
@@ -100,28 +68,11 @@ public:
     /// throws exactly like make().
     void validate(const std::string& spec_text) const;
 
-    /// Closest registered name by (case-insensitive) edit distance, or ""
-    /// when nothing is close enough to suggest.
-    [[nodiscard]] std::string suggestion_for(std::string_view name) const;
-
 private:
-    CheckpointRegistry() = default;
-
-    struct Resolved {
-        CheckpointInfo info;    // copied: safe against concurrent add/erase
-        api::SchedulerSpec spec; // shorthand expanded to key=value form
-    };
-    [[nodiscard]] Resolved resolve(const api::SchedulerSpec& spec) const;
-
-    mutable std::mutex mutex_;
-    std::map<std::string, CheckpointInfo> entries_;
+    CheckpointRegistry()
+        : SpecRegistry({"checkpoint spec", "checkpoint policy",
+                        "--list-checkpoints"}) {}
 };
-
-namespace detail {
-/// Static-init-safe add(); see api::detail::add_at_static_init for why an
-/// exception here must be caught and turned into a deliberate abort.
-bool add_at_static_init(CheckpointInfo info) noexcept;
-} // namespace detail
 
 /// Factory-side option validation helpers (checkpoint-spec wording of the
 /// api/registry.hpp pair).
@@ -136,7 +87,8 @@ void require_only_options(const api::SchedulerSpec& spec,
 /// identifier unique within the TU.
 #define VOLSCHED_REGISTER_CHECKPOINT(tag, ...)                                 \
     static const bool volsched_checkpoint_registered_##tag [[maybe_unused]] =  \
-        ::volsched::ckpt::detail::add_at_static_init(                          \
+        ::volsched::api::detail::add_at_static_init<                           \
+            ::volsched::ckpt::CheckpointRegistry>(                             \
             ::volsched::ckpt::CheckpointInfo __VA_ARGS__)
 
 /// Force-link anchor for registration TUs inside the volsched static

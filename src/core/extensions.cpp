@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -113,19 +112,8 @@ VOLSCHED_REGISTER_SCHEDULER(thr, {
     [](const api::SchedulerSpec& spec, const api::SchedulerRegistry& registry)
         -> std::unique_ptr<sim::Scheduler> {
         api::require_only_options(spec, {"percent"});
-        const std::string* percent_text = spec.option("percent");
-        if (percent_text == nullptr)
-            throw std::invalid_argument(
-                "scheduler spec '" + spec.canonical() +
-                "': 'thr' needs a percent, e.g. thr50:emct or "
-                "thr(percent=50):emct");
-        char* end = nullptr;
-        const long percent = std::strtol(percent_text->c_str(), &end, 10);
-        if (end == percent_text->c_str() || *end != '\0' || percent < 0 ||
-            percent > 100)
-            throw std::invalid_argument(
-                "scheduler spec '" + spec.canonical() + "': percent '" +
-                *percent_text + "' is not an integer in [0, 100]");
+        const long percent =
+            api::require_int_option(spec, "percent", 0, 100, "scheduler spec");
         return std::make_unique<ThresholdScheduler>(
             registry.make(spec.inner()),
             static_cast<double>(percent) / 100.0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <condition_variable>
 #include <exception>
 #include <fstream>
@@ -21,6 +20,7 @@
 #include "obs/registry.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/atomic_io.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -33,16 +33,13 @@ namespace {
     throw std::runtime_error("campaign: " + what);
 }
 
-/// Reads one whole-token manifest number.  std::from_chars, unlike
+/// Reads one whole-token manifest number.  util::parse_whole, unlike
 /// istream >>, neither wraps "-1" into an unsigned field nor stops
 /// half-way through "8x".
 template <typename T>
 bool read_number(std::istream& in, T& out) {
     std::string token;
-    if (!(in >> token)) return false;
-    const auto [end, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), out);
-    return ec == std::errc{} && end == token.data() + token.size();
+    return in >> token && util::parse_whole(token, out);
 }
 
 /// Minimum wall-clock between steady-state heartbeat writes (checkpoint
@@ -193,6 +190,80 @@ private:
     std::uint64_t record_offset_ = 0;
 };
 
+/// The caller's words in the per-job record checks: every message starts
+/// with `who`, a stream that runs out early is explained by
+/// `ran_out_hint`, and records left after the last job by `trailing`.
+struct RecordCheck {
+    const char* who;
+    const char* ran_out_hint;
+    const char* trailing;
+};
+
+constexpr RecordCheck kResumeCheck{
+    "resume", "fewer records than the manifest checkpointed",
+    "more records than the manifest checkpointed"};
+constexpr RecordCheck kMergeCheck{
+    "merge", "incomplete shard?",
+    "records past the end of its shard of the grid (duplicate shard or "
+    "foreign file?)"};
+
+/// Pulls grid job `job`'s `trials` records off `stream` and reduces them
+/// into a per-job table, failing unless they arrive in (ordinal, trial)
+/// order with the grid's seed, checkpoint policy and makespan count.  Each
+/// record's byte offset goes to `index` when one is given.
+DfbTable read_job_records(ShardStream& stream, const GridJob& job,
+                          int trials, std::size_t num_heuristics,
+                          const RecordCheck& check, IndexSink* index) {
+    // The prefixes of the messages, built only when a check fails.
+    const auto in_file = [&] {
+        return std::string(check.who) + ": '" + stream.path().string() + "'";
+    };
+    const auto ordinal = [&] { return std::to_string(job.ordinal); };
+    const auto at_ordinal = [&] {
+        return std::string(check.who) + ": ordinal " + ordinal();
+    };
+    DfbTable local(num_heuristics);
+    for (int t = 0; t < trials; ++t) {
+        auto rec = stream.next();
+        if (!rec)
+            fail(in_file() + " ran out of records at scenario ordinal " +
+                 ordinal() + " trial " + std::to_string(t) + " (" +
+                 check.ran_out_hint + ")");
+        if (rec->scenario_ordinal != job.ordinal || rec->trial != t)
+            fail(in_file() + " yields (ordinal " +
+                 std::to_string(rec->scenario_ordinal) + ", trial " +
+                 std::to_string(rec->trial) + ") where (ordinal " +
+                 ordinal() + ", trial " + std::to_string(t) +
+                 ") was expected (duplicate, missing, or out-of-order "
+                 "record?)");
+        if (rec->scenario.seed != job.scenario.seed)
+            fail(at_ordinal() + " carries seed " +
+                 std::to_string(rec->scenario.seed) +
+                 " but the grid expects " + std::to_string(job.scenario.seed) +
+                 " (records from a different campaign?)");
+        if (rec->scenario.checkpoint != job.scenario.checkpoint)
+            fail(at_ordinal() + " carries checkpoint policy '" +
+                 rec->scenario.checkpoint + "' but the grid expects '" +
+                 job.scenario.checkpoint + "'");
+        if (rec->makespans.size() != num_heuristics)
+            fail(at_ordinal() + " has " +
+                 std::to_string(rec->makespans.size()) +
+                 " makespans, expected " + std::to_string(num_heuristics));
+        if (index)
+            index->add(rec->scenario_ordinal, rec->trial,
+                       stream.record_offset());
+        local.add_instance(rec->makespans);
+    }
+    return local;
+}
+
+/// Fails when `stream` still holds records after its last job.
+void expect_stream_end(ShardStream& stream, const RecordCheck& check) {
+    if (stream.next())
+        fail(std::string(check.who) + ": '" + stream.path().string() +
+             "' holds " + check.trailing);
+}
+
 /// The resume replay: walks the already-checkpointed prefix of the shard's
 /// grid jobs, pulling each job's trials off the (already truncated) JSONL
 /// stream one line at a time and reducing through the canonical
@@ -206,52 +277,14 @@ void replay_shard_stream(SweepResult& tables, IndexSink& index,
     ShardStream stream(jsonl_file);
     if (stream.header().fingerprint != fingerprint)
         fail("records.jsonl header disagrees with the manifest");
-    const std::size_t num_heuristics = tables.heuristics.size();
     for (long long j = 0; j < jobs_done; ++j) {
         const GridJob& job = jobs[static_cast<std::size_t>(j)];
-        DfbTable local(num_heuristics);
-        for (int t = 0; t < trials; ++t) {
-            auto rec = stream.next();
-            if (!rec)
-                fail("resume: '" + jsonl_file.string() +
-                     "' ran out of records at scenario ordinal " +
-                     std::to_string(job.ordinal) + " trial " +
-                     std::to_string(t) +
-                     " (fewer records than the manifest checkpointed)");
-            if (rec->scenario_ordinal != job.ordinal || rec->trial != t)
-                fail("resume: '" + jsonl_file.string() +
-                     "' yields (ordinal " +
-                     std::to_string(rec->scenario_ordinal) + ", trial " +
-                     std::to_string(rec->trial) + ") where (ordinal " +
-                     std::to_string(job.ordinal) + ", trial " +
-                     std::to_string(t) +
-                     ") was expected (duplicate, missing, or out-of-order "
-                     "record?)");
-            if (rec->scenario.seed != job.scenario.seed)
-                fail("resume: ordinal " + std::to_string(job.ordinal) +
-                     " carries seed " + std::to_string(rec->scenario.seed) +
-                     " but the grid expects " +
-                     std::to_string(job.scenario.seed) +
-                     " (records from a different campaign?)");
-            if (rec->scenario.checkpoint != job.scenario.checkpoint)
-                fail("resume: ordinal " + std::to_string(job.ordinal) +
-                     " carries checkpoint policy '" +
-                     rec->scenario.checkpoint + "' but the grid expects '" +
-                     job.scenario.checkpoint + "'");
-            if (rec->makespans.size() != num_heuristics)
-                fail("resume: ordinal " + std::to_string(job.ordinal) +
-                     " has " + std::to_string(rec->makespans.size()) +
-                     " makespans, expected " +
-                     std::to_string(num_heuristics));
-            index.add(rec->scenario_ordinal, rec->trial,
-                      stream.record_offset());
-            local.add_instance(rec->makespans);
-        }
-        merge_job_tables(tables, job.scenario, local);
+        merge_job_tables(tables, job.scenario,
+                         read_job_records(stream, job, trials,
+                                          tables.heuristics.size(),
+                                          kResumeCheck, &index));
     }
-    if (stream.next())
-        fail("resume: '" + jsonl_file.string() +
-             "' holds more records than the manifest checkpointed");
+    expect_stream_end(stream, kResumeCheck);
 }
 
 } // namespace
@@ -917,54 +950,17 @@ merge_shards(const std::vector<std::filesystem::path>& jsonl_files) {
     // unsharded sweep.  Peak memory is O(shards + grid jobs), never
     // O(records).
     const std::vector<GridJob> grid = grid_jobs(ref.sweep);
-    const int trials = ref.sweep.trials_per_scenario;
-    const std::size_t num_heuristics = ref.heuristics.size();
     SweepResult result(ref.heuristics);
     for (const GridJob& job : grid) {
         ShardStream& shard = *by_shard[static_cast<std::size_t>(
             job.ordinal % static_cast<std::uint64_t>(ref.shard_count))];
-        DfbTable local(num_heuristics);
-        for (int t = 0; t < trials; ++t) {
-            auto rec = shard.next();
-            if (!rec)
-                fail("merge: '" + shard.path().string() +
-                     "' ran out of records at scenario ordinal " +
-                     std::to_string(job.ordinal) + " trial " +
-                     std::to_string(t) + " (incomplete shard?)");
-            if (rec->scenario_ordinal != job.ordinal || rec->trial != t)
-                fail("merge: '" + shard.path().string() +
-                     "' yields (ordinal " +
-                     std::to_string(rec->scenario_ordinal) + ", trial " +
-                     std::to_string(rec->trial) + ") where (ordinal " +
-                     std::to_string(job.ordinal) + ", trial " +
-                     std::to_string(t) +
-                     ") was expected (duplicate, missing, or out-of-order "
-                     "record?)");
-            if (rec->scenario.seed != job.scenario.seed)
-                fail("merge: ordinal " + std::to_string(job.ordinal) +
-                     " carries seed " + std::to_string(rec->scenario.seed) +
-                     " but the grid expects " +
-                     std::to_string(job.scenario.seed) +
-                     " (records from a different campaign?)");
-            if (rec->scenario.checkpoint != job.scenario.checkpoint)
-                fail("merge: ordinal " + std::to_string(job.ordinal) +
-                     " carries checkpoint policy '" +
-                     rec->scenario.checkpoint + "' but the grid expects '" +
-                     job.scenario.checkpoint + "'");
-            if (rec->makespans.size() != num_heuristics)
-                fail("merge: ordinal " + std::to_string(job.ordinal) +
-                     " has " + std::to_string(rec->makespans.size()) +
-                     " makespans, expected " +
-                     std::to_string(num_heuristics));
-            local.add_instance(rec->makespans);
-        }
-        merge_job_tables(result, job.scenario, local);
+        merge_job_tables(result, job.scenario,
+                         read_job_records(shard, job,
+                                          ref.sweep.trials_per_scenario,
+                                          ref.heuristics.size(), kMergeCheck,
+                                          nullptr));
     }
-    for (const auto& stream : streams)
-        if (stream->next())
-            fail("merge: '" + stream->path().string() +
-                 "' holds records past the end of its shard of the grid "
-                 "(duplicate shard or foreign file?)");
+    for (const auto& stream : streams) expect_stream_end(*stream, kMergeCheck);
     return result;
 }
 

@@ -43,17 +43,6 @@ std::string render_double(double v) {
     return ec == std::errc{} ? std::string(buf, end) : std::string("?");
 }
 
-/// Whole-token numeric parse.  std::from_chars never consults the locale
-/// and rejects leading whitespace/'+', so "1,5" or " 5" can't silently
-/// become a different experiment under a different LC_NUMERIC.
-template <typename T>
-bool parse_whole(const std::string& text, T& out) {
-    const char* first = text.c_str();
-    const char* last = first + text.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc{} && ptr == last;
-}
-
 } // namespace
 
 void Cli::add_double(const std::string& name, double def,

@@ -4,6 +4,7 @@
 /// Supports `--name value`, `--name=value`, and boolean `--flag` options,
 /// with typed getters and automatic `--help` text generation.
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -19,6 +20,17 @@ namespace volsched::util {
 /// "thr(percent=50,fallback=1):emct,mct" -> two specs.  The CLI convention
 /// for --heuristics and the integer grid axes.
 std::vector<std::string> split_list(std::string_view text, char sep = ',');
+
+/// Whole-token number parse: true when all of `text` is one T, stored in
+/// `out`.  std::from_chars never consults the locale and rejects leading
+/// whitespace and '+', so "1,5", " 5" or "+5" can't silently become a
+/// different experiment under a different LC_NUMERIC.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+    return ec == std::errc{} && ptr == last;
+}
 
 /// Declarative option set + parsed values.
 ///

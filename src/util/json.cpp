@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/cli.hpp"
+
 namespace volsched::util::json {
 
 namespace {
@@ -17,10 +19,7 @@ namespace {
 template <typename T>
 T parse_integer(const std::string& token, const char* what) {
     T v = 0;
-    const auto [end, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), v);
-    if (ec != std::errc{} || end != token.data() + token.size())
-        bad(std::string(what) + ": " + token);
+    if (!parse_whole(token, v)) bad(std::string(what) + ": " + token);
     return v;
 }
 
@@ -74,10 +73,7 @@ double Value::as_double() const {
     // std::from_chars, not strtod: the latter honors the global LC_NUMERIC
     // locale, which would break record parsing in comma-decimal hosts.
     double v = 0.0;
-    const auto [end, ec] =
-        std::from_chars(scalar_.data(), scalar_.data() + scalar_.size(), v);
-    if (ec != std::errc{} || end != scalar_.data() + scalar_.size())
-        bad("malformed number");
+    if (!parse_whole(scalar_, v)) bad("malformed number");
     return v;
 }
 

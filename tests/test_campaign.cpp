@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <set>
+#include <sstream>
 
 #include "api/campaign_builder.hpp"
 #include "api/experiment_builder.hpp"
@@ -21,6 +23,7 @@ namespace ve = volsched::exp;
 namespace va = volsched::api;
 using volsched::test::TempDir;
 using volsched::test::read_file;
+using volsched::test::write_file;
 
 namespace {
 
@@ -467,6 +470,53 @@ TEST(Campaign, MergeDetectsMissingAndDuplicateShards) {
     const auto outcome = ve::run_campaign(partial);
     EXPECT_THROW(ve::merge_shards({outcome.jsonl_path, files[1]}),
                  std::runtime_error);
+}
+
+TEST(Campaign, ResumeAndMergeRejectTamperedRecords) {
+    TempDir dir;
+    const auto cfg = small_campaign(dir.path());
+    const auto outcome = ve::run_campaign(cfg);
+    ASSERT_TRUE(outcome.complete);
+    const std::string original = read_file(outcome.jsonl_path);
+    // Line 0 is the header; lines 1 and 2 are job 0's two trials.
+    std::vector<std::string> lines;
+    std::istringstream in(original);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_GE(lines.size(), 3u);
+    const auto join = [](const std::vector<std::string>& parts) {
+        std::string out;
+        for (const auto& part : parts) out += part + "\n";
+        return out;
+    };
+
+    // Both tamperings keep the file's length, so the manifest's byte
+    // offset still matches and only the per-job record checks can tell.
+    auto reseeded = lines;
+    const auto seed_end = reseeded[2].find(',', reseeded[2].find("\"seed\":"));
+    char& digit = reseeded[2][seed_end - 1];
+    digit = digit == '0' ? '1' : static_cast<char>(digit - 1);
+    auto swapped = lines;
+    std::swap(swapped[1], swapped[2]);
+
+    const std::pair<std::string, std::string> cases[] = {
+        {join(reseeded), "carries seed"}, {join(swapped), "was expected"}};
+    const std::pair<std::string, std::function<void()>> readers[] = {
+        {"merge: ", [&] { (void)ve::merge_shards({outcome.jsonl_path}); }},
+        {"resume: ", [&] { (void)ve::run_campaign(cfg); }}};
+    for (const auto& [tampered, reason] : cases) {
+        ASSERT_EQ(tampered.size(), original.size());
+        write_file(outcome.jsonl_path, tampered);
+        for (const auto& [who, read] : readers) {
+            std::string message;
+            try {
+                read();
+            } catch (const std::runtime_error& e) {
+                message = e.what();
+            }
+            EXPECT_NE(message.find(who), std::string::npos) << message;
+            EXPECT_NE(message.find(reason), std::string::npos) << message;
+        }
+    }
 }
 
 TEST(Campaign, FindShardDirectoriesFiltersAndSorts) {

@@ -23,7 +23,6 @@
 #include "sim/engine.hpp"
 #include "support/fixtures.hpp"
 
-namespace vapi = volsched::api;
 namespace vc = volsched::ckpt;
 namespace vcore = volsched::core;
 namespace ve = volsched::exp;
@@ -109,10 +108,20 @@ TEST(CkptRegistry, RejectsMalformedSpecs) {
     EXPECT_THROW((void)reg.make("risk(percent=200)"), std::invalid_argument);
     EXPECT_THROW((void)reg.make("risk(prcent=25)"), std::invalid_argument);
     EXPECT_THROW((void)reg.make("daly(k=3)"), std::invalid_argument);
+    // Spec integers take no sign.
+    EXPECT_THROW((void)reg.make("periodic(k=+20)"), std::invalid_argument);
+    EXPECT_THROW((void)reg.make("risk(percent=+25)"), std::invalid_argument);
     // Shorthand and key=value must not both name the option.
     EXPECT_THROW((void)reg.make("periodic20(k=5)"), std::invalid_argument);
     // Policies do not nest.
     EXPECT_THROW((void)reg.make("periodic20:daly"), std::invalid_argument);
+    // A grammar error names no kind of spec: this one is a checkpoint spec.
+    try {
+        (void)reg.make("periodic(k=20");
+        FAIL() << "expected a grammar error";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "spec 'periodic(k=20': unbalanced '('");
+    }
 }
 
 TEST(CkptRegistry, SuggestsCloseNames) {
@@ -124,17 +133,6 @@ TEST(CkptRegistry, SuggestsCloseNames) {
         EXPECT_NE(std::string(e.what()).find("periodic"), std::string::npos)
             << e.what();
     }
-}
-
-TEST(CkptRegistry, DuplicateRegistrationThrows) {
-    auto& reg = vc::CheckpointRegistry::instance();
-    EXPECT_THROW(
-        reg.add({"none", "dup",
-                 [](const vapi::SchedulerSpec&)
-                     -> std::unique_ptr<vc::CheckpointPolicy> {
-                     return nullptr;
-                 }}),
-        std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

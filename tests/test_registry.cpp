@@ -1,17 +1,20 @@
 /// Facade regression suite: scheduler registry (self-registration, spec
-/// grammar round-trips, duplicate rejection, did-you-mean errors) and the
+/// grammar round-trips, did-you-mean errors), the registration contract
+/// both spec registries share (bad names, duplicates, erase), and the
 /// fluent Simulation/Experiment builders (validation diagnostics, and
 /// bit-identity of the builder path against the raw constructor path).
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "support/fixtures.hpp"
 #include "volsched/volsched.hpp"
 
 namespace va = volsched::api;
 namespace vc = volsched::core;
+namespace vk = volsched::ckpt;
 namespace vm = volsched::markov;
 namespace vs = volsched::sim;
 namespace ve = volsched::exp;
@@ -135,30 +138,6 @@ TEST(SchedulerRegistry, ShorthandAndKeyValueSpecsAreEquivalent) {
     EXPECT_EQ(a->name(), "thr50:emct");
 }
 
-TEST(SchedulerRegistry, DuplicateRegistrationIsRejected) {
-    auto& registry = va::SchedulerRegistry::instance();
-    va::SchedulerInfo info{
-        "test-dup", "test-only duplicate probe",
-        [](const va::SchedulerSpec&, const va::SchedulerRegistry&)
-            -> std::unique_ptr<vs::Scheduler> {
-            return std::make_unique<FirstEligibleScheduler>();
-        }};
-    registry.add(info);
-    EXPECT_THROW(registry.add(info), std::invalid_argument);
-    EXPECT_TRUE(registry.erase("test-dup"));
-    EXPECT_FALSE(registry.erase("test-dup"));
-}
-
-TEST(SchedulerRegistry, RejectsBadRegistrations) {
-    auto& registry = va::SchedulerRegistry::instance();
-    EXPECT_THROW(registry.add({"", "no name", nullptr}),
-                 std::invalid_argument);
-    EXPECT_THROW(registry.add({"bad:name", "structural char", nullptr}),
-                 std::invalid_argument);
-    EXPECT_THROW(registry.add({"test-nofactory", "null factory", nullptr}),
-                 std::invalid_argument);
-}
-
 TEST(SchedulerRegistry, UnknownNamesGetEditDistanceSuggestions) {
     const auto& registry = va::SchedulerRegistry::instance();
     const std::string transposed =
@@ -184,9 +163,95 @@ TEST(SchedulerRegistry, WrapperStageRulesAreEnforced) {
     EXPECT_THROW((void)registry.make("thr500:mct"), std::invalid_argument);
     EXPECT_THROW((void)registry.make("thr(pct=50):mct"),
                  std::invalid_argument);
+    // Spec integers take no sign: "+50" is not a percent.
+    EXPECT_THROW((void)registry.make("thr(percent=+50):emct"),
+                 std::invalid_argument);
     // Inner stage on a non-wrapper, options on an option-free scheduler.
     EXPECT_THROW((void)registry.make("emct:mct"), std::invalid_argument);
     EXPECT_THROW((void)registry.make("mct(foo=1)"), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The registration contract both spec registries share (SpecRegistry).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A registration named `name` for either registry, with a working factory
+/// or none.
+va::SchedulerInfo probe_info(const va::SchedulerRegistry&, std::string name,
+                             bool with_factory) {
+    va::SchedulerInfo::Factory factory;
+    if (with_factory)
+        factory = [](const va::SchedulerSpec&, const va::SchedulerRegistry&)
+            -> std::unique_ptr<vs::Scheduler> {
+            return std::make_unique<FirstEligibleScheduler>();
+        };
+    return {std::move(name), "test-only registration probe", factory};
+}
+
+vk::CheckpointInfo probe_info(const vk::CheckpointRegistry&, std::string name,
+                              bool with_factory) {
+    vk::CheckpointInfo::Factory factory;
+    if (with_factory)
+        factory = [](const va::SchedulerSpec&)
+            -> std::unique_ptr<vk::CheckpointPolicy> {
+            return vk::CheckpointRegistry::instance().make("none");
+        };
+    return {std::move(name), "test-only registration probe", factory};
+}
+
+template <typename Registry>
+class RegistryContract : public ::testing::Test {
+protected:
+    Registry& registry = Registry::instance();
+
+    auto info(std::string name, bool with_factory = true) const {
+        return probe_info(registry, std::move(name), with_factory);
+    }
+};
+
+struct RegistryName {
+    template <typename Registry>
+    static std::string GetName(int) {
+        return std::is_same_v<Registry, va::SchedulerRegistry> ? "Scheduler"
+                                                               : "Checkpoint";
+    }
+};
+
+using Registries =
+    ::testing::Types<va::SchedulerRegistry, vk::CheckpointRegistry>;
+
+} // namespace
+
+TYPED_TEST_SUITE(RegistryContract, Registries, RegistryName);
+
+TYPED_TEST(RegistryContract, RejectsBadRegistrations) {
+    auto& registry = this->registry;
+    EXPECT_THROW(registry.add(this->info("")), std::invalid_argument);
+    for (const char* name : {"bad:name", "bad(name", "bad)name", "bad,name",
+                             "bad=name"}) {
+        EXPECT_THROW(registry.add(this->info(name)), std::invalid_argument)
+            << name;
+        EXPECT_FALSE(registry.contains(name)) << name;
+    }
+    EXPECT_THROW(registry.add(this->info("test-nofactory", false)),
+                 std::invalid_argument);
+    EXPECT_FALSE(registry.contains("test-nofactory"));
+}
+
+TYPED_TEST(RegistryContract, DuplicateRegistrationIsRejected) {
+    auto& registry = this->registry;
+    registry.add(this->info("test-dup"));
+    EXPECT_TRUE(registry.contains("test-dup"));
+    EXPECT_THROW(registry.add(this->info("test-dup")), std::invalid_argument);
+    // A built-in name is taken too.
+    const std::string builtin = registry.names().front();
+    EXPECT_THROW(registry.add(this->info(builtin)), std::invalid_argument);
+    EXPECT_TRUE(registry.contains(builtin));
+    EXPECT_TRUE(registry.erase("test-dup"));
+    EXPECT_FALSE(registry.erase("test-dup"));
+    EXPECT_FALSE(registry.contains("test-dup"));
 }
 
 TEST(SchedulerRegistry, ValidateMatchesMake) {

@@ -23,7 +23,6 @@
 /// records or tables.
 
 #include <atomic>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,19 +37,13 @@ namespace {
 
 using namespace volsched;
 
-/// Strict integer parse: the whole token must be digits ("5.10" or "1x"
-/// must error out, not silently truncate to a different campaign).
-bool parse_int_strict(std::string_view text, int& out) {
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    return ec == std::errc{} && end == text.data() + text.size();
-}
-
+/// Strict integer list: every item must be a whole integer token ("5.10"
+/// or "1x" must error out, not silently truncate to a different campaign).
 bool parse_int_list(const std::string& text, std::vector<int>& out) {
     out.clear();
     for (const auto& item : util::split_list(text)) {
         int value = 0;
-        if (!parse_int_strict(item, value)) return false;
+        if (!util::parse_whole(item, value)) return false;
         out.push_back(value);
     }
     return !out.empty();
@@ -59,26 +52,20 @@ bool parse_int_list(const std::string& text, std::vector<int>& out) {
 bool parse_shard(const std::string& text, int& index, int& count) {
     const auto slash = text.find('/');
     if (slash == std::string::npos) return false;
-    return parse_int_strict(std::string_view(text).substr(0, slash), index) &&
-           parse_int_strict(std::string_view(text).substr(slash + 1), count);
-}
-
-bool parse_ll_strict(std::string_view text, long long& out) {
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    return ec == std::errc{} && end == text.data() + text.size();
+    return util::parse_whole(std::string_view(text).substr(0, slash), index) &&
+           util::parse_whole(std::string_view(text).substr(slash + 1), count);
 }
 
 /// Inclusive range flag: "7" (a single value) or "2-5".
 bool parse_range(const std::string& text, long long& lo, long long& hi) {
     const auto dash = text.find('-', 1); // a leading '-' is just a sign
     if (dash == std::string::npos) {
-        if (!parse_ll_strict(text, lo)) return false;
+        if (!util::parse_whole(text, lo)) return false;
         hi = lo;
         return true;
     }
-    return parse_ll_strict(std::string_view(text).substr(0, dash), lo) &&
-           parse_ll_strict(std::string_view(text).substr(dash + 1), hi) &&
+    return util::parse_whole(std::string_view(text).substr(0, dash), lo) &&
+           util::parse_whole(std::string_view(text).substr(dash + 1), hi) &&
            lo <= hi;
 }
 
