@@ -1,6 +1,6 @@
 #pragma once
 /// \file belief_pins.hpp
-/// Per-round scoring scratch: pinned expectation-cache handles plus
+/// Per-run scoring scratch: pinned expectation-cache handles plus
 /// contiguous copies of the per-processor quantities the batched scoring
 /// loops read.
 ///
@@ -9,31 +9,30 @@
 /// 24-byte struct-of-everything per worker, and resolving the worker's
 /// belief chain in the expectation cache each time (hash probe + matrix
 /// validation) would cost about as much as recomputing the closed forms.
-/// Instead the schedulers snapshot everything once per scheduling round
-/// (begin_round):
+/// Instead the schedulers snapshot everything into columns:
 ///
-///   handles    — expectation-cache pins, one hash probe each per round;
-///                reads through a handle are a branch and a load
+///   handles    — expectation-cache pins; reads through a handle are a
+///                branch and a load
 ///   beliefs    — the belief chain pointers (null for uninformed workers)
 ///   w, delay   — w_q and Delay(q) pre-cast to double (exact: both ints)
 ///   step_plain — max(Tdata, w_q), the per-extra-task term of Eq. (1)
 ///
 /// All five arrays are indexed by processor id and contiguous, so the
 /// batched completion-time and scoring passes stream them sequentially.
-/// The snapshot is keyed on the view's address: refresh() is a pointer
-/// compare when the engine's begin_round protocol already pinned this
-/// round's view, and a full repin the first time a foreign caller (the
-/// property tests drive batched_scores directly) presents a new view.
-/// Callers that mutate a view's processors *in place* and re-score
-/// without an intervening begin_round are outside the contract — the
-/// engine never does, and tests build a fresh fixture per case.
 ///
-/// Handles are validated at pin time; a chain destroyed and rebuilt at
-/// the same address *between* pins is caught by the pin's matrix check,
-/// per the cache's invalidation contract.  A worker's belief rarely
-/// changes between rounds, so repin() keeps last round's handle when
-/// ExpectationCache::still_pinned() vouches for it — pin()'s validation
-/// without the hash probe — and the cache has not been cleared since.
+/// The snapshot is keyed on SchedView::run.  Only `delay` may change
+/// between the rounds of one run (sim/scheduler.hpp), so the first round
+/// of a run pins every column and the later rounds' repin() copies the
+/// delay column alone: no belief is touched again until the run changes.
+/// A hand-built view (run 0) promises nothing and is pinned in full every
+/// time.  refresh() is select()'s entry: a no-op once begin_round() has
+/// pinned this run, while a foreign caller (the property tests drive
+/// batched_scores directly) still gets a current snapshot.
+///
+/// Handles are validated at pin time: a chain destroyed and rebuilt at
+/// the same address between runs is caught by the pin's matrix check,
+/// per the cache's invalidation contract.  A cleared cache (a new epoch)
+/// is pinned afresh even within a run.
 
 #include <algorithm>
 #include <cstddef>
@@ -46,14 +45,42 @@
 namespace volsched::core {
 
 struct BeliefPins {
-    /// Unconditionally re-snapshot the round (round entry).
+    /// Round entry: pins every column on a run's first round (and on any
+    /// round of run 0), and afterwards refreshes only `delay`.
     void repin(markov::ExpectationCache& cache, const sim::SchedView& view) {
-        pinned_view = &view;
+        if (!pinned(cache, view)) {
+            pin_all(cache, view);
+            return;
+        }
+        for (std::size_t q = 0; q < delay.size(); ++q)
+            delay[q] = static_cast<double>(view.procs[q].delay);
+    }
+
+    /// select() entry: pins in full unless this run is already pinned.
+    void refresh(markov::ExpectationCache& cache,
+                 const sim::SchedView& view) {
+        if (!pinned(cache, view)) pin_all(cache, view);
+    }
+
+    std::vector<markov::ExpectationCache::Handle> handles;
+    std::vector<const markov::MarkovChain*> beliefs;
+    std::vector<double> w;
+    std::vector<double> delay;
+    std::vector<double> step_plain;
+
+private:
+    /// True when every column already holds `view`'s run: the same
+    /// nonzero run, and handles that are still live in `cache`.
+    [[nodiscard]] bool pinned(const markov::ExpectationCache& cache,
+                              const sim::SchedView& view) const {
+        return view.run != 0 && view.run == pinned_run &&
+               pinned_cache == &cache && pinned_epoch == cache.epoch() &&
+               beliefs.size() == view.procs.size();
+    }
+
+    void pin_all(markov::ExpectationCache& cache, const sim::SchedView& view) {
         const std::size_t n = view.procs.size();
-        // Handles into another cache, or from before a clear(), may point
-        // at freed entries.
-        if (pinned_cache != &cache || pinned_epoch != cache.epoch())
-            handles.clear();
+        pinned_run = view.run;
         pinned_cache = &cache;
         pinned_epoch = cache.epoch();
         handles.resize(n);
@@ -65,30 +92,16 @@ struct BeliefPins {
         for (std::size_t q = 0; q < n; ++q) {
             const sim::ProcView& pv = view.procs[q];
             beliefs[q] = pv.belief;
-            if (pv.belief == nullptr)
-                handles[q] = markov::ExpectationCache::Handle{};
-            else if (!cache.still_pinned(handles[q], *pv.belief))
-                handles[q] = cache.pin(*pv.belief);
+            handles[q] = pv.belief ? cache.pin(*pv.belief)
+                                   : markov::ExpectationCache::Handle{};
             w[q] = static_cast<double>(pv.w);
             delay[q] = static_cast<double>(pv.delay);
             step_plain[q] = std::max(t_data, w[q]);
         }
     }
 
-    /// Re-snapshot only when `view` is not the round begin_round() pinned.
-    void refresh(markov::ExpectationCache& cache,
-                 const sim::SchedView& view) {
-        if (pinned_view == &view && beliefs.size() == view.procs.size())
-            return;
-        repin(cache, view);
-    }
-
-    std::vector<markov::ExpectationCache::Handle> handles;
-    std::vector<const markov::MarkovChain*> beliefs;
-    std::vector<double> w;
-    std::vector<double> delay;
-    std::vector<double> step_plain;
-    const sim::SchedView* pinned_view = nullptr;
+    /// The run the columns belong to (0: none yet, or a hand-built view).
+    std::uint64_t pinned_run = 0;
     /// The cache and epoch the handles belong to.
     const markov::ExpectationCache* pinned_cache = nullptr;
     std::uint64_t pinned_epoch = 0;

@@ -38,30 +38,13 @@ double RandomScheduler::weight_of(const sim::ProcView& pv) const {
 
 void RandomScheduler::refresh_weights(const sim::SchedView& view) {
     const std::size_t n = view.procs.size();
-    if (weights_view_ == &view && weight_by_proc_.size() == n) return;
-    if (weight_by_proc_.size() == n) {
-        bool same = true;
-        for (std::size_t q = 0; q < n; ++q) {
-            if (view.procs[q].belief != weight_beliefs_[q] ||
-                static_cast<double>(view.procs[q].w) != weight_speeds_[q]) {
-                same = false;
-                break;
-            }
-        }
-        if (same) {
-            weights_view_ = &view;
-            return;
-        }
-    }
-    weights_view_ = &view;
+    if (view.run != 0 && view.run == weights_run_ &&
+        weight_by_proc_.size() == n)
+        return;
+    weights_run_ = view.run;
     weight_by_proc_.resize(n);
-    weight_beliefs_.resize(n);
-    weight_speeds_.resize(n);
-    for (std::size_t q = 0; q < n; ++q) {
+    for (std::size_t q = 0; q < n; ++q)
         weight_by_proc_[q] = weight_of(view.procs[q]);
-        weight_beliefs_[q] = view.procs[q].belief;
-        weight_speeds_[q] = static_cast<double>(view.procs[q].w);
-    }
 }
 
 void RandomScheduler::begin_round(const sim::SchedView& view) {

@@ -12,10 +12,13 @@
 /// The `w` suffix divides the weight by w_q, blending speed into the pick.
 ///
 /// A processor's weight depends only on its belief chain and speed, both
-/// fixed for a whole run, so begin_round() computes every weight once and
-/// select() merely gathers them — same weights, same RNG draws, decisions
-/// bit-identical to evaluating weight_of per pick.
+/// fixed for a whole run (sim/scheduler.hpp), so the weights are computed
+/// once per SchedView::run and select() merely gathers them — same
+/// weights, same RNG draws, decisions bit-identical to evaluating
+/// weight_of per pick.  A hand-built view (run 0) is weighed afresh on
+/// every call.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,24 +46,18 @@ public:
 
 private:
     [[nodiscard]] double weight_of(const sim::ProcView& pv) const;
-    /// Recompute weight_by_proc_ unless the view's (belief, speed) wiring
-    /// matches what is already cached — the safety net for callers that
-    /// drive select() without the engine's begin_round protocol.
+    /// Recompute weight_by_proc_ unless it already holds view.run's
+    /// weights.
     void refresh_weights(const sim::SchedView& view);
 
     RandomWeight weight_;
     bool divide_by_speed_;
     std::string name_;
     std::vector<double> weights_; // scratch, sized per call
-    // Per-processor weights for the current round, plus the inputs they
-    // were computed from (for refresh_weights' change detection).
+    /// Per-processor weights of run weights_run_ (0: none yet, or a
+    /// hand-built view).
     std::vector<double> weight_by_proc_;
-    std::vector<const markov::MarkovChain*> weight_beliefs_;
-    std::vector<double> weight_speeds_;
-    /// The view begin_round() pinned: select()'s refresh is a pointer
-    /// compare in the engine's begin_round protocol, and the (belief,
-    /// speed) content check only runs for a foreign view.
-    const sim::SchedView* weights_view_ = nullptr;
+    std::uint64_t weights_run_ = 0;
 };
 
 } // namespace volsched::core

@@ -32,13 +32,15 @@
 /// another constructed at the same address) is detected and never serves
 /// stale values.
 ///
-/// Hot path: the scoring loops resolve each belief once per scheduling
-/// round with pin() — one hash probe plus the matrix validation — and
-/// then read every quantity through the returned Handle, which is a
-/// branch and a load.  A Handle stays valid until the cache is cleared or
-/// the pinned chain's entry is invalidated by a chain-keyed access; pin
-/// again at every round boundary (GreedyScheduler does this from
-/// begin_round) rather than holding handles across rounds or runs.
+/// Hot path: the scoring loops resolve each belief once per engine run
+/// with pin() — one hash probe plus the matrix validation — and then read
+/// every quantity through the returned Handle, which is a branch and a
+/// load.  A Handle stays valid until the cache is cleared or the pinned
+/// chain's entry is invalidated by a chain-keyed access.  Within one
+/// engine run no belief's entry is invalidated (sim::SchedView::run fixes
+/// the beliefs), so core::BeliefPins pins on a run's first round and keeps
+/// the handles for the rest of the run unless the cache epoch moved; a new
+/// run validates them again.
 ///
 /// Thread-safety: none — one cache per scheduler instance.  The sweep and
 /// campaign drivers construct schedulers per instance per worker thread
@@ -64,12 +66,11 @@ class ExpectationCache {
 
 public:
     /// A pinned, validated cache entry (see pin()).  A default-constructed
-    /// Handle (both null) must not be dereferenced — callers keep their
+    /// Handle (null) must not be dereferenced — callers keep their
     /// existing `belief == nullptr` branches.
     class Handle {
         friend class ExpectationCache;
         Entry* entry = nullptr;
-        const MarkovChain* chain = nullptr;
     };
 
     /// Resolve `chain` to its cache entry — one hash probe plus the
@@ -77,26 +78,13 @@ public:
     /// access.
     Handle pin(const MarkovChain& chain) {
         Handle h;
-        h.chain = &chain;
         h.entry = &entry(chain);
         return h;
     }
 
     /// Bumped by clear(), which frees every entry: a handle pinned at an
-    /// earlier epoch may dangle and must not be passed to still_pinned().
+    /// earlier epoch may dangle.
     [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
-    /// True when `h` — pinned in the current epoch() — is exactly what
-    /// pin(chain) would return now: a cache-backed handle for this chain
-    /// address whose entry's matrix snapshot still equals the chain's
-    /// matrix.  That is pin()'s own validation minus the hash probe, so a
-    /// caller re-pinning an unchanged belief every round may keep `h`.
-    /// Counts nothing, like pin().
-    [[nodiscard]] bool still_pinned(Handle h,
-                                    const MarkovChain& chain) const noexcept {
-        return h.entry != nullptr && h.chain == &chain &&
-               same_matrix(h.entry->matrix, chain.matrix());
-    }
 
     /// Lemma 1 P+ (== markov::p_plus bit-for-bit).
     double p_plus(const MarkovChain& chain);

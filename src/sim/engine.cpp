@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -116,15 +117,25 @@ struct EventQueue {
     }
 };
 
+/// A fresh SchedView::run: nonzero and unique in the process.  Runs on
+/// several threads draw concurrently; the value is only compared for
+/// equality, so the draw order never reaches a result.
+std::uint64_t next_run_id() {
+    static std::atomic<std::uint64_t> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 class Runner {
 public:
     Runner(const Platform& platform, markov::RealizedTraces& traces,
            const std::vector<markov::MarkovChain>& beliefs,
            const EngineConfig& config, std::uint64_t seed)
-        : pf_(platform), config_(config) {
+        : pf_(platform), config_(config), run_id_(next_run_id()) {
         const int p = pf_.size();
         workers_.resize(static_cast<std::size_t>(p));
         due_flag_.assign(static_cast<std::size_t>(p), 0);
+        views_.resize(static_cast<std::size_t>(p));
+        view_stale_.assign(static_cast<std::size_t>(p), 0);
         // Every worker's state is read at slot 0.
         for (int q = 0; q < p; ++q) state_changes_.emplace_back(0, q);
         cursors_.reserve(p);
@@ -260,6 +271,7 @@ private:
                            std::greater<>{});
             if (t > 0 && next == prev) continue; // the segment only grew
             workers_[q].state = next;
+            mark_view(q);
             if (t > 0 && prev == ProcState::Up)
                 eligible_.erase(std::lower_bound(eligible_.begin(),
                                                  eligible_.end(), q));
@@ -683,6 +695,9 @@ private:
                 unwait(q);
             w.staged = -1;
             w.data_start = -1;
+            // A freed buffer puts no one on the due list (the computing
+            // branch above does, through mark_due), so mark the row here.
+            mark_view(q);
         }
         inst.proc = kNoProc;
         inst.planned = kNoProc;
@@ -734,11 +749,25 @@ private:
     }
 
     /// Puts worker q on this slot's due list: something happened to it that
-    /// end_of_slot may have to materialize.
+    /// end_of_slot may have to materialize.  What end_of_slot writes may
+    /// change q's scheduler view, so the row is marked too.
     void mark_due(ProcId q) {
+        mark_view(q);
         if (due_flag_[q]) return;
         due_flag_[q] = 1;
         due_.push_back(q);
+    }
+
+    /// Notes that worker q's scheduler-view row may be stale.  Every round
+    /// rewrites the UP workers' rows, so only a worker that is not UP is
+    /// listed.  Such a worker's view inputs change only at its own state
+    /// change, when release_instance takes its task, or in end_of_slot
+    /// (which visits due workers only): advance_states, release_instance
+    /// and mark_due call this.
+    void mark_view(ProcId q) {
+        if (workers_[q].state == ProcState::Up || view_stale_[q]) return;
+        view_stale_[q] = 1;
+        stale_views_.push_back(q);
     }
 
     /// Phase 2a: advance in-flight transfers to/from UP workers, FIFO by
@@ -919,29 +948,28 @@ private:
         if (pool_.empty() && !may_replicate) return;
         if (up_count_ == 0) return;
 
-        // Build the heuristic's snapshot.
-        views_.resize(static_cast<std::size_t>(pf_.size()));
-        for (int q = 0; q < pf_.size(); ++q) {
-            const Worker& w = workers_[q];
-            ProcView& v = views_[q];
-            v.state = w.state;
-            v.has_program = w.has_program;
-            v.buffer_free = (w.staged == -1);
-            v.w = pf_.w[q];
-            v.delay = delay_of(q);
-            v.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
-        }
-        SchedView view;
-        view.platform = &pf_;
-        view.procs = views_;
-        view.slot = t;
-        view.nactive = 0;
-        view.remaining_tasks = static_cast<int>(pool_.size());
-
         nq_.assign(static_cast<std::size_t>(pf_.size()), 0);
         replica_plan_.clear();
 
         if (must_plan) {
+            // The heuristic's snapshot: views_ persists across rounds, and
+            // only the UP workers' rows and the rows marked since the last
+            // round can be stale.
+            for (const ProcId q : stale_views_) {
+                views_[q] = view_of(q);
+                view_stale_[q] = 0;
+            }
+            stale_views_.clear();
+            for (const ProcId q : eligible_) views_[q] = view_of(q);
+            if (config_.audit) audit_views();
+            SchedView view;
+            view.platform = &pf_;
+            view.procs = views_;
+            view.slot = t;
+            view.nactive = 0;
+            view.remaining_tasks = static_cast<int>(pool_.size());
+            view.run = run_id_;
+
             for (EngineObserver* o : config_.observers) o->on_round(t);
             sched.begin_round(view);
 
@@ -1369,6 +1397,19 @@ private:
         for (EngineObserver* o : config_.observers) o->on_event(e);
     }
 
+    /// Worker q's scheduler-view row, built from scratch.
+    [[nodiscard]] ProcView view_of(ProcId q) const {
+        const Worker& w = workers_[q];
+        ProcView v;
+        v.state = w.state;
+        v.has_program = w.has_program;
+        v.buffer_free = (w.staged == -1);
+        v.w = pf_.w[q];
+        v.delay = delay_of(q);
+        v.belief = beliefs_ ? &(*beliefs_)[q] : nullptr;
+        return v;
+    }
+
     /// Delay(q) of Section 6.3.1: remaining program + committed data +
     /// committed compute (plus an in-flight checkpoint upload, which blocks
     /// the compute pipeline), assuming the worker stays UP, contention-free.
@@ -1412,6 +1453,14 @@ private:
                 staged->data_remaining == 0 && !staged->data_done) ||
                (w.ckpt_in_flight && w.ckpt_remaining == 0) ||
                (w.computing != -1 && w.compute_remaining <= 0);
+    }
+
+    /// Audit: every row of the incrementally kept scheduler view equals a
+    /// from-scratch build.
+    void audit_views() const {
+        for (int q = 0; q < pf_.size(); ++q)
+            if (!(views_[q] == view_of(q)))
+                throw std::logic_error("audit: scheduler view drift");
     }
 
     /// Audit: every worker end_of_slot's next pass must visit is due.
@@ -1558,6 +1607,8 @@ private:
 
     const Platform& pf_;
     EngineConfig config_;
+    /// SchedView::run of every round of this run.
+    std::uint64_t run_id_;
     std::vector<markov::TraceCursor> cursors_;
     util::Rng sched_rng_{0};
     const std::vector<markov::MarkovChain>* beliefs_ = nullptr;
@@ -1598,13 +1649,18 @@ private:
     /// This slot's activity per worker, written by the slot phases (or by
     /// fast_forward for a whole stretch) and handed to the observers.
     std::vector<SlotActivity> row_;
+    /// The scheduler view, one row per worker, kept across rounds: a round
+    /// rewrites the UP workers' rows and the listed stale ones
+    /// (view_stale_ dedupes; see mark_view).
+    std::vector<ProcView> views_;
+    std::vector<ProcId> stale_views_;
+    std::vector<std::uint8_t> view_stale_;
 
     RunMetrics metrics_;
 
     // Scratch buffers reused across slots to avoid per-slot allocation.
     std::vector<ProcId> changed_;
     std::vector<ProcId> pending_;
-    std::vector<ProcView> views_;
     std::vector<int> nq_;
     std::vector<ProcId> scratch_;
     std::vector<int> commit_order_;

@@ -6,6 +6,11 @@
 /// processor and asks the heuristic, task instance by task instance, which
 /// UP processor the instance should go to — mirroring the one-by-one greedy
 /// assignment of Section 6.
+///
+/// Every round of one engine run carries the same SchedView::run.  One
+/// scheduler may serve many runs in turn, so state it computes once per
+/// run is keyed on `run` — never on the view's address, which is a stack
+/// slot the engine reuses from run to run.
 
 #include <cstdint>
 #include <span>
@@ -36,6 +41,8 @@ struct ProcView {
     /// chain in Markov experiments, a fitted chain in trace replays).  Null
     /// when the run is deliberately uninformed.
     const markov::MarkovChain* belief = nullptr;
+
+    friend bool operator==(const ProcView&, const ProcView&) = default;
 };
 
 /// Snapshot of the whole round.
@@ -48,6 +55,12 @@ struct SchedView {
     int nactive = 0;
     /// Original task instances still to assign in this round (m - m').
     int remaining_tasks = 0;
+    /// The engine run presenting this view: nonzero, taken from a
+    /// process-wide counter by every run, and only ever compared for
+    /// equality (its value never reaches a result).  While it is unchanged
+    /// the platform, procs.size() and every ProcView's `belief` and `w`
+    /// are unchanged.  0 in hand-built views, which promise nothing.
+    std::uint64_t run = 0;
 };
 
 /// Cumulative memoization counters a scheduler may expose (heuristics
@@ -62,7 +75,9 @@ struct SchedulerCounters {
 };
 
 /// On-line scheduling heuristic.  Implementations must be deterministic
-/// given the provided RNG (all randomness must come from `rng`).
+/// given the provided RNG (all randomness must come from `rng`).  One
+/// instance may serve several runs in turn, and each run's decisions must
+/// be those a fresh instance would make.
 class Scheduler {
 public:
     virtual ~Scheduler() = default;

@@ -196,9 +196,9 @@ TEST(ExpectationCache, InvalidatesWhenMatrixChangesAtSameAddress) {
     EXPECT_EQ(cache.p_plus(h), vm::p_plus(slot->matrix()));
     EXPECT_EQ(cache.invalidations(), 2u);
 
-    // BeliefPins::repin keeps last round's handle only while the belief
-    // is unchanged: a chain rebuilt at the same address between rounds,
-    // or a cleared cache, must be re-pinned, never served stale.
+    // Under run 0 (a hand-built view) BeliefPins::repin pins afresh on
+    // every call: a chain rebuilt at the same address between rounds, or
+    // a cleared cache, is re-pinned, never served stale.
     vs::Platform pf;
     pf.w = {3};
     pf.ncom = 1;
@@ -219,7 +219,7 @@ TEST(ExpectationCache, InvalidatesWhenMatrixChangesAtSameAddress) {
                                           cache.invalidations()};
     };
     const auto before = counters();
-    pins.repin(cache, view); // unchanged belief: the handle is kept
+    pins.repin(cache, view); // unchanged belief: pinned again
     EXPECT_EQ(counters(), before) << "repin must count nothing";
     EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
 
@@ -235,6 +235,37 @@ TEST(ExpectationCache, InvalidatesWhenMatrixChangesAtSameAddress) {
     EXPECT_EQ(cache.size(), 1u) << "repin after clear() must pin afresh";
     EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
     EXPECT_EQ(cache.misses(), 1u);
+
+    // Everything above ran under run 0, a hand-built view that promises
+    // nothing.  An engine run (nonzero SchedView::run) fixes every belief
+    // and speed, so only its first repin looks at them; later rounds copy
+    // the delay column alone.
+    view.run = 7;
+    pins.repin(cache, view);
+    procs[0].delay = 9;
+    const auto in_run = counters();
+    pins.repin(cache, view);
+    EXPECT_EQ(counters(), in_run) << "a same-run repin must count nothing";
+    EXPECT_EQ(pins.delay[0], 9.0) << "a same-run repin must copy the delay";
+    EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
+    // The handle is kept without looking at the belief: a chain rebuilt at
+    // the same address under the same run (which the run contract rules
+    // out) is not even validated...
+    const double kept_p_plus = vm::p_plus(slot->matrix());
+    slot.emplace(vt::flaky_chain(0.05));
+    const auto swapped = counters();
+    pins.repin(cache, view);
+    pins.refresh(cache, view);
+    EXPECT_EQ(counters(), swapped);
+    EXPECT_EQ(cache.p_plus(pins.handles[0]), kept_p_plus);
+    // ...until the run changes: a new run's first repin pins afresh, and
+    // pin()'s matrix check sees the rebuilt chain.
+    view.run = 8;
+    pins.repin(cache, view);
+    EXPECT_EQ(cache.invalidations(), swapped[2] + 1);
+    EXPECT_EQ(cache.p_plus(pins.handles[0]), vm::p_plus(slot->matrix()));
+    EXPECT_NE(cache.p_plus(pins.handles[0]), kept_p_plus);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ExpectationCache, CountersTrackMissesAndHits) {

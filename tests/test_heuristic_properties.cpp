@@ -348,7 +348,10 @@ TEST_P(HeuristicProperty, SelectMatchesScalarReference) {
     // the tie); workers 8 and 9 never come back UP, so their weights are
     // all 0 and their informed scores infinite.  Each pick is charged to
     // its worker's queue as the engine does, so greedy picks move around,
-    // and the random family draws 128 times per spec.
+    // and the random family draws 128 times per spec.  The second arm
+    // replays the rounds the way the engine presents one run: a fixed
+    // nonzero SchedView::run, with every worker's delay changing between
+    // rounds (the one per-worker input a run lets move).
     constexpr int p = 10;
     Fixture f(p, static_cast<std::uint64_t>(GetParam()) + 700);
     const vm::MarkovChain dead(vm::TransitionMatrix(
@@ -369,30 +372,41 @@ TEST_P(HeuristicProperty, SelectMatchesScalarReference) {
     const auto& ext = vc::extension_heuristic_names();
     names.insert(names.end(), ext.begin(), ext.end());
     ASSERT_EQ(names.size(), 21u);
-    for (const auto& name : names) {
-        auto sched = vt::make_scheduler(name);
-        volsched::util::Rng rng(5);
-        volsched::util::Rng ref_rng(5);
-        bool diverged = false;
-        for (std::size_t r = 0; r < rounds.size() && !diverged; ++r) {
-            std::vector<int> nq(p, 0);
-            sched->begin_round(f.view);
-            for (int pick = 0; pick < 16; ++pick) {
-                const auto got = sched->select(f.view, rounds[r], nq, rng);
-                const auto want =
-                    reference_select(name, f.view, rounds[r], nq, ref_rng);
-                if (got != want) {
-                    ADD_FAILURE() << name << ": round " << r << " pick "
-                                  << pick << " chose " << got
-                                  << ", reference " << want;
-                    diverged = true;
-                    break;
+    std::vector<int> base_delay(p);
+    for (int q = 0; q < p; ++q) base_delay[q] = f.procs[q].delay;
+    for (const std::uint64_t run : {std::uint64_t{0}, std::uint64_t{0x5eed}}) {
+        f.view.run = run;
+        for (const auto& name : names) {
+            auto sched = vt::make_scheduler(name);
+            volsched::util::Rng rng(5);
+            volsched::util::Rng ref_rng(5);
+            bool diverged = false;
+            for (std::size_t r = 0; r < rounds.size() && !diverged; ++r) {
+                const int shift = 17 * static_cast<int>(r);
+                if (run != 0)
+                    for (int q = 0; q < p; ++q)
+                        f.procs[q].delay =
+                            (base_delay[q] + shift * (q + 1)) % 53;
+                std::vector<int> nq(p, 0);
+                sched->begin_round(f.view);
+                for (int pick = 0; pick < 16; ++pick) {
+                    const auto got = sched->select(f.view, rounds[r], nq, rng);
+                    const auto want = reference_select(name, f.view, rounds[r],
+                                                       nq, ref_rng);
+                    if (got != want) {
+                        ADD_FAILURE() << name << " (run " << run << "): round "
+                                      << r << " pick " << pick << " chose "
+                                      << got << ", reference " << want;
+                        diverged = true;
+                        break;
+                    }
+                    ++nq[static_cast<std::size_t>(got)];
                 }
-                ++nq[static_cast<std::size_t>(got)];
             }
-        }
-        if (!diverged) {
-            EXPECT_EQ(rng(), ref_rng()) << name << ": RNG streams diverged";
+            if (!diverged) {
+                EXPECT_EQ(rng(), ref_rng())
+                    << name << " (run " << run << "): RNG streams diverged";
+            }
         }
     }
 }

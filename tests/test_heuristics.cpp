@@ -2,10 +2,14 @@
 
 #include <array>
 #include <map>
+#include <string>
 
+#include "api/registry.hpp"
 #include "core/ct.hpp"
 #include "core/factory.hpp"
 #include "markov/expectation.hpp"
+#include "sim/engine.hpp"
+#include "sim/metrics_io.hpp"
 #include "sim/scheduler.hpp"
 #include "support/fixtures.hpp"
 #include "util/rng.hpp"
@@ -289,5 +293,38 @@ TEST(GreedyHeuristics, DeterministicAcrossCalls) {
         for (int i = 0; i < 10; ++i)
             EXPECT_EQ(sched->select(view, all_procs(5), nq, rng), first)
                 << name;
+    }
+}
+
+TEST(Schedulers, ReusedAcrossRunsDecidesLikeAFreshInstance) {
+    // One scheduler may serve several runs in turn (bench_ckpt reuses one
+    // across seeds).  Fleets A and B have the same size but different
+    // chains and speeds, and the engine builds every run's SchedView in
+    // the same stack slot, so per-run state keyed on the view's address
+    // would carry A's weights into B.  Every registered spec (a wrapper
+    // around a random-family inner) must run B exactly as a fresh
+    // instance does, cache counters included.  Under address-keyed
+    // weights this fleet pair makes all eight weighted random specs and
+    // thr25:random1 diverge.
+    const auto a = vt::recipe_setup(6, 1, 2, 1);
+    const auto b = vt::recipe_setup(6, 1, 2, 101);
+    const auto cfg = vt::audited_config(3, 8);
+    const auto sim_a =
+        vs::Simulation::from_chains(a.platform, a.chains, cfg, 5);
+    const auto sim_b =
+        vs::Simulation::from_chains(b.platform, b.chains, cfg, 6);
+    const auto entries = volsched::api::SchedulerRegistry::instance().entries();
+    ASSERT_GE(entries.size(), 19u);
+    for (const auto& info : entries) {
+        std::string spec = info.name;
+        if (info.takes_inner)
+            spec += (info.shorthand_option.empty() ? "" : "25") +
+                    std::string(":random1");
+        const auto reused = vt::make_scheduler(spec);
+        (void)sim_a.run(*reused);
+        const auto fresh = vt::make_scheduler(spec);
+        EXPECT_EQ(vs::metrics_to_json(sim_b.run(*reused)),
+                  vs::metrics_to_json(sim_b.run(*fresh)))
+            << spec;
     }
 }
