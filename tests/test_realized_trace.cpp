@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "markov/availability.hpp"
 #include "markov/realized_trace.hpp"
 #include "support/fixtures.hpp"
+#include "support/golden.hpp"
 #include "trace/replay.hpp"
 #include "trace/semi_markov.hpp"
 #include "util/rng.hpp"
@@ -84,7 +88,51 @@ all_model_kinds() {
     models.emplace_back("semi-markov/lognormal",
                         std::make_unique<vtr::SemiMarkovAvailability>(
                             vtr::desktop_grid_params_lognormal(25.0)));
+    // Sojourns stretched 50x: most are longer than a growth chunk, so
+    // chunked growth cuts them and the countdown must survive each cut.
+    models.emplace_back("semi-markov/weibull-x50",
+                        std::make_unique<vtr::SemiMarkovAvailability>(
+                            vtr::desktop_grid_params(40.0 * 50)));
     return models;
+}
+
+/// The night-shift fleet (short UP bursts, long RECLAIMED evenings, very
+/// long DOWN nights) with every sojourn mean multiplied by `scale`:
+/// Weibull shapes, or lognormal sigmas of the same spread.
+vtr::SemiMarkovParams night_shift(vtr::SojournDist::Kind kind, double scale) {
+    using vtr::SojournDist;
+    const auto dist = [kind](double spread, double mean) {
+        return kind == SojournDist::Kind::Weibull
+                   ? SojournDist::weibull_with_mean(spread, mean)
+                   : SojournDist::lognormal_with_mean(spread, mean);
+    };
+    const bool weibull = kind == SojournDist::Kind::Weibull;
+    vtr::SemiMarkovParams params;
+    params.sojourn = {dist(weibull ? 0.7 : 1.2, 30.0 * scale),
+                      dist(weibull ? 0.9 : 0.8, 80.0 * scale),
+                      dist(weibull ? 0.8 : 1.0, 400.0 * scale)};
+    params.jump[0] = {0.0, 0.5, 0.5};
+    params.jump[1] = {0.5, 0.0, 0.5};
+    params.jump[2] = {0.9, 0.1, 0.0};
+    return params;
+}
+
+/// FNV-1a 64-bit over every segment's (state, begin, end).
+std::uint64_t segments_digest(
+    const std::vector<vm::RealizedTrace::Segment>& segs) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto& seg : segs) {
+        mix(static_cast<std::uint64_t>(seg.state));
+        mix(static_cast<std::uint64_t>(seg.begin));
+        mix(static_cast<std::uint64_t>(seg.end));
+    }
+    return h;
 }
 
 /// Structural RLE invariants: contiguous coverage from slot 0, non-empty
@@ -282,4 +330,112 @@ TEST(RealizedTrace, BuilderRealizedAttachesAndValidatesSnapshots) {
                      .realized(shared)
                      .build(),
                  std::invalid_argument);
+}
+
+TEST(RealizedTrace, ChunkedGrowthCutsLongSojournsWithoutLosingTheCountdown) {
+    // Grow each trace in uneven chunks, several of them past 1000 slots, so
+    // that chunk ends fall inside long sojourns; every slot must still equal
+    // live per-slot sampling.
+    constexpr long long kLong = 50'000;
+    const long long chunks[] = {1, 3, 1001, 64, 2500, 999, 1, 4097, 17, 12'000};
+    for (const auto& [label, model] : all_model_kinds()) {
+        const auto live = live_sample(*model, 77, kLong);
+        vm::RealizedTrace trace(model->clone(), 77);
+        std::vector<long long> cuts;
+        for (std::size_t i = 0; trace.realized() < kLong; ++i) {
+            const long long chunk = chunks[i % std::size(chunks)];
+            trace.ensure(std::min(kLong, trace.realized() + chunk));
+            cuts.push_back(trace.realized());
+        }
+        expect_well_formed(trace, label);
+        for (long long t = 0; t < kLong; ++t)
+            ASSERT_EQ(trace.state_at(t), live[static_cast<std::size_t>(t)])
+                << label << " diverges from live sampling at slot " << t;
+
+        if (label != "semi-markov/weibull-x50") continue;
+        // The chunks really cut long sojourns: some cut splits a segment
+        // longer than 1000 slots.
+        int long_cuts = 0;
+        for (const long long cut : cuts) {
+            const auto& segs = trace.segments();
+            const auto it = std::upper_bound(
+                segs.begin(), segs.end(), cut - 1,
+                [](long long slot, const vm::RealizedTrace::Segment& seg) {
+                    return slot < seg.end;
+                });
+            if (it != segs.end() && it->end > cut && it->length() > 1000)
+                ++long_cuts;
+        }
+        EXPECT_GT(long_cuts, 0) << label;
+    }
+}
+
+TEST(RealizedTrace, SegmentsMatchTheCommittedGolden) {
+    // Realizations are results: pin their segments, grown through horizons
+    // that mostly end mid-sojourn, for short and 50x-stretched semi-Markov
+    // sojourns, plus one Markov and one replay model.  Regenerate with
+    // VOLSCHED_UPDATE_GOLDEN=1 only when a realization is meant to change.
+    using vtr::SojournDist;
+    vu::Rng record_rng(7);
+    const auto recorded = vtr::record(
+        vm::MarkovAvailability(vt::crashy_chain(0.15)), 257, record_rng);
+    std::vector<std::pair<std::string, std::unique_ptr<vm::AvailabilityModel>>>
+        models;
+    models.emplace_back("weibull/mean40",
+                        std::make_unique<vtr::SemiMarkovAvailability>(
+                            vtr::desktop_grid_params(40.0)));
+    models.emplace_back("lognormal/mean40",
+                        std::make_unique<vtr::SemiMarkovAvailability>(
+                            vtr::desktop_grid_params_lognormal(40.0)));
+    models.emplace_back("weibull/night-shift-x50",
+                        std::make_unique<vtr::SemiMarkovAvailability>(
+                            night_shift(SojournDist::Kind::Weibull, 50.0)));
+    models.emplace_back("lognormal/night-shift-x50",
+                        std::make_unique<vtr::SemiMarkovAvailability>(
+                            night_shift(SojournDist::Kind::LogNormal, 50.0)));
+    models.emplace_back("markov/crashy",
+                        std::make_unique<vm::MarkovAvailability>(
+                            vt::crashy_chain(0.05)));
+    models.emplace_back("replay/loop",
+                        std::make_unique<vtr::ReplayAvailability>(
+                            recorded, vtr::ReplayAvailability::EndPolicy::Loop));
+
+    constexpr long long kHorizons[] = {997, 10'007, 60'013};
+    std::ostringstream out;
+    out << "# model seed horizon: segments, fnv1a over (state, begin, end), "
+           "last segment, and whether the horizon cuts a sojourn\n";
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        const auto& [label, model] = models[m];
+        int mid_cuts = 0;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const std::uint64_t stream =
+                vu::mix_seed(seed, vm::kAvailabilityStream, m);
+            // A longer eager realization tells whether a horizon ends
+            // mid-sojourn.
+            vm::RealizedTrace longer(model->clone(), stream);
+            longer.ensure(2 * kHorizons[std::size(kHorizons) - 1]);
+            vm::RealizedTrace trace(model->clone(), stream);
+            for (const long long horizon : kHorizons) {
+                trace.ensure(horizon);
+                ASSERT_EQ(trace.realized(), horizon) << label;
+                expect_well_formed(trace, label);
+                const auto& segs = trace.segments();
+                const auto& last = segs.back();
+                const bool mid = longer.state_at(horizon) == last.state;
+                mid_cuts += mid ? 1 : 0;
+                out << label << " seed=" << seed << " horizon=" << horizon
+                    << ": segments=" << segs.size() << " fnv1a=" << std::hex
+                    << segments_digest(segs) << std::dec
+                    << " last=" << vm::state_code(last.state) << '['
+                    << last.begin << ',' << last.end << ')'
+                    << (mid ? " mid-sojourn" : " at-boundary") << '\n';
+            }
+        }
+        const bool semi_markov = label.rfind("weibull/", 0) == 0 ||
+                                 label.rfind("lognormal/", 0) == 0;
+        if (semi_markov) {
+            EXPECT_GT(mid_cuts, 0) << label << ": no horizon cut a sojourn";
+        }
+    }
+    EXPECT_TRUE(vt::matches_golden(out.str(), "realized_trace_segments.txt"));
 }
