@@ -16,13 +16,21 @@
 
 namespace volsched::ckpt {
 
-int daly_interval(const markov::TransitionMatrix& m, int cost) noexcept {
-    const double mttd = markov::mean_time_to_down(m);
+namespace {
+
+/// daly_interval for a known mean time to DOWN.
+int daly_interval_for(double mttd, int cost) noexcept {
     if (!std::isfinite(mttd)) return 0;
     const double tau =
         std::sqrt(2.0 * static_cast<double>(cost < 1 ? 1 : cost) * mttd);
     const double rounded = std::nearbyint(tau);
     return rounded < 1.0 ? 1 : static_cast<int>(rounded);
+}
+
+} // namespace
+
+int daly_interval(const markov::TransitionMatrix& m, int cost) noexcept {
+    return daly_interval_for(markov::mean_time_to_down(m), cost);
 }
 
 double crash_risk(const markov::TransitionMatrix& m, int remaining) noexcept {
@@ -65,13 +73,16 @@ private:
 
 /// Young/Daly interval from the worker's belief chain: checkpoint after
 /// sqrt(2 * C * MTTD) compute slots.  The interval is a pure function of
-/// (belief, cost), so it is re-derived per decision — cheap (a 2x2 linear
-/// solve) and stateless, which is what the determinism contract wants.
+/// (belief, cost).  The chain solved its MTTD once at construction
+/// (MarkovChain::mean_time_to_down), so a decision costs one square root
+/// and the policy keeps no state, which is what the determinism contract
+/// wants.
 class DalyPolicy final : public CheckpointPolicy {
 public:
     bool should_checkpoint(const CheckpointView& v) const override {
         if (v.belief == nullptr) return false;
-        const int tau = daly_interval(v.belief->matrix(), v.cost);
+        const int tau =
+            daly_interval_for(v.belief->mean_time_to_down(), v.cost);
         return tau > 0 && v.computed >= tau;
     }
     long long quiet_horizon(const CheckpointView& v) const override {
@@ -79,7 +90,8 @@ public:
         // under arithmetic advancement, so this reduces to the periodic
         // case; tau == 0 (infinite MTTD) never fires.
         if (v.belief == nullptr) return kQuietForever;
-        const int tau = daly_interval(v.belief->matrix(), v.cost);
+        const int tau =
+            daly_interval_for(v.belief->mean_time_to_down(), v.cost);
         if (tau <= 0) return kQuietForever;
         return v.computed >= tau ? 0
                                  : static_cast<long long>(tau) - v.computed;

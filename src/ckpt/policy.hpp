@@ -34,8 +34,8 @@
 ///   periodic(k=K)   checkpoint after every K compute slots
 ///   daly            Young/Daly interval sqrt(2 * C * M) with C the
 ///                   checkpoint cost and M the belief chain's mean time to
-///                   DOWN (markov::mean_time_to_down); uninformed workers
-///                   never checkpoint
+///                   DOWN (MarkovChain::mean_time_to_down, solved once per
+///                   chain); uninformed workers never checkpoint
 ///   risk(percent=P) checkpoint when the belief chain's probability of
 ///                   entering DOWN before the task's next completion
 ///                   boundary (markov::p_ud_exact over the remaining slots)

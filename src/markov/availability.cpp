@@ -2,6 +2,18 @@
 
 namespace volsched::markov {
 
+long long AvailabilityModel::advance(ProcState& state, long long limit,
+                                     util::Rng& rng) {
+    for (long long n = 1; n <= limit; ++n) {
+        const ProcState next = next_state(state, rng);
+        if (next != state) {
+            state = next;
+            return n;
+        }
+    }
+    return limit;
+}
+
 MarkovAvailability::MarkovAvailability(MarkovChain chain, InitialState init)
     : chain_(std::move(chain)), init_(init) {}
 

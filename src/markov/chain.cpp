@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "markov/expectation.hpp"
+
 namespace volsched::markov {
 namespace {
 
@@ -33,6 +35,7 @@ MarkovChain::MarkovChain(const TransitionMatrix& matrix) : matrix_(matrix) {
     if (auto err = matrix.validate(); !err.empty())
         throw std::invalid_argument("MarkovChain: invalid matrix: " + err);
     stationary_ = solve_stationary(matrix_);
+    mttd_ = markov::mean_time_to_down(matrix_);
     for (int i = 0; i < kNumStates; ++i) {
         double acc = 0.0;
         for (int j = 0; j < kNumStates; ++j) {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file chain.hpp
 /// A 3-state availability Markov chain: transition matrix + cached limit
-/// (stationary) distribution + state sampling.
+/// (stationary) distribution and mean time to DOWN + state sampling.
 
 #include <array>
 
@@ -27,13 +27,19 @@ struct Stationary {
 };
 
 /// Immutable chain: matrix validated at construction, stationary distribution
-/// solved once.  Throws std::invalid_argument on an invalid matrix.
+/// and mean time to DOWN solved once.  Throws std::invalid_argument on an
+/// invalid matrix.
 class MarkovChain {
 public:
     explicit MarkovChain(const TransitionMatrix& matrix);
 
     [[nodiscard]] const TransitionMatrix& matrix() const noexcept { return matrix_; }
     [[nodiscard]] const Stationary& stationary() const noexcept { return stationary_; }
+
+    /// markov::mean_time_to_down(matrix()), solved at construction: the
+    /// value the `daly` checkpoint policy reads at every decision.
+    /// +infinity when DOWN is unreachable from UP.
+    [[nodiscard]] double mean_time_to_down() const noexcept { return mttd_; }
 
     /// Samples the state at slot t+1 given the state at slot t.
     [[nodiscard]] ProcState sample_next(ProcState current,
@@ -53,6 +59,7 @@ private:
 
     TransitionMatrix matrix_;
     Stationary stationary_;
+    double mttd_ = 0.0;
     // Per-row cumulative probabilities for O(1)-ish inverse-CDF sampling.
     std::array<std::array<double, 3>, 3> cumulative_{};
 };

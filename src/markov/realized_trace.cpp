@@ -37,14 +37,23 @@ void RealizedTrace::ensure(long long horizon) {
         segments_.push_back({s, 0, 1});
         realized_ = 1;
     }
+    // One advance() per segment: it stops at the first slot whose state
+    // differs, or exactly at `horizon`.
     while (realized_ < horizon) {
         Segment& last = segments_.back();
-        const ProcState s = model_->next_state(last.state, rng_);
-        if (s == last.state)
-            ++last.end;
-        else
-            segments_.push_back({s, realized_, realized_ + 1});
-        ++realized_;
+        ProcState s = last.state;
+        const long long limit = horizon - realized_;
+        const long long n = model_->advance(s, limit, rng_);
+        if (n < 1 || n > limit)
+            throw std::logic_error(
+                "AvailabilityModel::advance sampled no slot or past its limit");
+        realized_ += n;
+        if (s == last.state) {
+            last.end = realized_;
+        } else {
+            last.end = realized_ - 1;
+            segments_.push_back({s, realized_ - 1, realized_});
+        }
     }
 }
 

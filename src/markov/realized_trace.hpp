@@ -12,11 +12,15 @@
 /// seed (stream = mix_seed(seed, kAvailabilityStream, processor)) and the
 /// availability models — never of the heuristic, the thread, the shard, or
 /// of *how* the trace is queried.  RNG consumption matches the engine's
-/// historical per-slot sampling exactly (one initial_state draw, then one
-/// next_state draw per slot, per processor, on a dedicated stream), so
-/// realizations are bit-identical to the pre-trace engine by construction.
+/// historical per-slot sampling exactly (one initial_state draw, then the
+/// draws of one next_state call per slot, per processor, on a dedicated
+/// stream), so realizations are bit-identical to the pre-trace engine by
+/// construction.  The trace samples one segment per
+/// AvailabilityModel::advance call, whose contract is exactly those draws;
+/// a semi-Markov model pays one jump per sojourn, not one call per slot.
 /// Lazy chunked growth only changes *when* slots are sampled, not their
-/// values: slot t depends on draws 0..t of the processor's private stream.
+/// values: slot t depends on draws 0..t of the processor's private stream,
+/// and each growth stops exactly at its horizon, even mid-sojourn.
 ///
 /// The run-length encoding additionally answers "when does this processor
 /// next change state?" in O(1), which the engine uses to fast-forward dead
@@ -60,8 +64,10 @@ public:
     RealizedTrace(std::unique_ptr<AvailabilityModel> model,
                   std::uint64_t stream_seed);
 
-    /// Extends the realization to cover slots [0, horizon).  No-op when
-    /// already realized that far.
+    /// Extends the realization to cover exactly slots [0, horizon), one
+    /// AvailabilityModel::advance call per segment.  No-op when already
+    /// realized that far.  Throws std::logic_error when the model's
+    /// advance() samples no slot or more than it was asked for.
     void ensure(long long horizon);
 
     /// Slots realized so far.

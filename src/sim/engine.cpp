@@ -1036,7 +1036,17 @@ private:
         }
 
         // 3. Commit transfers in plan order: originals first (by plan_seq),
-        // then replicas in planning order.
+        // then replicas in planning order.  Every commit needs an UP worker
+        // with a free buffer (try_commit's first check), and replicas were
+        // planned on such workers only: without one the sweep commits
+        // nothing, so it is skipped.
+        const auto buffer_free = [this](ProcId q) {
+            return workers_[q].staged == -1;
+        };
+        if (std::none_of(eligible_.begin(), eligible_.end(), buffer_free)) {
+            if (config_.audit) audit_no_free_buffer();
+            return;
+        }
         commit_order_.clear();
         for (int id : pool_)
             if (instances_[id].planned != kNoProc) commit_order_.push_back(id);
@@ -1461,6 +1471,15 @@ private:
         for (int q = 0; q < pf_.size(); ++q)
             if (!(views_[q] == view_of(q)))
                 throw std::logic_error("audit: scheduler view drift");
+    }
+
+    /// Audit of a skipped commit sweep: scanning every worker, none is UP
+    /// with a free buffer.
+    void audit_no_free_buffer() const {
+        for (const Worker& w : workers_)
+            if (w.state == ProcState::Up && w.staged == -1)
+                throw std::logic_error(
+                    "audit: commit sweep skipped with a free UP buffer");
     }
 
     /// Audit: every worker end_of_slot's next pass must visit is due.

@@ -16,8 +16,15 @@ RecordedTrace record(const markov::AvailabilityModel& prototype,
     auto model = prototype.clone();
     ProcState s = model->initial_state(rng);
     out.states.push_back(s);
-    for (std::size_t t = 1; t < slots; ++t) {
-        s = model->next_state(s, rng);
+    while (out.states.size() < slots) {
+        const ProcState run = s;
+        const auto limit = static_cast<long long>(slots - out.states.size());
+        const long long n = model->advance(s, limit, rng);
+        if (n < 1 || n > limit)
+            throw std::logic_error(
+                "AvailabilityModel::advance sampled no slot or past its limit");
+        out.states.insert(out.states.end(), static_cast<std::size_t>(n - 1),
+                          run);
         out.states.push_back(s);
     }
     return out;

@@ -21,7 +21,9 @@ struct RecordedTrace {
     [[nodiscard]] std::size_t length() const noexcept { return states.size(); }
 };
 
-/// Samples `slots` slots from a (clone of a) prototype model.
+/// Samples `slots` slots from a (clone of a) prototype model, one run of
+/// identical states per AvailabilityModel::advance call: the same states
+/// and draws as one next_state call per slot.
 RecordedTrace record(const markov::AvailabilityModel& prototype,
                      std::size_t slots, util::Rng& rng);
 

@@ -44,6 +44,32 @@ ProcState SemiMarkovAvailability::next_state(ProcState current,
         --remaining_;
         return current;
     }
+    return jump(current, rng);
+}
+
+long long SemiMarkovAvailability::advance(ProcState& state, long long limit,
+                                          util::Rng& rng) {
+    long long n = 0;
+    while (true) {
+        // The slots left in this sojourn after the current one draw nothing.
+        const long long stay = remaining_ > 1 ? remaining_ - 1 : 0;
+        if (stay >= limit - n) {
+            remaining_ -= limit - n;
+            return limit;
+        }
+        n += stay + 1;
+        remaining_ -= stay;
+        // A jump row may round onto its own state: the run then goes on.
+        const ProcState next = jump(state, rng);
+        if (next != state) {
+            state = next;
+            return n;
+        }
+        if (n == limit) return n;
+    }
+}
+
+ProcState SemiMarkovAvailability::jump(ProcState current, util::Rng& rng) {
     // Sojourn expired: jump to a different state and draw its sojourn.
     const auto& row = params_.jump[static_cast<int>(current)];
     const double r = rng.uniform();

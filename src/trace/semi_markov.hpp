@@ -46,7 +46,9 @@ struct SemiMarkovParams {
 };
 
 /// Stateful availability model: holds the remaining sojourn of the current
-/// state and samples a jump when it expires.
+/// state and samples a jump when it expires.  Only a jump draws (the jump
+/// target, then the new sojourn), so advance() crosses the rest of a
+/// sojourn in one step: one draw per sojourn instead of one call per slot.
 class SemiMarkovAvailability final : public markov::AvailabilityModel {
 public:
     explicit SemiMarkovAvailability(SemiMarkovParams params);
@@ -54,6 +56,8 @@ public:
     markov::ProcState initial_state(util::Rng& rng) override;
     markov::ProcState next_state(markov::ProcState current,
                                  util::Rng& rng) override;
+    long long advance(markov::ProcState& state, long long limit,
+                      util::Rng& rng) override;
     [[nodiscard]] std::unique_ptr<markov::AvailabilityModel> clone() const override;
 
     [[nodiscard]] const SemiMarkovParams& params() const noexcept { return params_; }
@@ -65,6 +69,9 @@ public:
     [[nodiscard]] markov::TransitionMatrix equivalent_markov_matrix() const;
 
 private:
+    /// Ends the current sojourn: draws the jump target and its sojourn.
+    markov::ProcState jump(markov::ProcState current, util::Rng& rng);
+
     SemiMarkovParams params_;
     long long remaining_ = 0; // slots left in the current sojourn
 };

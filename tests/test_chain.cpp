@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "markov/expectation.hpp"
 #include "markov/gen.hpp"
+#include "support/fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace vm = volsched::markov;
+namespace vt = volsched::test;
 using vm::ProcState;
 
 TEST(Chain, RejectsInvalidMatrix) {
@@ -125,4 +132,37 @@ TEST(Chain, GenerateChainsProducesIndependentChains) {
     ASSERT_EQ(chains.size(), 5u);
     // Overwhelmingly unlikely that two independently drawn chains match.
     EXPECT_NE(chains[0].matrix().p_uu(), chains[1].matrix().p_uu());
+}
+
+TEST(Chain, CachedMeanTimeToDownMatchesTheClosedFormBitForBit) {
+    std::vector<vm::MarkovChain> chains = {
+        vt::crashy_chain(0.05), vt::crashy_chain(1.0),
+        vt::self_split_chain(0.9), vt::self_split_chain(0.0),
+        vt::chain3(0.70, 0.10, 0.25, 0.30, 0.40, 0.20)};
+    volsched::util::Rng rng(11);
+    for (const auto& chain : vm::generate_chains(200, rng))
+        chains.push_back(chain);
+    for (const auto& chain : chains) {
+        const double closed_form = vm::mean_time_to_down(chain.matrix());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(chain.mean_time_to_down()),
+                  std::bit_cast<std::uint64_t>(closed_form))
+            << chain.matrix().to_string();
+        EXPECT_TRUE(std::isfinite(chain.mean_time_to_down()));
+    }
+}
+
+TEST(Chain, AbsorbingChainsCacheAnInfiniteMeanTimeToDown) {
+    // DOWN unreachable from UP: UP absorbing, RECLAIMED absorbing, or a
+    // DOWN state no path enters.
+    const vm::MarkovChain chains[] = {
+        vt::always_up_chain(), vt::flaky_chain(0.3),
+        vm::MarkovChain(vm::TransitionMatrix(
+            {{{0.9, 0.1, 0.0}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}}}))};
+    for (const auto& chain : chains) {
+        EXPECT_TRUE(std::isinf(chain.mean_time_to_down()))
+            << chain.matrix().to_string();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(chain.mean_time_to_down()),
+                  std::bit_cast<std::uint64_t>(
+                      vm::mean_time_to_down(chain.matrix())));
+    }
 }

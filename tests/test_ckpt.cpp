@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "api/simulation_builder.hpp"
 #include "ckpt/policies.hpp"
@@ -19,9 +20,12 @@
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
 #include "markov/expectation.hpp"
+#include "markov/gen.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
 #include "support/fixtures.hpp"
+#include "trace/semi_markov.hpp"
+#include "util/rng.hpp"
 
 namespace vc = volsched::ckpt;
 namespace vcore = volsched::core;
@@ -158,6 +162,62 @@ TEST(CkptPolicies, DalyNeverFiresWithoutACrashState) {
     // DOWN unreachable: MTTD infinite, interval 0 ("never").
     EXPECT_EQ(vc::daly_interval(vt::always_up_chain().matrix(), 2), 0);
     EXPECT_EQ(vc::daly_interval(vt::flaky_chain(0.3).matrix(), 2), 0);
+}
+
+TEST(CkptPolicies, DalyDecisionsMatchTheIntervalClosedForm) {
+    // The policy reads the belief chain's cached mean time to DOWN; every
+    // decision must equal a reference built on daly_interval, the closed
+    // form over the matrix.  Absorbing chains have an infinite MTTD and
+    // never fire.
+    std::vector<vm::MarkovChain> chains = {
+        vt::crashy_chain(0.05), vt::crashy_chain(0.3), vt::crashy_chain(1.0),
+        vt::self_split_chain(0.9),
+        vt::chain3(0.70, 0.10, 0.25, 0.30, 0.40, 0.20),
+        vt::always_up_chain(), vt::flaky_chain(0.3),
+        vm::MarkovChain(volsched::trace::SemiMarkovAvailability(
+                            volsched::trace::desktop_grid_params(1500.0))
+                            .equivalent_markov_matrix())};
+    volsched::util::Rng rng(2026);
+    for (const auto& chain : vm::generate_chains(20, rng))
+        chains.push_back(chain);
+
+    const auto daly = vc::CheckpointRegistry::instance().make("daly");
+    int fired = 0;
+    int never = 0;
+    for (const auto& chain : chains) {
+        for (int cost = 0; cost <= 4; ++cost) {
+            const int tau = vc::daly_interval(chain.matrix(), cost);
+            if (std::isinf(vm::mean_time_to_down(chain.matrix()))) {
+                ASSERT_EQ(tau, 0) << chain.matrix().to_string();
+                ++never;
+            }
+            for (int computed = 0; computed <= 400; ++computed) {
+                for (int remaining : {0, 1, 7, 100}) {
+                    vc::CheckpointView view;
+                    view.belief = &chain;
+                    view.cost = cost;
+                    view.w = 100;
+                    view.computed = computed;
+                    view.remaining = remaining;
+                    const bool fire = tau > 0 && computed >= tau;
+                    const long long quiet =
+                        tau <= 0 ? vc::CheckpointPolicy::kQuietForever
+                        : computed >= tau
+                            ? 0
+                            : static_cast<long long>(tau) - computed;
+                    ASSERT_EQ(daly->should_checkpoint(view), fire)
+                        << chain.matrix().to_string() << " cost " << cost
+                        << " computed " << computed;
+                    ASSERT_EQ(daly->quiet_horizon(view), quiet)
+                        << chain.matrix().to_string() << " cost " << cost
+                        << " computed " << computed;
+                    fired += fire ? 1 : 0;
+                }
+            }
+        }
+    }
+    EXPECT_GT(fired, 0);
+    EXPECT_GT(never, 0);
 }
 
 TEST(CkptPolicies, CrashRiskComplementsPud) {

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -172,6 +173,77 @@ TEST(RealizedTrace, ReplayIsBitIdenticalToLiveSamplingForEveryModelKind) {
         }
         expect_well_formed(trace, label);
     }
+}
+
+TEST(RealizedTrace, AdvanceDrawsExactlyAsThePerSlotLoop) {
+    // advance() must stop where per-slot next_state calls first change
+    // state, and leave the RNG and the model's own state (a semi-Markov
+    // countdown) exactly where that many calls leave them.
+    const long long limits[] = {1, 2, 5, 64, 999, 1001, 4096, 30'000};
+    for (const auto& [label, model] : all_model_kinds()) {
+        const auto by_run = model->clone();
+        const auto by_slot = model->clone();
+        vu::Rng run_rng(5);
+        vu::Rng slot_rng(5);
+        vm::ProcState run_state = by_run->initial_state(run_rng);
+        vm::ProcState slot_state = by_slot->initial_state(slot_rng);
+        for (int call = 0; call < 400; ++call) {
+            const long long limit = limits[call % std::size(limits)];
+            const vm::ProcState before = run_state;
+            const long long n = by_run->advance(run_state, limit, run_rng);
+            ASSERT_GE(n, 1) << label << " call " << call;
+            ASSERT_LE(n, limit) << label << " call " << call;
+            for (long long k = 1; k < n; ++k) {
+                slot_state = by_slot->next_state(slot_state, slot_rng);
+                ASSERT_EQ(slot_state, before)
+                    << label << " call " << call << ": advance ran past a "
+                    << "state change at slot " << k;
+            }
+            slot_state = by_slot->next_state(slot_state, slot_rng);
+            ASSERT_EQ(slot_state, run_state) << label << " call " << call;
+            if (run_state == before) {
+                ASSERT_EQ(n, limit) << label << " call " << call;
+            }
+            // One draw from each stream keeps them in lock step.
+            ASSERT_EQ(run_rng(), slot_rng())
+                << label << " call " << call << ": RNG streams diverged";
+        }
+    }
+}
+
+TEST(RealizedTrace, RecordedTracesEqualLiveSampling) {
+    // trace::record() samples through advance() too.
+    for (const auto& [label, model] : all_model_kinds()) {
+        vu::Rng rng(kSeed);
+        const auto recorded = vtr::record(*model, kSlots, rng);
+        EXPECT_EQ(recorded.states, live_sample(*model, kSeed, kSlots))
+            << label;
+    }
+}
+
+TEST(RealizedTrace, SamplersRejectAModelThatBreaksTheAdvanceContract) {
+    // A run-level call that samples no slot would stall ensure() and
+    // trace::record() forever.
+    class Stuck final : public vm::AvailabilityModel {
+    public:
+        vm::ProcState initial_state(vu::Rng&) override {
+            return vm::ProcState::Up;
+        }
+        vm::ProcState next_state(vm::ProcState s, vu::Rng&) override {
+            return s;
+        }
+        long long advance(vm::ProcState&, long long, vu::Rng&) override {
+            return 0;
+        }
+        [[nodiscard]] std::unique_ptr<vm::AvailabilityModel>
+        clone() const override {
+            return std::make_unique<Stuck>();
+        }
+    };
+    vm::RealizedTrace trace(std::make_unique<Stuck>(), 1);
+    EXPECT_THROW(trace.ensure(10), std::logic_error);
+    vu::Rng rng(1);
+    EXPECT_THROW((void)vtr::record(Stuck{}, 10, rng), std::logic_error);
 }
 
 TEST(RealizedTrace, RealizedTracesDeriveTheEnginePerProcessorStreams) {
