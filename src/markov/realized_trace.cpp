@@ -37,8 +37,8 @@ void RealizedTrace::ensure(long long horizon) {
         segments_.push_back({s, 0, 1});
         realized_ = 1;
     }
-    // One advance() per segment: it stops at the first slot whose state
-    // differs, or exactly at `horizon`.
+    // Each advance() extends the last segment or opens a new one with its
+    // final slot, and never samples past `horizon`.
     while (realized_ < horizon) {
         Segment& last = segments_.back();
         ProcState s = last.state;
