@@ -1,40 +1,33 @@
 #pragma once
 /// \file belief_pins.hpp
 /// Per-run scoring scratch: pinned expectation-cache handles plus
-/// contiguous copies of the per-processor quantities the batched scoring
-/// loops read.
+/// contiguous copies of the run-constant per-processor quantities the
+/// scoring kernel reads.
 ///
-/// The scoring loops touch several per-worker values per eligible worker
-/// per select() call.  Reading them through ProcView gathers from a
-/// 24-byte struct-of-everything per worker, and resolving the worker's
-/// belief chain in the expectation cache each time (hash probe + matrix
-/// validation) would cost about as much as recomputing the closed forms.
-/// Instead the schedulers snapshot everything into columns:
+/// Resolving a worker's belief chain in the expectation cache on every
+/// score (hash probe + matrix validation) would cost about as much as
+/// recomputing the closed forms.  Instead the schedulers pin every belief
+/// once and keep the results in columns indexed by processor id:
 ///
-///   handles    — expectation-cache pins; reads through a handle are a
-///                branch and a load
-///   beliefs    — the belief chain pointers (null for uninformed workers)
-///   w, delay   — w_q and Delay(q) pre-cast to double (exact: both ints)
-///   step_plain — max(Tdata, w_q), the per-extra-task term of Eq. (1)
+///   handles — expectation-cache pins; reads through a handle are a
+///             branch and a load
+///   beliefs — the belief chain pointers (null for uninformed workers)
+///   w       — w_q pre-cast to double (exact: an int)
 ///
-/// All five arrays are indexed by processor id and contiguous, so the
-/// batched completion-time and scoring passes stream them sequentially.
-///
-/// The snapshot is keyed on SchedView::run.  Only `delay` may change
-/// between the rounds of one run (sim/scheduler.hpp), so the first round
-/// of a run pins every column and the later rounds' repin() copies the
-/// delay column alone: no belief is touched again until the run changes.
-/// A hand-built view (run 0) promises nothing and is pinned in full every
-/// time.  refresh() is select()'s entry: a no-op once begin_round() has
-/// pinned this run, while a foreign caller (the property tests drive
-/// batched_scores directly) still gets a current snapshot.
+/// The snapshot is keyed on SchedView::run, which fixes every belief and
+/// speed for the whole run (sim/scheduler.hpp), so only a run's first
+/// repin() touches the beliefs: the later rounds' calls are a few
+/// compares.  Delay(q), the one per-worker input a run lets move, is not
+/// copied: the kernel reads it from the view, whose row it loads anyway.
+/// A hand-built view (run 0) promises nothing and is pinned in full on
+/// every call.  select() calls repin() too, so a caller that skips
+/// begin_round() still scores against a current snapshot.
 ///
 /// Handles are validated at pin time: a chain destroyed and rebuilt at
 /// the same address between runs is caught by the pin's matrix check,
 /// per the cache's invalidation contract.  A cleared cache (a new epoch)
 /// is pinned afresh even within a run.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -45,28 +38,15 @@
 namespace volsched::core {
 
 struct BeliefPins {
-    /// Round entry: pins every column on a run's first round (and on any
-    /// round of run 0), and afterwards refreshes only `delay`.
+    /// Pins every column unless `view`'s run is already pinned (never the
+    /// case for run 0).
     void repin(markov::ExpectationCache& cache, const sim::SchedView& view) {
-        if (!pinned(cache, view)) {
-            pin_all(cache, view);
-            return;
-        }
-        for (std::size_t q = 0; q < delay.size(); ++q)
-            delay[q] = static_cast<double>(view.procs[q].delay);
-    }
-
-    /// select() entry: pins in full unless this run is already pinned.
-    void refresh(markov::ExpectationCache& cache,
-                 const sim::SchedView& view) {
         if (!pinned(cache, view)) pin_all(cache, view);
     }
 
     std::vector<markov::ExpectationCache::Handle> handles;
     std::vector<const markov::MarkovChain*> beliefs;
     std::vector<double> w;
-    std::vector<double> delay;
-    std::vector<double> step_plain;
 
 private:
     /// True when every column already holds `view`'s run: the same
@@ -78,27 +58,9 @@ private:
                beliefs.size() == view.procs.size();
     }
 
-    void pin_all(markov::ExpectationCache& cache, const sim::SchedView& view) {
-        const std::size_t n = view.procs.size();
-        pinned_run = view.run;
-        pinned_cache = &cache;
-        pinned_epoch = cache.epoch();
-        handles.resize(n);
-        beliefs.resize(n);
-        w.resize(n);
-        delay.resize(n);
-        step_plain.resize(n);
-        const double t_data = view.platform->t_data;
-        for (std::size_t q = 0; q < n; ++q) {
-            const sim::ProcView& pv = view.procs[q];
-            beliefs[q] = pv.belief;
-            handles[q] = pv.belief ? cache.pin(*pv.belief)
-                                   : markov::ExpectationCache::Handle{};
-            w[q] = static_cast<double>(pv.w);
-            delay[q] = static_cast<double>(pv.delay);
-            step_plain[q] = std::max(t_data, w[q]);
-        }
-    }
+    /// Pins every column for `view` (belief_pins.cpp: kept out of line so
+    /// repin() stays a few inlined compares).
+    void pin_all(markov::ExpectationCache& cache, const sim::SchedView& view);
 
     /// The run the columns belong to (0: none yet, or a hand-built view).
     std::uint64_t pinned_run = 0;

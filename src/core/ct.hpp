@@ -24,7 +24,8 @@ double ct_plain(const sim::SchedView& view, sim::ProcId q, int n) noexcept;
 double ct_corrected(const sim::SchedView& view, sim::ProcId q, int n,
                     bool already_assigned) noexcept;
 
-/// Dispatch helper used by all greedy heuristics.
+/// Dispatch helper: the scalar reference GreedyScheduler::scan must match
+/// bit for bit (the heuristic property tests compare them).
 inline double ct_estimate(const sim::SchedView& view, sim::ProcId q, int n,
                           bool already_assigned, bool starred) noexcept {
     return starred ? ct_corrected(view, q, n, already_assigned)

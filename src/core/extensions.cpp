@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "api/registry.hpp"
+#include "markov/expectation.hpp"
 
 namespace volsched::core {
 
@@ -45,51 +46,33 @@ sim::ProcId ThresholdScheduler::select(const sim::SchedView& view,
     return inner_->select(view, filtered_, nq, rng);
 }
 
+double HybridScheduler::score(const sim::SchedView& view, sim::ProcId q,
+                              double ct) const {
+    const auto* belief = view.procs[q].belief;
+    if (belief == nullptr) return ct; // uninformed: degrade to MCT
+    const auto& m = belief->matrix();
+    const auto& pi = belief->stationary();
+    const double expected = markov::e_workload(m, ct);
+    if (std::isinf(expected)) return std::numeric_limits<double>::infinity();
+    const double p_survive = markov::p_ud_approx(m, pi.pi_u, pi.pi_r, expected);
+    return p_survive > 0.0 ? expected / p_survive
+                           : std::numeric_limits<double>::infinity();
+}
+
 sim::ProcId HybridScheduler::select(const sim::SchedView& view,
                                     std::span<const sim::ProcId> eligible,
-                                    std::span<const int> nq, util::Rng& rng) {
-    (void)rng;
-    // Batched passes over contiguous scratch (same shape as the greedy
-    // skeleton): completion times, then scores, then argmin.
-    pins_.refresh(cache_, view);
-    cts_.resize(eligible.size());
-    scores_.resize(eligible.size());
-    // Inline Eq. (1) over the round's contiguous column snapshots —
-    // operation for operation the arithmetic of ct_plain.
-    const double t_data = view.platform->t_data;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-        const auto q = static_cast<std::size_t>(eligible[i]);
-        cts_[i] = pins_.delay[q] + t_data +
-                  static_cast<double>(nq[eligible[i]]) * pins_.step_plain[q] +
-                  pins_.w[q];
-    }
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-        const double ct = cts_[i];
-        double score = ct;
-        const auto q = static_cast<std::size_t>(eligible[i]);
-        if (pins_.beliefs[q] != nullptr) {
-            const auto h = pins_.handles[q];
-            const double expected = cache_.e_workload(h, ct);
-            if (std::isinf(expected)) {
-                score = std::numeric_limits<double>::infinity();
-            } else {
-                const double p_survive = cache_.p_ud_approx(h, expected);
-                score = p_survive > 0.0
-                            ? expected / p_survive
-                            : std::numeric_limits<double>::infinity();
-            }
-        }
-        scores_[i] = score;
-    }
-    sim::ProcId best = eligible[0];
-    double best_score = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-        if (scores_[i] < best_score) {
-            best_score = scores_[i];
-            best = eligible[i];
-        }
-    }
-    return best;
+                                    std::span<const int> nq, util::Rng&) {
+    return scan<Ties::kStrict>(
+        view, eligible, nq, [this](std::size_t q, double ct) {
+            if (belief_of(q) == nullptr) return ct;
+            const auto h = pin_of(q);
+            const double expected = cache().e_workload(h, ct);
+            if (std::isinf(expected))
+                return std::numeric_limits<double>::infinity();
+            const double p_survive = cache().p_ud_approx(h, expected);
+            return p_survive > 0.0 ? expected / p_survive
+                                   : std::numeric_limits<double>::infinity();
+        });
 }
 
 // ---------------------------------------------------------------------------

@@ -14,14 +14,15 @@
 ///   expected number of attempts is 1 / P_success, so
 ///       score(q) = E^q(CT) / P_UD^q(E^q(CT))
 ///   blends EMCT's expectation with UD's crash probability in one number
-///   instead of choosing between them.
+///   instead of choosing between them.  It runs on the greedy skeleton
+///   (core/greedy_sched.hpp) with Eq. (1)'s CT, and only a strictly
+///   smaller score displaces the best candidate.
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/belief_pins.hpp"
-#include "markov/expectation_cache.hpp"
+#include "core/greedy_sched.hpp"
 #include "sim/scheduler.hpp"
 
 namespace volsched::core {
@@ -54,28 +55,15 @@ private:
     std::vector<sim::ProcId> filtered_;
 };
 
-class HybridScheduler final : public sim::Scheduler {
+class HybridScheduler final : public GreedyScheduler {
 public:
-    HybridScheduler() = default;
+    HybridScheduler() : GreedyScheduler("hybrid", false) {}
 
+    [[nodiscard]] double score(const sim::SchedView& view, sim::ProcId q,
+                               double ct) const override;
     sim::ProcId select(const sim::SchedView& view,
                        std::span<const sim::ProcId> eligible,
                        std::span<const int> nq, util::Rng& rng) override;
-    void begin_round(const sim::SchedView& view) override {
-        pins_.repin(cache_, view);
-    }
-    [[nodiscard]] std::string_view name() const override { return "hybrid"; }
-
-    [[nodiscard]] sim::SchedulerCounters counters() const override {
-        return {cache_.hits(), cache_.misses(), cache_.invalidations()};
-    }
-
-private:
-    markov::ExpectationCache cache_;
-    BeliefPins pins_;
-    // Scratch for select()'s batched passes, reused across rounds.
-    std::vector<double> cts_;
-    std::vector<double> scores_;
 };
 
 } // namespace volsched::core

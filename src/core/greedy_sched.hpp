@@ -11,14 +11,21 @@
 /// Ties are broken toward the smaller CT estimate, then the lower processor
 /// index, making every greedy heuristic fully deterministic.
 ///
-/// Scoring runs in batched passes over contiguous arrays — one pass fills
-/// the completion-time estimates, one pass the scores, one argmin pass
-/// picks the winner — with the Markov expectations memoized per transition
-/// matrix (markov/expectation_cache.hpp).  That is the only scoring path;
-/// its decisions, tie-breaks and RNG consumption are bit-identical to the
+/// Each select() is one scalar pass over the candidates in `eligible`
+/// order: Eq. (1)/(2) from the view's Delay(q) and the run's pinned
+/// columns (core/belief_pins.hpp), then the heuristic's score through the
+/// expectation cache's pinned handles (markov/expectation_cache.hpp), then
+/// the tie rule, with no scratch arrays.  scan() below is that pass; each
+/// heuristic's select() instantiates it with its score inlined, so a
+/// select costs the engine's one virtual call.  Its decisions, tie-breaks,
+/// expectation-cache calls and RNG consumption are bit-identical to the
 /// scalar one-worker-at-a-time score() evaluation, which the heuristic
 /// property tests keep as their oracle.
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,29 +38,38 @@ namespace volsched::core {
 /// Shared skeleton: score every eligible processor, keep the best.
 class GreedyScheduler : public sim::Scheduler {
 public:
-    sim::ProcId select(const sim::SchedView& view,
-                       std::span<const sim::ProcId> eligible,
-                       std::span<const int> nq, util::Rng& rng) final;
+    /// One candidate as select() scored it.  *Smaller score is better*
+    /// (maximizing heuristics negate); `ct` feeds tie-breaking.
+    struct Scored {
+        sim::ProcId q;
+        double ct;
+        double score;
+    };
+
+    /// select() that also appends every candidate's CT and score, in
+    /// `eligible` order, to `trace`: the same kernel, so the property tests
+    /// hold each value to the scalar reference bit for bit.
+    sim::ProcId select_traced(const sim::SchedView& view,
+                              std::span<const sim::ProcId> eligible,
+                              std::span<const int> nq,
+                              std::vector<Scored>& trace) {
+        util::Rng unused(0); // the greedy family draws nothing
+        trace_ = &trace;
+        const sim::ProcId best = select(view, eligible, nq, unused);
+        trace_ = nullptr;
+        return best;
+    }
     /// Round entry: pin every processor's belief in the expectation cache
-    /// (one probe + validation each), so the scoring loops below read
-    /// through handles only.
+    /// (one probe + validation each) on a run's first round, so the
+    /// kernel reads through handles only.
     void begin_round(const sim::SchedView& view) final {
         pins_.repin(cache_, view);
     }
     [[nodiscard]] std::string_view name() const final { return name_; }
 
-    /// The scoring passes select() runs, exposed so the property tests can
-    /// compare the batched path against scalar re-evaluation: resizes and
-    /// fills `cts[i]` / `scores[i]` for `eligible[i]`.  *Smaller score is
-    /// better* (maximizing heuristics negate); `cts` feeds tie-breaking.
-    void batched_scores(const sim::SchedView& view,
-                        std::span<const sim::ProcId> eligible,
-                        std::span<const int> nq, std::vector<double>& cts,
-                        std::vector<double>& scores);
-
     /// Scalar reference scorer: one worker at a time, straight from the
     /// markov:: free functions.  select() never calls it; it is the
-    /// property tests' oracle, which score_batch must match bit-exactly.
+    /// property tests' oracle, which the kernel must match bit-exactly.
     [[nodiscard]] virtual double score(const sim::SchedView& view,
                                        sim::ProcId q, double ct) const = 0;
 
@@ -71,28 +87,79 @@ public:
 protected:
     GreedyScheduler(std::string base_name, bool starred);
 
-    /// One contiguous scoring pass: `scores[i]` = score of assigning the
-    /// next instance to `eligible[i]` given the completion-time estimate
-    /// `cts[i]`.  No per-element virtual dispatch — each heuristic is one
-    /// tight loop the compiler can vectorize.
-    virtual void score_batch(const sim::SchedView& view,
-                             std::span<const sim::ProcId> eligible,
-                             std::span<const double> cts,
-                             std::span<double> scores) = 0;
+    /// How scan() settles near-equal scores.
+    enum class Ties {
+        /// Scores within 1e-12 tie, and the smaller CT wins (the greedy
+        /// family; the earlier candidate wins a full tie).
+        kSmallerCt,
+        /// Only a strictly smaller score displaces the best.
+        kStrict,
+    };
+
+    /// The scoring kernel, one pass over `eligible`: each heuristic's
+    /// select() is scan() with its score.  `score_of(q, ct)` scores
+    /// processor q at completion-time estimate ct.
+    template <Ties kTies = Ties::kSmallerCt, class ScoreOf>
+    sim::ProcId scan(const sim::SchedView& view,
+                     std::span<const sim::ProcId> eligible,
+                     std::span<const int> nq, ScoreOf score_of) {
+        pins_.repin(cache_, view);
+        // The communication term of Eq. (1) is Tdata.  Eq. (2)'s takes one
+        // of two values per select: q already enrolled this round, or
+        // prospectively enrolled by this assignment.
+        const double t_data = view.platform->t_data;
+        double td_already = t_data;
+        double td_fresh = t_data;
+        if (starred_) {
+            const int ncom = view.platform->ncom;
+            td_already =
+                static_cast<double>((view.nactive + ncom - 1) / ncom) * t_data;
+            td_fresh = static_cast<double>((view.nactive + 1 + ncom - 1) /
+                                           ncom) *
+                       t_data;
+        }
+        sim::ProcId best = eligible[0];
+        double best_score = std::numeric_limits<double>::infinity();
+        double best_ct = std::numeric_limits<double>::infinity();
+        for (const sim::ProcId p : eligible) {
+            const auto q = static_cast<std::size_t>(p);
+            const double td = nq[q] > 0 ? td_already : td_fresh;
+            const double w = pins_.w[q];
+            // Operation for operation the arithmetic of ct_plain /
+            // ct_corrected (max(n-1, 0) with n = nq[q]+1 is just nq[q]).
+            const double ct = static_cast<double>(view.procs[q].delay) + td +
+                              static_cast<double>(nq[q]) * std::max(td, w) +
+                              w;
+            const double s = score_of(q, ct);
+            if (trace_ != nullptr) trace_->push_back({p, ct, s});
+            if constexpr (kTies == Ties::kStrict) {
+                if (s < best_score) {
+                    best = p;
+                    best_score = s;
+                }
+            } else if (s < best_score - 1e-12 ||
+                       (std::fabs(s - best_score) <= 1e-12 && ct < best_ct)) {
+                best = p;
+                best_score = s;
+                best_ct = ct;
+            }
+        }
+        return best;
+    }
 
     [[nodiscard]] markov::ExpectationCache& cache() noexcept {
         return cache_;
     }
-    /// The handle pinned for processor `q` this round (null when the
+    /// The handle pinned for processor `q` this run (null when the
     /// processor has no belief — callers branch on belief themselves).
     [[nodiscard]] markov::ExpectationCache::Handle pin_of(
-        sim::ProcId q) const {
-        return pins_.handles[static_cast<std::size_t>(q)];
+        std::size_t q) const {
+        return pins_.handles[q];
     }
-    /// Processor q's belief chain, read from the round's contiguous
+    /// Processor q's belief chain, read from the run's contiguous
     /// snapshot rather than the strided ProcView records.
-    [[nodiscard]] const markov::MarkovChain* belief_of(sim::ProcId q) const {
-        return pins_.beliefs[static_cast<std::size_t>(q)];
+    [[nodiscard]] const markov::MarkovChain* belief_of(std::size_t q) const {
+        return pins_.beliefs[q];
     }
 
 private:
@@ -100,9 +167,8 @@ private:
     bool starred_;
     markov::ExpectationCache cache_;
     BeliefPins pins_;
-    // Scratch for select(): reused across rounds, never shrunk.
-    std::vector<double> cts_;
-    std::vector<double> scores_;
+    /// Where scan() records its candidates: set only by select_traced().
+    std::vector<Scored>* trace_ = nullptr;
 };
 
 /// MCT and MCT* (Section 6.3.1): minimum estimated completion time — the
@@ -113,12 +179,9 @@ public:
 
     [[nodiscard]] double score(const sim::SchedView& view, sim::ProcId q,
                                double ct) const override;
-
-protected:
-    void score_batch(const sim::SchedView& view,
-                     std::span<const sim::ProcId> eligible,
-                     std::span<const double> cts,
-                     std::span<double> scores) override;
+    sim::ProcId select(const sim::SchedView& view,
+                       std::span<const sim::ProcId> eligible,
+                       std::span<const int> nq, util::Rng& rng) override;
 };
 
 /// EMCT and EMCT*: minimum *expected* completion time, inflating CT by the
@@ -129,12 +192,9 @@ public:
 
     [[nodiscard]] double score(const sim::SchedView& view, sim::ProcId q,
                                double ct) const override;
-
-protected:
-    void score_batch(const sim::SchedView& view,
-                     std::span<const sim::ProcId> eligible,
-                     std::span<const double> cts,
-                     std::span<double> scores) override;
+    sim::ProcId select(const sim::SchedView& view,
+                       std::span<const sim::ProcId> eligible,
+                       std::span<const int> nq, util::Rng& rng) override;
 };
 
 /// LW and LW* (Section 6.3.2): maximize the probability that the processor
@@ -146,12 +206,9 @@ public:
 
     [[nodiscard]] double score(const sim::SchedView& view, sim::ProcId q,
                                double ct) const override;
-
-protected:
-    void score_batch(const sim::SchedView& view,
-                     std::span<const sim::ProcId> eligible,
-                     std::span<const double> cts,
-                     std::span<double> scores) override;
+    sim::ProcId select(const sim::SchedView& view,
+                       std::span<const sim::ProcId> eligible,
+                       std::span<const int> nq, util::Rng& rng) override;
 };
 
 /// UD and UD* (Section 6.3.3): maximize the probability of not crashing
@@ -163,12 +220,9 @@ public:
 
     [[nodiscard]] double score(const sim::SchedView& view, sim::ProcId q,
                                double ct) const override;
-
-protected:
-    void score_batch(const sim::SchedView& view,
-                     std::span<const sim::ProcId> eligible,
-                     std::span<const double> cts,
-                     std::span<double> scores) override;
+    sim::ProcId select(const sim::SchedView& view,
+                       std::span<const sim::ProcId> eligible,
+                       std::span<const int> nq, util::Rng& rng) override;
 };
 
 } // namespace volsched::core

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <mutex>
+#include <utility>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "util/rng.hpp"
@@ -64,11 +66,20 @@ SweepResult run_sweep(const SweepConfig& cfg,
     // bit-identical regardless of thread interleaving.
     std::vector<DfbTable> local(jobs.size(), DfbTable(heuristics.size()));
 
-    util::ThreadPool pool(cfg.threads);
+    // Records leave in job order whatever order the pool finishes jobs in:
+    // a finished job's records wait until every earlier job has emitted,
+    // so the hook sees the 1-thread sequence at any thread count.
     std::mutex record_mutex;
+    std::vector<std::vector<InstanceRecord>> held(cfg.record ? jobs.size()
+                                                             : 0);
+    std::vector<char> finished(held.size(), 0);
+    std::size_t next_to_emit = 0;
+
+    util::ThreadPool pool(cfg.threads);
     pool.parallel_for(jobs.size(), [&](std::size_t j) {
         const GridJob& job = jobs[j];
         const RealizedScenario rs = realize(job.scenario);
+        std::vector<InstanceRecord> records;
         for (int trial = 0; trial < cfg.trials_per_scenario; ++trial) {
             const std::uint64_t trial_seed =
                 util::mix_seed(cfg.master_seed, 0x54524cULL, job.seed_ordinal,
@@ -83,11 +94,20 @@ SweepResult run_sweep(const SweepConfig& cfg,
                 rec.trial = trial;
                 rec.scenario = job.scenario;
                 rec.makespans = outcome.makespans;
-                std::lock_guard lock(record_mutex);
-                cfg.record(rec);
+                records.push_back(std::move(rec));
             }
             const long long done = ++completed;
             if (cfg.progress) cfg.progress(done, total_instances);
+        }
+        if (!cfg.record) return;
+        std::lock_guard lock(record_mutex);
+        held[j] = std::move(records);
+        finished[j] = 1;
+        for (; next_to_emit < held.size() && finished[next_to_emit];
+             ++next_to_emit) {
+            for (const InstanceRecord& rec : held[next_to_emit])
+                cfg.record(rec);
+            held[next_to_emit] = {};
         }
     });
 

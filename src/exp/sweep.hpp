@@ -48,8 +48,10 @@ struct SweepConfig {
     /// makespans).  Serialized by the driver — run_sweep and each
     /// campaign's single emitter thread call it from one thread at a time,
     /// and run_parallel_campaign wraps it in a shared mutex across its
-    /// shard emitters — so implementations need no locking.  Wire a
-    /// ResultSink here to export full distributions:
+    /// shard emitters — so implementations need no locking.  run_sweep
+    /// calls it in job order (a job's trials in order), the same sequence
+    /// at every thread count.  Wire a ResultSink here to export full
+    /// distributions:
     ///   cfg.record = [&](const InstanceRecord& r) { sink.write(r); };
     std::function<void(const InstanceRecord&)> record;
 };

@@ -136,6 +136,7 @@ public:
         due_flag_.assign(static_cast<std::size_t>(p), 0);
         views_.resize(static_cast<std::size_t>(p));
         view_stale_.assign(static_cast<std::size_t>(p), 0);
+        nq_.assign(static_cast<std::size_t>(p), 0);
         // Every worker's state is read at slot 0.
         for (int q = 0; q < p; ++q) state_changes_.emplace_back(0, q);
         cursors_.reserve(p);
@@ -925,6 +926,13 @@ private:
         }
     }
 
+    /// A worker's first assignment of the round: it counts in the view's
+    /// nactive, and its nq_ entry is reset at the next round.
+    void enroll(ProcId q, SchedView& view) {
+        ++view.nactive;
+        enrolled_.push_back(q);
+    }
+
     /// Phase 2c: a heuristic round (Section 6): assign pool originals one by
     /// one, then replica candidates, then commit transfers in plan order
     /// while bandwidth lasts.
@@ -948,7 +956,10 @@ private:
         if (pool_.empty() && !may_replicate) return;
         if (up_count_ == 0) return;
 
-        nq_.assign(static_cast<std::size_t>(pf_.size()), 0);
+        // Only the workers the previous round enrolled hold a count.
+        for (const ProcId q : enrolled_) nq_[q] = 0;
+        enrolled_.clear();
+        if (config_.audit) audit_round_counts();
         replica_plan_.clear();
 
         if (must_plan) {
@@ -994,7 +1005,7 @@ private:
                     sched.select(view, candidates, nq_, sched_rng_);
                 inst.planned = q;
                 inst.plan_seq = plan_counter_++;
-                if (nq_[q]++ == 0) ++view.nactive;
+                if (nq_[q]++ == 0) enroll(q, view);
             }
 
             // 2. Replica candidates (Section 6.1): only when UP processors
@@ -1028,7 +1039,7 @@ private:
                             sched.select(view, scratch_, nq_, sched_rng_);
                         replica_plan_.push_back({lt, q});
                         planned_logical_[q] = lt;
-                        if (nq_[q]++ == 0) ++view.nactive;
+                        if (nq_[q]++ == 0) enroll(q, view);
                         ++live;
                     }
                 }
@@ -1473,6 +1484,13 @@ private:
                 throw std::logic_error("audit: scheduler view drift");
     }
 
+    /// Audit at a round's start: every per-round assignment count is back
+    /// to zero.
+    void audit_round_counts() const {
+        if (std::any_of(nq_.begin(), nq_.end(), [](int n) { return n != 0; }))
+            throw std::logic_error("audit: stale round assignment count");
+    }
+
     /// Audit of a skipped commit sweep: scanning every worker, none is UP
     /// with a free buffer.
     void audit_no_free_buffer() const {
@@ -1680,7 +1698,10 @@ private:
     // Scratch buffers reused across slots to avoid per-slot allocation.
     std::vector<ProcId> changed_;
     std::vector<ProcId> pending_;
+    /// Instances assigned to each worker this round; nonzero only for the
+    /// workers in enrolled_, which plan_and_commit resets.
     std::vector<int> nq_;
+    std::vector<ProcId> enrolled_;
     std::vector<ProcId> scratch_;
     std::vector<int> commit_order_;
     std::vector<std::pair<int, ProcId>> replica_plan_;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/factory.hpp"
 #include "exp/dfb.hpp"
@@ -191,6 +195,36 @@ TEST(Sweep, RecordSinkReceivesEveryInstance) {
     EXPECT_EQ(tasks5, 4);
     // Every (scenario, trial) instance is reported exactly once.
     EXPECT_EQ(identities.size(), rows.size());
+}
+
+TEST(Sweep, RecordHookSeesTheSameSequenceAtAnyThreadCount) {
+    // Jobs of unequal cost (tasks is the outermost grid axis) finish out
+    // of order on a pool; the hook must still see the records in job
+    // order, trials in order, exactly as on one thread.
+    ve::SweepConfig cfg;
+    cfg.tasks_values = {2, 8, 16};
+    cfg.ncom_values = {1, 3};
+    cfg.wmin_values = {1, 4};
+    cfg.scenarios_per_cell = 3;
+    cfg.trials_per_scenario = 2;
+    cfg.p = 6;
+    cfg.run.iterations = 1;
+    cfg.master_seed = 21;
+    using Row = std::tuple<std::uint64_t, int, std::vector<long long>>;
+    const auto sequence = [&cfg](std::size_t threads) {
+        std::vector<Row> rows;
+        cfg.threads = threads;
+        cfg.record = [&rows](const ve::InstanceRecord& rec) {
+            rows.emplace_back(rec.scenario_ordinal, rec.trial, rec.makespans);
+        };
+        (void)ve::run_sweep(cfg, {"mct", "emct"});
+        return rows;
+    };
+    const auto serial = sequence(1);
+    ASSERT_EQ(serial.size(), 3u * 2 * 2 * 3 * 2);
+    EXPECT_TRUE(std::is_sorted(serial.begin(), serial.end()));
+    for (int repeat = 0; repeat < 3; ++repeat)
+        EXPECT_EQ(sequence(4), serial) << "repeat " << repeat;
 }
 
 TEST(Sweep, ProgressCallbackCoversAllInstances) {

@@ -88,7 +88,7 @@ double reference_weight(const std::string& spec, const vs::ProcView& pv) {
     return w;
 }
 
-/// Scalar reference for select(), independent of the batched passes, the
+/// Scalar reference for select(), independent of the scoring kernel, the
 /// belief pins and the expectation cache: one worker at a time, straight
 /// from ct.hpp and the markov:: free functions.
 ///  - greedy specs: argmin of the heuristic's own score() over
@@ -257,36 +257,41 @@ TEST_P(HeuristicProperty, InformedFamiliesAgreeOnIdenticalProcessors) {
     }
 }
 
-TEST_P(HeuristicProperty, BatchedScoresMatchScalarReferenceBitExactly) {
-    // The batched scoring passes (contiguous CT fill + score_batch over
-    // pinned cache handles) must reproduce the scalar reference — one
-    // worker at a time, straight from the markov:: free functions — to
-    // the last bit, uninformed workers included.
+TEST_P(HeuristicProperty, ScoringKernelMatchesScalarReferenceBitExactly) {
+    // select()'s kernel (Eq. (1)/(2) from the view's delays and the pinned
+    // columns, scores through pinned cache handles), run with a recording
+    // trace, must score every candidate in eligible order exactly as the
+    // scalar reference does — ct_estimate and the heuristic's own score(),
+    // straight from the markov:: free functions — to the last bit,
+    // uninformed workers included; recording must not change the pick.
     Fixture f(8, static_cast<std::uint64_t>(GetParam()) + 500);
     f.procs[2].belief = nullptr;
     f.procs[6].belief = nullptr;
     f.view.procs = f.procs;
     const std::vector<int> nq = {0, 3, 1, 0, 2, 0, 5, 1};
-    const auto eligible = all_procs(8);
-    for (const auto& name : vc::greedy_heuristic_names()) {
+    const std::vector<vs::ProcId> eligible = {5, 0, 7, 2, 4, 1, 6, 3};
+    auto names = vc::greedy_heuristic_names();
+    names.push_back("hybrid");
+    for (const auto& name : names) {
         auto sched = vt::make_scheduler(name);
         auto* greedy = dynamic_cast<vc::GreedyScheduler*>(sched.get());
         ASSERT_NE(greedy, nullptr) << name;
         const bool starred = !name.empty() && name.back() == '*';
         greedy->begin_round(f.view);
-        std::vector<double> cts;
-        std::vector<double> scores;
-        greedy->batched_scores(f.view, eligible, nq, cts, scores);
-        ASSERT_EQ(cts.size(), eligible.size()) << name;
-        ASSERT_EQ(scores.size(), eligible.size()) << name;
+        std::vector<vc::GreedyScheduler::Scored> trace;
+        const auto pick = greedy->select_traced(f.view, eligible, nq, trace);
+        ASSERT_EQ(trace.size(), eligible.size()) << name;
         for (std::size_t i = 0; i < eligible.size(); ++i) {
             const auto q = eligible[i];
             const double ct =
                 vc::ct_estimate(f.view, q, nq[q] + 1, nq[q] > 0, starred);
-            EXPECT_EQ(cts[i], ct) << name << " ct of proc " << q;
-            EXPECT_EQ(scores[i], greedy->score(f.view, q, ct))
+            EXPECT_EQ(trace[i].q, q) << name << " candidate " << i;
+            EXPECT_EQ(trace[i].ct, ct) << name << " ct of proc " << q;
+            EXPECT_EQ(trace[i].score, greedy->score(f.view, q, ct))
                 << name << " score of proc " << q;
         }
+        volsched::util::Rng rng(1);
+        EXPECT_EQ(sched->select(f.view, eligible, nq, rng), pick) << name;
     }
 }
 
@@ -341,8 +346,8 @@ TEST_P(HeuristicProperty, DecisionsInvariantUnderWorkerPermutation) {
 }
 
 TEST_P(HeuristicProperty, SelectMatchesScalarReference) {
-    // Every spec's select() (batched passes, pinned cache handles,
-    // per-round random weights) must pick what reference_select picks,
+    // Every spec's select() (the scoring kernel, pinned cache handles,
+    // per-run random weights) must pick what reference_select picks,
     // pick after pick, and leave the RNG where the reference leaves it.
     // Workers 2 and 5 are uninformed (LW and UD score them 0, so CT breaks
     // the tie); workers 8 and 9 never come back UP, so their weights are
