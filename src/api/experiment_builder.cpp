@@ -1,6 +1,5 @@
 #include "api/experiment_builder.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "api/campaign_builder.hpp"
@@ -15,20 +14,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
     throw std::invalid_argument("ExperimentBuilder: " + what);
-}
-
-void require_positive(const char* what, long long value) {
-    if (value <= 0)
-        fail(std::string(what) + " must be positive, got " +
-             std::to_string(value));
-}
-
-void require_axis(const char* what, const std::vector<int>& values) {
-    if (values.empty()) fail(std::string(what) + " axis is empty");
-    for (int v : values)
-        if (v <= 0)
-            fail(std::string(what) + " axis contains the non-positive value " +
-                 std::to_string(v));
 }
 
 } // namespace
@@ -172,32 +157,8 @@ ExperimentBuilder& ExperimentBuilder::record(
     return *this;
 }
 
-void ExperimentBuilder::validate() const {
-    if (heuristics_.empty())
-        fail("no heuristics; call .heuristics({...}), .all_heuristics() or "
-             ".greedy_heuristics()");
-    require_axis("tasks", config_.tasks_values);
-    require_axis("ncom", config_.ncom_values);
-    require_axis("wmin", config_.wmin_values);
-    require_positive("processors", config_.p);
-    require_positive("scenarios_per_cell", config_.scenarios_per_cell);
-    require_positive("trials", config_.trials_per_scenario);
-    require_positive("iterations", config_.run.iterations);
-    require_positive("max_slots", config_.run.max_slots);
-    if (config_.run.replica_cap < 0) fail("replica_cap is negative");
-    if (config_.run.checkpoint_cost < 0) fail("checkpoint_cost is negative");
-    if (config_.checkpoint_values.empty())
-        fail("checkpoint axis is empty; call .checkpoints({...}) with at "
-             "least one policy spec (\"none\" is the paper's model)");
-    // isfinite also rejects NaN, which every < comparison would wave
-    // through — and which would poison the JSONL campaign headers.
-    if (!std::isfinite(config_.tdata_factor) || config_.tdata_factor < 0 ||
-        !std::isfinite(config_.tprog_factor) || config_.tprog_factor < 0)
-        fail("tdata/tprog factors must be finite and non-negative");
-}
-
 exp::SweepConfig ExperimentBuilder::sweep_config() const {
-    validate();
+    exp::validate_sweep(config_, heuristics_);
     return config_;
 }
 
@@ -206,12 +167,11 @@ const std::vector<std::string>& ExperimentBuilder::heuristic_specs() const {
 }
 
 exp::SweepResult ExperimentBuilder::run() const {
-    validate();
     return exp::run_sweep(config_, heuristics_);
 }
 
 CampaignBuilder ExperimentBuilder::campaign() const {
-    validate();
+    exp::validate_sweep(config_, heuristics_);
     exp::CampaignConfig config;
     config.sweep = config_;
     config.heuristics = heuristics_;

@@ -84,7 +84,8 @@ public:
     record(std::function<void(const exp::InstanceRecord&)> sink);
 
     /// The validated campaign pieces.  Throws std::invalid_argument on an
-    /// empty/invalid heuristic list or a degenerate grid.
+    /// empty/invalid heuristic list or a degenerate grid
+    /// (exp::validate_sweep, the check both drivers make).
     [[nodiscard]] exp::SweepConfig sweep_config() const;
     [[nodiscard]] const std::vector<std::string>& heuristic_specs() const;
 
@@ -96,8 +97,6 @@ public:
     [[nodiscard]] CampaignBuilder campaign() const;
 
 private:
-    void validate() const;
-
     exp::SweepConfig config_;
     std::vector<std::string> heuristics_;
 };

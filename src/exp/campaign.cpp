@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,8 +14,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "api/registry.hpp"
-#include "ckpt/registry.hpp"
 #include "exp/index_sink.hpp"
 #include "exp/status.hpp"
 #include "obs/registry.hpp"
@@ -383,6 +382,8 @@ CampaignHeader parse_campaign_header(const std::string& line) {
             std::to_string(header.shard_count) + ", which is out of range");
     for (const auto& h : c.at("heuristics").items())
         header.heuristics.push_back(h.as_string());
+    if (header.heuristics.empty())
+        throw std::invalid_argument("campaign: header lists no heuristics");
     SweepConfig& sw = header.sweep;
     sw.tasks_values = parse_int_array(c.at("tasks"));
     sw.ncom_values = parse_int_array(c.at("ncom"));
@@ -477,29 +478,166 @@ read_manifest(const std::filesystem::path& dir) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard run loop
+// Grid drivers: the shared job code and the completion pipeline
 // ---------------------------------------------------------------------------
 
-CampaignResult run_campaign(const CampaignConfig& cfg) {
+namespace {
+
+/// One grid job's results: its records, trials in order, and the DfbTable
+/// they reduce to.
+struct JobOutcome {
+    DfbTable local;
+    std::vector<InstanceRecord> records;
+};
+
+/// The job code both drivers share, called on pool workers: realizes a
+/// job's scenario and races the heuristics on each of its trials.  A trial
+/// seeds from (master seed, seed ordinal, trial), never from the thread or
+/// shard that runs it, and reports to the progress hook when it finishes.
+struct JobRunner {
+    const SweepConfig& cfg;
+    const std::vector<std::string>& heuristics;
+    long long instances_total;
+    std::atomic<long long> instances_done;
+
+    JobOutcome operator()(const GridJob& job) {
+        JobOutcome out{DfbTable(heuristics.size()), {}};
+        const RealizedScenario rs = realize(job.scenario);
+        out.records.reserve(static_cast<std::size_t>(cfg.trials_per_scenario));
+        for (int trial = 0; trial < cfg.trials_per_scenario; ++trial) {
+            const std::uint64_t trial_seed =
+                util::mix_seed(cfg.master_seed, 0x54524cULL, job.seed_ordinal,
+                               static_cast<std::uint64_t>(trial));
+            auto outcome = run_instance(rs, job.scenario.tasks, heuristics,
+                                        cfg.run, trial_seed,
+                                        job.scenario.checkpoint);
+            out.local.add_instance(outcome.makespans);
+            out.records.push_back({job.ordinal, trial, job.scenario,
+                                   std::move(outcome.makespans)});
+            const long long done = ++instances_done;
+            if (cfg.progress) cfg.progress(done, instances_total);
+        }
+        return out;
+    }
+};
+
+/// A completion pipeline's occupancy, as the status heartbeat reads it.
+struct Occupancy {
+    std::size_t window = 0;
+    std::atomic<long long> queued{0};  ///< finished, not yet taken to emit
+    std::atomic<long long> lagging{0}; ///< submitted, not yet taken to emit
+};
+
+/// The completion pipeline, the one run-ahead loop of both grid drivers:
+/// compute(j) for j in [first, end) on `pool`, emit(j, outcome) on the
+/// calling thread in increasing j, at most max(min_window, 2 x pool size)
+/// jobs ahead — so compute overlaps the emitter's I/O, a straggler delays
+/// only emission, and record memory stays bounded.  The first exception
+/// either side throws stops submission and is rethrown once no job runs.
+/// Occupancy goes to `occ` and, as deltas (shards share them), to the
+/// registry's campaign.* gauges; every exit path takes this run's share
+/// back out.
+void run_pipeline(util::ThreadPool& pool, std::size_t min_window,
+                  std::size_t first, std::size_t end, Occupancy& occ,
+                  const std::function<JobOutcome(std::size_t)>& compute,
+                  const std::function<void(std::size_t, JobOutcome&)>& emit) {
+    obs::Registry* const reg = obs::Registry::active();
+    obs::Gauge* const g_queue =
+        reg ? &reg->gauge("campaign.queue_depth") : nullptr;
+    obs::Gauge* const g_lag =
+        reg ? &reg->gauge("campaign.emitter_lag") : nullptr;
+    obs::Gauge* const g_window =
+        reg ? &reg->gauge("campaign.window") : nullptr;
+    const auto occupy = [&](long long queued, long long lagging) {
+        occ.queued += queued;
+        occ.lagging += lagging;
+        if (g_queue) g_queue->add(queued);
+        if (g_lag) g_lag->add(lagging);
+    };
+    occ.window = std::max(min_window, 2 * pool.size());
+    if (g_window) g_window->add(static_cast<long long>(occ.window));
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::map<std::size_t, JobOutcome> ready;
+    std::exception_ptr first_error;
+    std::size_t in_flight = 0;
+    std::size_t next_submit = first;
+
+    // Caller holds `mu`.  Tasks capture this stack frame by reference, which
+    // is why every exit path below drains `in_flight` to zero before
+    // unwinding.
+    auto submit_upto_window = [&](std::size_t emitted) {
+        while (next_submit < end && !first_error &&
+               next_submit - emitted < occ.window) {
+            const std::size_t j = next_submit++;
+            ++in_flight;
+            occupy(0, 1);
+            pool.submit([&, j] {
+                // notify_all happens *under* `mu`: the emitter destroys `cv`
+                // (by unwinding this stack frame) the moment it observes
+                // in_flight == 0, and it cannot observe that until the lock
+                // is released — after the notify call has fully returned.
+                try {
+                    JobOutcome out = compute(j);
+                    std::lock_guard lock(mu);
+                    ready.emplace(j, std::move(out));
+                    occupy(1, 0);
+                    --in_flight;
+                    cv.notify_all();
+                } catch (...) {
+                    std::lock_guard lock(mu);
+                    if (!first_error) first_error = std::current_exception();
+                    --in_flight;
+                    cv.notify_all();
+                }
+            });
+        }
+    };
+
+    try {
+        {
+            std::lock_guard lock(mu);
+            submit_upto_window(first);
+        }
+        for (std::size_t j = first; j < end; ++j) {
+            std::optional<JobOutcome> out;
+            {
+                std::unique_lock lock(mu);
+                cv.wait(lock, [&] { return first_error || ready.contains(j); });
+                if (first_error) break;
+                out.emplace(std::move(ready.extract(j).mapped()));
+                occupy(-1, -1);
+                submit_upto_window(j + 1);
+            }
+            emit(j, *out);
+        }
+    } catch (...) {
+        std::lock_guard lock(mu);
+        if (!first_error) first_error = std::current_exception();
+    }
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return in_flight == 0; });
+    // What a failure left submitted or finished is never emitted.
+    occupy(-occ.queued, -occ.lagging);
+    if (g_window) g_window->add(-static_cast<long long>(occ.window));
+    if (first_error) std::rethrow_exception(first_error);
+}
+
+/// Runs (or resumes) one shard on `pool`: run_campaign's own pool, or the
+/// one run_parallel_campaign shares between its shard drivers.
+CampaignResult run_shard(const CampaignConfig& cfg, util::ThreadPool& pool) {
     if (cfg.directory.empty())
         throw std::invalid_argument("campaign: no output directory");
     if (cfg.checkpoint_jobs < 1)
         throw std::invalid_argument("campaign: checkpoint_jobs must be >= 1");
-    if (cfg.heuristics.empty())
-        throw std::invalid_argument("campaign: no heuristics");
-    for (const auto& name : cfg.heuristics)
-        api::SchedulerRegistry::instance().validate(name);
-    if (cfg.sweep.checkpoint_values.empty())
-        throw std::invalid_argument("campaign: empty checkpoint axis");
-    for (const auto& spec : cfg.sweep.checkpoint_values)
-        ckpt::CheckpointRegistry::instance().validate(spec);
+    validate_sweep(cfg.sweep, cfg.heuristics);
 
     const std::vector<GridJob> jobs =
         shard_jobs(cfg.sweep, cfg.shard_index, cfg.shard_count);
     const std::uint64_t fingerprint =
         campaign_fingerprint(cfg.sweep, cfg.heuristics);
     const int trials = cfg.sweep.trials_per_scenario;
-    const std::size_t num_heuristics = cfg.heuristics.size();
 
     std::filesystem::create_directories(cfg.directory);
     const auto jsonl_file = cfg.directory / "records.jsonl";
@@ -576,25 +714,15 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     manifest.jobs_total = static_cast<long long>(jobs.size());
 
     const long long jobs_total = static_cast<long long>(jobs.size());
-    const long long shard_instances_total = jobs_total * trials;
-    std::atomic<long long> instances_done{jobs_done * trials};
-
-    std::optional<util::ThreadPool> owned_pool;
-    if (!cfg.pool) owned_pool.emplace(cfg.sweep.threads);
-    util::ThreadPool& pool = cfg.pool ? *cfg.pool : *owned_pool;
+    JobRunner run_job{cfg.sweep, cfg.heuristics, jobs_total * trials,
+                      jobs_done * trials};
+    Occupancy occupancy;
 
     // Observability (all observer-only; outputs are byte-identical with or
-    // without it): pipeline occupancy gauges and stage wall-time histograms
-    // into the process registry when a driver installed one, plus the
-    // per-shard status.json heartbeat.  Gauges move by deltas because
-    // parallel shards share them.
+    // without it): stage wall-time histograms into the process registry
+    // when a driver installed one, and the per-shard status.json heartbeat,
+    // which also reports the pipeline's occupancy.
     obs::Registry* const reg = obs::Registry::active();
-    obs::Gauge* const g_queue =
-        reg ? &reg->gauge("campaign.queue_depth") : nullptr;
-    obs::Gauge* const g_lag =
-        reg ? &reg->gauge("campaign.emitter_lag") : nullptr;
-    obs::Gauge* const g_window =
-        reg ? &reg->gauge("campaign.window") : nullptr;
     obs::Histogram* const h_run =
         reg ? &reg->histogram("campaign.run_us") : nullptr;
     obs::Histogram* const h_serialize =
@@ -611,11 +739,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         local.observe(us);
         if (global) global->observe(us);
     };
-    // Heartbeat pipeline-occupancy shadows (atomics: workers bump the
-    // queue, the driver reads them when writing the heartbeat).
-    std::atomic<long long> hb_queue{0};
-    std::atomic<long long> hb_lag{0};
-    long long hb_window = 0;
     std::int64_t last_heartbeat_ms = 0; // driver thread only
     const auto stage_stats = [](const obs::Histogram& h) {
         return StageStats{h.count(), h.sum(), h.max()};
@@ -627,10 +750,10 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         s.shards = cfg.shard_count;
         s.jobs_done = jobs_done;
         s.jobs_total = jobs_total;
-        s.instances_done = instances_done.load();
-        s.queue_depth = hb_queue.load();
-        s.emitter_lag = hb_lag.load();
-        s.window = hb_window;
+        s.instances_done = run_job.instances_done.load();
+        s.queue_depth = occupancy.queued;
+        s.emitter_lag = occupancy.lagging;
+        s.window = static_cast<long long>(occupancy.window);
         s.state = state;
         s.run = stage_stats(stage_run);
         s.serialize = stage_stats(stage_serialize);
@@ -644,54 +767,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         write_heartbeat("running");
     };
     write_heartbeat("running");
-
-    // Per-job compute; runs on worker threads, touches no sink.
-    struct JobOutcome {
-        DfbTable local;
-        std::vector<InstanceRecord> records;
-    };
-    auto compute_job = [&](const GridJob& job) {
-        const std::int64_t start_us = timed ? obs::now_us() : 0;
-        JobOutcome out{DfbTable(num_heuristics), {}};
-        const RealizedScenario rs = realize(job.scenario);
-        out.records.reserve(static_cast<std::size_t>(trials));
-        for (int trial = 0; trial < trials; ++trial) {
-            const std::uint64_t trial_seed = util::mix_seed(
-                cfg.sweep.master_seed, 0x54524cULL, job.seed_ordinal,
-                static_cast<std::uint64_t>(trial));
-            auto outcome =
-                run_instance(rs, job.scenario.tasks, cfg.heuristics,
-                             cfg.sweep.run, trial_seed,
-                             job.scenario.checkpoint);
-            out.local.add_instance(outcome.makespans);
-            InstanceRecord rec;
-            rec.scenario_ordinal = job.ordinal;
-            rec.trial = trial;
-            rec.scenario = job.scenario;
-            rec.makespans = std::move(outcome.makespans);
-            out.records.push_back(std::move(rec));
-            const long long done = ++instances_done;
-            if (cfg.sweep.progress)
-                cfg.sweep.progress(done, shard_instances_total);
-        }
-        stage_sample(stage_run, h_run, start_us);
-        return out;
-    };
-
-    // Deterministic emission: records leave in (ordinal, trial) order
-    // regardless of which worker finished first.  Only ever called from
-    // the driver thread — the single writer every ResultSink expects.
-    auto emit_job = [&](const GridJob& job, JobOutcome& out) {
-        const std::int64_t start_us = timed ? obs::now_us() : 0;
-        for (const InstanceRecord& rec : out.records) {
-            index.add(rec.scenario_ordinal, rec.trial, jsonl.offset());
-            jsonl.write(rec);
-            if (csv) csv->write(rec);
-            if (cfg.sweep.record) cfg.sweep.record(rec);
-        }
-        merge_job_tables(result.tables, job.scenario, out.local);
-        stage_sample(stage_serialize, h_serialize, start_us);
-    };
 
     // Durable checkpoint: sink bytes hit the disk before the manifest
     // vouches for them.
@@ -710,14 +785,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
         write_heartbeat("running");
     };
 
-    // The completion pipeline.  Workers pull jobs from a shared cursor
-    // (`next_submit`, advanced under `mu` as the emitter frees window
-    // slots) and deposit finished JobOutcomes keyed by job position;
-    // this driver thread is the emitter, draining deposits strictly in
-    // job order — so simulation overlaps sink I/O, a checkpoint's
-    // fsync stalls nobody, and a straggler delays only emission, not
-    // the pool.  The window caps finished-but-unemitted + in-flight
-    // jobs, bounding peak record memory (window x trials records).
     const long long first_job = jobs_done;
     long long end_jobs = jobs_total;
     if (cfg.stop_after_batches > 0)
@@ -725,98 +792,69 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
             end_jobs,
             first_job + static_cast<long long>(cfg.stop_after_batches) *
                             cfg.checkpoint_jobs);
-    const long long window = std::max<long long>(
-        cfg.checkpoint_jobs, 2 * static_cast<long long>(pool.size()));
-    hb_window = window;
-    if (g_window) g_window->add(window);
-
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<long long, JobOutcome> ready;
-    std::exception_ptr first_error;
-    long long in_flight = 0;
-    long long next_submit = jobs_done;
-
-    // Caller holds `mu`.  Tasks capture this stack frame by reference,
-    // which is why every exit path below drains `in_flight` to zero
-    // before unwinding.
-    auto submit_upto_window = [&](long long emitted) {
-        while (next_submit < end_jobs && !first_error &&
-               next_submit - emitted < window) {
-            const long long j = next_submit++;
-            ++in_flight;
-            hb_lag.fetch_add(1, std::memory_order_relaxed);
-            if (g_lag) g_lag->add(1);
-            pool.submit([&, j] {
-                // notify_all happens *under* `mu`: the driver destroys
-                // `cv` (by unwinding this stack frame) the moment it
-                // observes in_flight == 0, and it cannot observe that
-                // until the lock is released — after the notify call
-                // has fully returned.
-                try {
-                    JobOutcome out =
-                        compute_job(jobs[static_cast<std::size_t>(j)]);
-                    std::lock_guard lock(mu);
-                    ready.emplace(j, std::move(out));
-                    --in_flight;
-                    hb_queue.fetch_add(1, std::memory_order_relaxed);
-                    if (g_queue) g_queue->add(1);
-                    cv.notify_all();
-                } catch (...) {
-                    std::lock_guard lock(mu);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                    --in_flight;
-                    cv.notify_all();
-                }
-            });
-        }
-    };
-
-    try {
-        {
-            std::unique_lock lock(mu);
-            submit_upto_window(jobs_done);
-        }
-        while (jobs_done < end_jobs) {
-            std::optional<JobOutcome> out;
-            {
-                std::unique_lock lock(mu);
-                cv.wait(lock, [&] {
-                    return first_error || ready.contains(jobs_done);
-                });
-                if (first_error) break;
-                auto node = ready.extract(jobs_done);
-                out.emplace(std::move(node.mapped()));
-                hb_queue.fetch_add(-1, std::memory_order_relaxed);
-                if (g_queue) g_queue->add(-1);
-                submit_upto_window(jobs_done + 1);
+    run_pipeline(
+        pool, static_cast<std::size_t>(cfg.checkpoint_jobs),
+        static_cast<std::size_t>(first_job),
+        static_cast<std::size_t>(end_jobs), occupancy,
+        [&](std::size_t j) {
+            const std::int64_t start_us = timed ? obs::now_us() : 0;
+            JobOutcome out = run_job(jobs[j]);
+            stage_sample(stage_run, h_run, start_us);
+            return out;
+        },
+        // Records leave in (ordinal, trial) order whichever worker
+        // finished first, from the one thread every ResultSink expects.
+        [&](std::size_t j, JobOutcome& out) {
+            const std::int64_t start_us = timed ? obs::now_us() : 0;
+            for (const InstanceRecord& rec : out.records) {
+                index.add(rec.scenario_ordinal, rec.trial, jsonl.offset());
+                jsonl.write(rec);
+                if (csv) csv->write(rec);
+                if (cfg.sweep.record) cfg.sweep.record(rec);
             }
-            emit_job(jobs[static_cast<std::size_t>(jobs_done)], *out);
-            hb_lag.fetch_add(-1, std::memory_order_relaxed);
-            if (g_lag) g_lag->add(-1);
-            ++jobs_done;
+            merge_job_tables(result.tables, jobs[j].scenario, out.local);
+            stage_sample(stage_serialize, h_serialize, start_us);
+            jobs_done = static_cast<long long>(j) + 1;
             if ((jobs_done - first_job) % cfg.checkpoint_jobs == 0 ||
                 jobs_done == jobs_total)
                 checkpoint(jobs_done);
             heartbeat_tick();
-        }
-    } catch (...) {
-        std::lock_guard lock(mu);
-        if (!first_error) first_error = std::current_exception();
-    }
-    {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] { return in_flight == 0; });
-        if (g_window) g_window->add(-window);
-        if (first_error) std::rethrow_exception(first_error);
-    }
+        });
 
     write_heartbeat(jobs_done == jobs_total ? "done" : "stopped");
     result.jobs_done = jobs_done;
     result.instances_done = jobs_done * trials;
     result.complete = jobs_done == jobs_total;
     return result;
+}
+
+} // namespace
+
+SweepResult run_sweep(const SweepConfig& cfg,
+                      const std::vector<std::string>& heuristics) {
+    validate_sweep(cfg, heuristics);
+    const std::vector<GridJob> jobs = grid_jobs(cfg);
+    JobRunner run_job{cfg, heuristics,
+                      static_cast<long long>(jobs.size()) *
+                          cfg.trials_per_scenario,
+                      0};
+    SweepResult result(heuristics);
+    util::ThreadPool pool(cfg.threads);
+    Occupancy occupancy;
+    run_pipeline(
+        pool, 1, 0, jobs.size(), occupancy,
+        [&](std::size_t j) { return run_job(jobs[j]); },
+        [&](std::size_t j, JobOutcome& out) {
+            if (cfg.record)
+                for (const InstanceRecord& rec : out.records) cfg.record(rec);
+            merge_job_tables(result, jobs[j].scenario, out.local);
+        });
+    return result;
+}
+
+CampaignResult run_campaign(const CampaignConfig& cfg) {
+    util::ThreadPool pool(cfg.sweep.threads);
+    return run_shard(cfg, pool);
 }
 
 // ---------------------------------------------------------------------------
@@ -864,7 +902,6 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
                 cfg.shard_index = k;
                 cfg.directory =
                     base.directory / shard_directory_name(k, shards);
-                cfg.pool = &pool;
                 if (base.sweep.progress)
                     cfg.sweep.progress = [&](long long, long long) {
                         base.sweep.progress(aggregate_done.fetch_add(1) + 1,
@@ -877,7 +914,7 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
                         std::lock_guard lock(record_mutex);
                         base.sweep.record(rec);
                     };
-                results[slot].emplace(run_campaign(cfg));
+                results[slot].emplace(run_shard(cfg, pool));
             } catch (...) {
                 errors[slot] = std::current_exception();
             }
@@ -903,42 +940,53 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
 // Merge
 // ---------------------------------------------------------------------------
 
+std::vector<std::size_t>
+place_shards(const std::vector<std::filesystem::path>& files,
+             const std::vector<const CampaignHeader*>& headers,
+             const std::string& who) {
+    const auto reject = [&who](const std::string& what) {
+        throw std::runtime_error(who + ": " + what);
+    };
+    const CampaignHeader& ref = *headers.front();
+    const std::size_t missing = headers.size();
+    std::vector<std::size_t> by_shard(
+        static_cast<std::size_t>(ref.shard_count), missing);
+    for (std::size_t i = 0; i < headers.size(); ++i) {
+        if (headers[i]->fingerprint != ref.fingerprint)
+            reject("'" + files[i].string() +
+                   "' belongs to a different campaign (fingerprint "
+                   "mismatch)");
+        if (headers[i]->shard_count != ref.shard_count)
+            reject("'" + files[i].string() +
+                   "' disagrees on the shard count");
+        const int k = headers[i]->shard_index;
+        const auto slot = static_cast<std::size_t>(k - 1);
+        if (k < 1 || k > ref.shard_count || by_shard[slot] != missing)
+            reject("shard " + std::to_string(k) +
+                   " appears twice or is out of range");
+        by_shard[slot] = i;
+    }
+    for (std::size_t k = 0; k < by_shard.size(); ++k)
+        if (by_shard[k] == missing)
+            reject("shard " + std::to_string(k + 1) + " of " +
+                   std::to_string(by_shard.size()) + " is missing");
+    return by_shard;
+}
+
 SweepResult
 merge_shards(const std::vector<std::filesystem::path>& jsonl_files) {
     if (jsonl_files.empty()) fail("merge: no shard files");
 
     // Open every shard and cross-validate the headers up front.
     std::vector<std::unique_ptr<ShardStream>> streams;
-    streams.reserve(jsonl_files.size());
+    std::vector<const CampaignHeader*> headers;
     for (const auto& file : jsonl_files) {
-        auto stream = std::make_unique<ShardStream>(file);
-        if (!streams.empty()) {
-            const CampaignHeader& ref = streams.front()->header();
-            if (stream->header().fingerprint != ref.fingerprint)
-                fail("merge: '" + file.string() +
-                     "' belongs to a different campaign (fingerprint "
-                     "mismatch)");
-            if (stream->header().shard_count != ref.shard_count)
-                fail("merge: '" + file.string() +
-                     "' disagrees on the shard count");
-        }
-        streams.push_back(std::move(stream));
+        streams.push_back(std::make_unique<ShardStream>(file));
+        headers.push_back(&streams.back()->header());
     }
-    const CampaignHeader& ref = streams.front()->header();
-    std::vector<ShardStream*> by_shard(
-        static_cast<std::size_t>(ref.shard_count), nullptr);
-    for (const auto& stream : streams) {
-        const int k = stream->header().shard_index;
-        const auto slot = static_cast<std::size_t>(k - 1);
-        if (k < 1 || k > ref.shard_count || by_shard[slot])
-            fail("merge: shard " + std::to_string(k) +
-                 " appears twice or is out of range");
-        by_shard[slot] = stream.get();
-    }
-    for (std::size_t k = 0; k < by_shard.size(); ++k)
-        if (!by_shard[k])
-            fail("merge: shard " + std::to_string(k + 1) + " of " +
-                 std::to_string(by_shard.size()) + " is missing");
+    const std::vector<std::size_t> by_shard =
+        place_shards(jsonl_files, headers, "campaign: merge");
+    const CampaignHeader& ref = *headers.front();
 
     // Streaming k-way merge.  The grid enumeration *is* the merged order:
     // shard k-of-N holds exactly the ordinals congruent to k-1 mod N, each
@@ -952,8 +1000,8 @@ merge_shards(const std::vector<std::filesystem::path>& jsonl_files) {
     const std::vector<GridJob> grid = grid_jobs(ref.sweep);
     SweepResult result(ref.heuristics);
     for (const GridJob& job : grid) {
-        ShardStream& shard = *by_shard[static_cast<std::size_t>(
-            job.ordinal % static_cast<std::uint64_t>(ref.shard_count))];
+        ShardStream& shard = *streams[by_shard[static_cast<std::size_t>(
+            job.ordinal % static_cast<std::uint64_t>(ref.shard_count))]];
         merge_job_tables(result, job.scenario,
                          read_job_records(shard, job,
                                           ref.sweep.trials_per_scenario,

@@ -19,7 +19,9 @@
 ///  2. *Deterministic emission.*  Jobs run on a thread pool, but a single
 ///     emitter — the only thread that touches the sinks — writes records
 ///     strictly in (ordinal, trial) order, so a shard's JSONL file is
-///     byte-identical across runs and thread counts.
+///     byte-identical across runs and thread counts.  This completion
+///     pipeline is the only run-ahead loop: run_sweep runs its grid on it
+///     too, with no sinks, so both drivers share the job code and order.
 ///
 ///  3. *Canonical aggregation.*  The merge step replays records through the
 ///     exact reduction run_sweep performs (per-job DfbTable built in trial
@@ -42,10 +44,6 @@
 
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
-
-namespace volsched::util {
-class ThreadPool;
-} // namespace volsched::util
 
 namespace volsched::exp {
 
@@ -70,10 +68,6 @@ struct CampaignConfig {
     /// Stop after this many checkpoint batches (0: run to completion).
     /// Supports time-sliced operation and the kill/resume tests.
     int stop_after_batches = 0;
-    /// Optional externally owned worker pool, shared between the in-process
-    /// shard drivers of run_parallel_campaign; null makes the campaign
-    /// create its own.
-    util::ThreadPool* pool = nullptr;
     /// Keep an atomically-replaced status.json heartbeat in the shard
     /// directory (exp/status.hpp): live progress, pipeline occupancy, and
     /// wall-clock stage timings for `volsched_campaign status` and other
@@ -148,8 +142,10 @@ read_manifest(const std::filesystem::path& dir);
 
 /// Runs (or resumes) one shard of the campaign.  Returns after the shard
 /// completes or after `stop_after_batches` checkpoints.  Throws
-/// std::runtime_error when an existing manifest does not match the
-/// configuration (fingerprint or shard position).
+/// std::invalid_argument before any job runs on what validate_sweep
+/// rejects, and std::runtime_error when an existing manifest does not match
+/// the configuration (fingerprint or shard position).  After a hook or job
+/// throws, the MANIFEST vouches for the last checkpoint; a rerun resumes.
 CampaignResult run_campaign(const CampaignConfig& cfg);
 
 /// All shards of an N-shard campaign driven from one process.
@@ -182,6 +178,15 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base);
 /// run_sweep; peak memory is O(shards + grid jobs), never O(records).
 /// Throws when shards are missing, duplicated, or inconsistent.
 SweepResult merge_shards(const std::vector<std::filesystem::path>& jsonl_files);
+
+/// The shard-set check of merge_shards and query_shards (`headers[i]` is
+/// `files[i]`'s): one fingerprint, one shard count, each shard 1..N exactly
+/// once.  Returns shard k's position in `files` at [k-1]; throws
+/// std::runtime_error with messages that start with `who`.
+std::vector<std::size_t>
+place_shards(const std::vector<std::filesystem::path>& files,
+             const std::vector<const CampaignHeader*>& headers,
+             const std::string& who);
 
 /// Directory layout helpers: a campaign root holds one sub-directory per
 /// shard, named shard-<k>-of-<N>.

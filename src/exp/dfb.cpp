@@ -12,6 +12,8 @@ DfbTable::DfbTable(std::size_t num_heuristics)
 void DfbTable::add_instance(const std::vector<long long>& makespans) {
     if (makespans.size() != dfb_.size())
         throw std::invalid_argument("DfbTable: heuristic count mismatch");
+    if (makespans.empty())
+        throw std::invalid_argument("DfbTable: instance has no makespans");
     const long long best =
         *std::min_element(makespans.begin(), makespans.end());
     if (best <= 0)

@@ -17,7 +17,8 @@ public:
     explicit DfbTable(std::size_t num_heuristics);
 
     /// Ingests one instance's makespans (index-aligned with the heuristic
-    /// list).  Zero/negative makespans are invalid and throw.
+    /// list).  An empty list and zero/negative makespans are invalid and
+    /// throw std::invalid_argument.
     void add_instance(const std::vector<long long>& makespans);
 
     /// Merges another table (parallel sweep reduction).

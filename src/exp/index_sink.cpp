@@ -219,25 +219,30 @@ void write_index_file(const std::filesystem::path& path,
     util::write_file_atomic(path, out);
 }
 
-std::vector<IndexEntry>
-load_or_rebuild_index(const std::filesystem::path& jsonl_file,
-                      bool* rebuilt) {
-    std::ifstream in(jsonl_file);
+namespace {
+
+/// Parses the header line of the shard file `in` has just opened.
+CampaignHeader read_shard_header(std::istream& in,
+                                 const std::filesystem::path& jsonl_file) {
     if (!in) fail("cannot open '" + jsonl_file.string() + "'");
     std::string header_line;
     if (!std::getline(in, header_line))
         fail("'" + jsonl_file.string() + "' is empty");
-    CampaignHeader header;
     try {
-        header = parse_campaign_header(header_line);
+        return parse_campaign_header(header_line);
     } catch (const std::invalid_argument& e) {
         fail("'" + jsonl_file.string() + "': " + e.what());
     }
-    in.close();
+}
+
+/// load_or_rebuild_index for a shard whose header names `fingerprint`.
+std::vector<IndexEntry> load_or_rebuild(const std::filesystem::path& jsonl_file,
+                                        std::uint64_t fingerprint,
+                                        bool* rebuilt) {
     const auto jsonl_bytes =
         static_cast<std::uint64_t>(std::filesystem::file_size(jsonl_file));
     const auto sidecar = index_path(jsonl_file);
-    if (auto entries = read_index(sidecar, header.fingerprint, jsonl_bytes)) {
+    if (auto entries = read_index(sidecar, fingerprint, jsonl_bytes)) {
         if (rebuilt) *rebuilt = false;
         return std::move(*entries);
     }
@@ -246,9 +251,20 @@ load_or_rebuild_index(const std::filesystem::path& jsonl_file,
         fail("'" + jsonl_file.string() +
              "' records are not in (ordinal, trial) order; not a campaign "
              "shard stream");
-    write_index_file(sidecar, header.fingerprint, jsonl_bytes, entries);
+    write_index_file(sidecar, fingerprint, jsonl_bytes, entries);
     if (rebuilt) *rebuilt = true;
     return entries;
+}
+
+} // namespace
+
+std::vector<IndexEntry>
+load_or_rebuild_index(const std::filesystem::path& jsonl_file,
+                      bool* rebuilt) {
+    std::ifstream in(jsonl_file);
+    return load_or_rebuild(jsonl_file,
+                           read_shard_header(in, jsonl_file).fingerprint,
+                           rebuilt);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,45 +304,22 @@ query_shards(const std::vector<std::filesystem::path>& jsonl_files,
 
     QueryStats stats;
     std::vector<std::unique_ptr<ShardIndex>> shards;
-    shards.reserve(jsonl_files.size());
+    std::vector<const CampaignHeader*> headers;
     for (const auto& file : jsonl_files) {
         auto shard = std::make_unique<ShardIndex>();
         shard->path = file;
-        bool rebuilt = false;
-        shard->entries = load_or_rebuild_index(file, &rebuilt);
-        if (rebuilt) ++stats.indexes_rebuilt;
         shard->in.open(file);
-        if (!shard->in) fail("cannot open '" + file.string() + "'");
-        std::string header_line;
-        std::getline(shard->in, header_line);
-        shard->header = parse_campaign_header(header_line);
-        if (!shards.empty()) {
-            const CampaignHeader& ref = shards.front()->header;
-            if (shard->header.fingerprint != ref.fingerprint)
-                fail("query: '" + file.string() +
-                     "' belongs to a different campaign (fingerprint "
-                     "mismatch)");
-            if (shard->header.shard_count != ref.shard_count)
-                fail("query: '" + file.string() +
-                     "' disagrees on the shard count");
-        }
+        shard->header = read_shard_header(shard->in, file);
+        bool rebuilt = false;
+        shard->entries =
+            load_or_rebuild(file, shard->header.fingerprint, &rebuilt);
+        if (rebuilt) ++stats.indexes_rebuilt;
+        headers.push_back(&shard->header);
         shards.push_back(std::move(shard));
     }
-    const CampaignHeader& ref = shards.front()->header;
-    std::vector<ShardIndex*> by_shard(
-        static_cast<std::size_t>(ref.shard_count), nullptr);
-    for (const auto& shard : shards) {
-        const int k = shard->header.shard_index;
-        const auto slot = static_cast<std::size_t>(k - 1);
-        if (k < 1 || k > ref.shard_count || by_shard[slot])
-            fail("query: shard " + std::to_string(k) +
-                 " appears twice or is out of range");
-        by_shard[slot] = shard.get();
-    }
-    for (std::size_t k = 0; k < by_shard.size(); ++k)
-        if (!by_shard[k])
-            fail("query: shard " + std::to_string(k + 1) + " of " +
-                 std::to_string(by_shard.size()) + " is missing");
+    const std::vector<std::size_t> by_shard =
+        place_shards(jsonl_files, headers, "index: query");
+    const CampaignHeader& ref = *headers.front();
 
     // Walk the grid in global (ordinal, trial) order — the unsharded
     // emission order — filtering on grid axes without touching records,
@@ -336,8 +329,8 @@ query_shards(const std::vector<std::filesystem::path>& jsonl_files,
     std::string line;
     for (const GridJob& job : grid) {
         if (!job_matches(job, filter)) continue;
-        ShardIndex& shard = *by_shard[static_cast<std::size_t>(
-            job.ordinal % static_cast<std::uint64_t>(ref.shard_count))];
+        ShardIndex& shard = *shards[by_shard[static_cast<std::size_t>(
+            job.ordinal % static_cast<std::uint64_t>(ref.shard_count))]];
         const auto lo = std::lower_bound(
             shard.entries.begin(), shard.entries.end(), job.ordinal,
             [](const IndexEntry& e, std::uint64_t ord) {

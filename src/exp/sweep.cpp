@@ -1,15 +1,66 @@
 #include "exp/sweep.hpp"
 
-#include <atomic>
-#include <mutex>
-#include <utility>
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "api/registry.hpp"
+#include "ckpt/registry.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace volsched::exp {
+
+namespace {
+
+[[noreturn]] void reject(const std::string& what) {
+    throw std::invalid_argument("sweep: " + what);
+}
+
+void require_positive(const char* what, long long value) {
+    if (value <= 0)
+        reject(std::string(what) + " must be positive, got " +
+               std::to_string(value));
+}
+
+void require_axis(const char* what, const std::vector<int>& values) {
+    if (values.empty()) reject(std::string(what) + " axis is empty");
+    for (int v : values)
+        if (v <= 0)
+            reject(std::string(what) +
+                   " axis contains the non-positive value " +
+                   std::to_string(v));
+}
+
+} // namespace
+
+void validate_sweep(const SweepConfig& cfg,
+                    const std::vector<std::string>& heuristics) {
+    // Spec typos fail here with the registries' did-you-mean messages
+    // instead of mid-grid on a worker thread.
+    if (heuristics.empty()) reject("no heuristics to race");
+    for (const auto& spec : heuristics)
+        api::SchedulerRegistry::instance().validate(spec);
+    require_axis("tasks", cfg.tasks_values);
+    require_axis("ncom", cfg.ncom_values);
+    require_axis("wmin", cfg.wmin_values);
+    if (cfg.checkpoint_values.empty())
+        reject("checkpoint axis is empty; it needs at least one policy spec "
+               "(\"none\" is the paper's model)");
+    for (const auto& spec : cfg.checkpoint_values)
+        ckpt::CheckpointRegistry::instance().validate(spec);
+    require_positive("processors", cfg.p);
+    require_positive("scenarios_per_cell", cfg.scenarios_per_cell);
+    require_positive("trials", cfg.trials_per_scenario);
+    require_positive("iterations", cfg.run.iterations);
+    require_positive("max_slots", cfg.run.max_slots);
+    if (cfg.run.replica_cap < 0) reject("replica_cap is negative");
+    if (cfg.run.checkpoint_cost < 0) reject("checkpoint_cost is negative");
+    // isfinite also rejects NaN, which every < comparison would wave
+    // through — and which would poison the JSONL campaign headers.
+    if (!std::isfinite(cfg.tdata_factor) || cfg.tdata_factor < 0 ||
+        !std::isfinite(cfg.tprog_factor) || cfg.tprog_factor < 0)
+        reject("tdata/tprog factors must be finite and non-negative");
+}
 
 std::vector<GridJob> grid_jobs(const SweepConfig& cfg) {
     std::vector<GridJob> jobs;
@@ -44,76 +95,6 @@ std::vector<GridJob> grid_jobs(const SweepConfig& cfg) {
                     }
     }
     return jobs;
-}
-
-SweepResult run_sweep(const SweepConfig& cfg,
-                      const std::vector<std::string>& heuristics) {
-    // Resolve every spec once up front: a typo fails here with the
-    // registry's did-you-mean message instead of throwing mid-sweep on a
-    // worker thread.
-    for (const auto& name : heuristics)
-        api::SchedulerRegistry::instance().validate(name);
-
-    SweepResult result(heuristics);
-
-    const std::vector<GridJob> jobs = grid_jobs(cfg);
-
-    const long long total_instances =
-        static_cast<long long>(jobs.size()) * cfg.trials_per_scenario;
-    std::atomic<long long> completed{0};
-
-    // Per-job local tables, merged sequentially afterwards so the result is
-    // bit-identical regardless of thread interleaving.
-    std::vector<DfbTable> local(jobs.size(), DfbTable(heuristics.size()));
-
-    // Records leave in job order whatever order the pool finishes jobs in:
-    // a finished job's records wait until every earlier job has emitted,
-    // so the hook sees the 1-thread sequence at any thread count.
-    std::mutex record_mutex;
-    std::vector<std::vector<InstanceRecord>> held(cfg.record ? jobs.size()
-                                                             : 0);
-    std::vector<char> finished(held.size(), 0);
-    std::size_t next_to_emit = 0;
-
-    util::ThreadPool pool(cfg.threads);
-    pool.parallel_for(jobs.size(), [&](std::size_t j) {
-        const GridJob& job = jobs[j];
-        const RealizedScenario rs = realize(job.scenario);
-        std::vector<InstanceRecord> records;
-        for (int trial = 0; trial < cfg.trials_per_scenario; ++trial) {
-            const std::uint64_t trial_seed =
-                util::mix_seed(cfg.master_seed, 0x54524cULL, job.seed_ordinal,
-                               static_cast<std::uint64_t>(trial));
-            const auto outcome =
-                run_instance(rs, job.scenario.tasks, heuristics, cfg.run,
-                             trial_seed, job.scenario.checkpoint);
-            local[j].add_instance(outcome.makespans);
-            if (cfg.record) {
-                InstanceRecord rec;
-                rec.scenario_ordinal = job.ordinal;
-                rec.trial = trial;
-                rec.scenario = job.scenario;
-                rec.makespans = outcome.makespans;
-                records.push_back(std::move(rec));
-            }
-            const long long done = ++completed;
-            if (cfg.progress) cfg.progress(done, total_instances);
-        }
-        if (!cfg.record) return;
-        std::lock_guard lock(record_mutex);
-        held[j] = std::move(records);
-        finished[j] = 1;
-        for (; next_to_emit < held.size() && finished[next_to_emit];
-             ++next_to_emit) {
-            for (const InstanceRecord& rec : held[next_to_emit])
-                cfg.record(rec);
-            held[next_to_emit] = {};
-        }
-    });
-
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        merge_job_tables(result, jobs[j].scenario, local[j]);
-    return result;
 }
 
 void merge_job_tables(SweepResult& result, const Scenario& scenario,

@@ -1,10 +1,10 @@
 #pragma once
 /// \file sweep.hpp
-/// The full experimental campaign driver: Table 1 grid x scenarios x trials,
-/// each instance run under every heuristic, reduced into overall and
-/// per-wmin degradation-from-best tables.  Instances are distributed over a
-/// thread pool; every instance derives its own RNG streams from the master
-/// seed, so results are independent of thread count and scheduling order.
+/// The in-memory grid driver: Table 1 grid x scenarios x trials, each
+/// instance run under every heuristic, reduced into overall and per-wmin
+/// degradation-from-best tables on the campaign's completion pipeline
+/// (exp/campaign.cpp) without sinks.  Every instance derives its own RNG
+/// streams from the master seed, so results ignore thread count and order.
 
 #include <functional>
 #include <map>
@@ -38,20 +38,19 @@ struct SweepConfig {
     std::uint64_t master_seed = 0xC0FFEEULL;
     std::size_t threads = 0; ///< 0: hardware concurrency
     /// Optional progress callback (instances completed, instances total).
-    /// CONCURRENCY: invoked from worker threads, potentially several at
-    /// once — implementations must be thread-safe and cheap (every
+    /// CONCURRENCY: invoked from pool worker threads, potentially several
+    /// at once — implementations must be thread-safe and cheap (every
     /// instance reports; rate-limit any output.  The tools use an atomic
-    /// last-print timestamp for this).
+    /// last-print timestamp for this).  A throw fails the run (rethrown).
     std::function<void(long long, long long)> progress;
     /// Optional raw-result hook, called once per instance with the full
     /// InstanceRecord (scenario, grid ordinal, trial, per-heuristic
-    /// makespans).  Serialized by the driver — run_sweep and each
-    /// campaign's single emitter thread call it from one thread at a time,
-    /// and run_parallel_campaign wraps it in a shared mutex across its
-    /// shard emitters — so implementations need no locking.  run_sweep
-    /// calls it in job order (a job's trials in order), the same sequence
-    /// at every thread count.  Wire a ResultSink here to export full
-    /// distributions:
+    /// makespans).  Both drivers call it on the pipeline's emitter — the
+    /// thread that called run_sweep or run_campaign — in job order (a
+    /// job's trials in order), the same sequence at every thread count, so
+    /// implementations need no locking; run_parallel_campaign wraps it in a
+    /// shared mutex across its shard emitters.  A throw fails the run.
+    /// Wire a ResultSink here to export full distributions:
     ///   cfg.record = [&](const InstanceRecord& r) { sink.write(r); };
     std::function<void(const InstanceRecord&)> record;
 };
@@ -93,6 +92,14 @@ struct SweepResult {
     SweepResult(std::vector<std::string> names)
         : heuristics(std::move(names)), overall(heuristics.size()) {}
 };
+
+/// The one grid check, made by run_sweep, run_campaign and
+/// api::ExperimentBuilder before any job runs: heuristic specs and a
+/// checkpoint axis that resolve in their registries, non-empty axes of
+/// positive values, positive counts and finite non-negative factors.
+/// Throws std::invalid_argument.
+void validate_sweep(const SweepConfig& cfg,
+                    const std::vector<std::string>& heuristics);
 
 /// Runs the sweep; deterministic for a fixed config regardless of threads.
 SweepResult run_sweep(const SweepConfig& cfg,

@@ -68,11 +68,4 @@ void ThreadPool::wait_idle() {
     }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-    for (std::size_t i = 0; i < n; ++i)
-        submit([&fn, i] { fn(i); });
-    wait_idle();
-}
-
 } // namespace volsched::util

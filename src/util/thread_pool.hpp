@@ -1,8 +1,9 @@
 #pragma once
 /// \file thread_pool.hpp
-/// Work-queue thread pool used to parallelize simulation sweeps across
-/// (scenario, trial) instances.  Instances are independent by construction
-/// (per-instance derived RNG seeds), so the sweep is embarrassingly parallel.
+/// Work-queue thread pool under the grid drivers' completion pipeline
+/// (exp/campaign.cpp), which submits one task per grid job.  Jobs are
+/// independent by construction (per-instance derived RNG seeds), so the
+/// grid is embarrassingly parallel.
 
 #include <condition_variable>
 #include <cstddef>
@@ -17,8 +18,9 @@ namespace volsched::util {
 /// Fixed-size pool with a single shared FIFO queue.
 ///
 /// Exceptions thrown by tasks are caught and re-thrown (first one wins) from
-/// wait_idle(), so a failing simulation aborts the sweep deterministically
-/// rather than silently dropping results.
+/// wait_idle(), so a failing task is never silently dropped.  (The
+/// completion pipeline catches its jobs' exceptions itself and rethrows the
+/// first from its emitter.)
 class ThreadPool {
 public:
     /// `threads == 0` selects hardware_concurrency() (min 1).
@@ -34,9 +36,6 @@ public:
     /// Blocks until the queue drains and all workers are idle, then rethrows
     /// the first task exception if any occurred.
     void wait_idle();
-
-    /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
     [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 

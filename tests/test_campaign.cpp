@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <functional>
 #include <set>
@@ -516,6 +517,51 @@ TEST(Campaign, ResumeAndMergeRejectTamperedRecords) {
             EXPECT_NE(message.find(who), std::string::npos) << message;
             EXPECT_NE(message.find(reason), std::string::npos) << message;
         }
+    }
+}
+
+TEST(Campaign, MergeRejectsAShardThatListsNoHeuristics) {
+    // A crafted one-job shard: its header lists no heuristics under a
+    // fingerprint recomputed to match, and its record carries no
+    // makespans, so the per-record count check passes (0 == 0).
+    TempDir dir;
+    auto cfg = small_campaign(dir.path());
+    cfg.heuristics.clear();
+    cfg.sweep.tasks_values = {3};
+    cfg.sweep.wmin_values = {1};
+    cfg.sweep.scenarios_per_cell = 1;
+    cfg.sweep.trials_per_scenario = 1;
+    const ve::GridJob job = ve::grid_jobs(cfg.sweep).front();
+    ve::InstanceRecord rec;
+    rec.scenario_ordinal = job.ordinal;
+    rec.scenario = job.scenario;
+    const auto file = dir.file("records.jsonl");
+    write_file(file, ve::campaign_header_line(cfg) + "\n" +
+                         ve::JsonlSink::format_record(rec) + "\n");
+    EXPECT_THROW((void)ve::merge_shards({file}), std::invalid_argument);
+}
+
+TEST(Campaign, DriversRejectDegenerateGridsBeforeAnyJobRuns) {
+    const std::pair<const char*, std::function<void(ve::CampaignConfig&)>>
+        spoilers[] = {
+            {"no heuristics", [](auto& c) { c.heuristics.clear(); }},
+            {"no checkpoint policy",
+             [](auto& c) { c.sweep.checkpoint_values.clear(); }},
+            {"wmin 0", [](auto& c) { c.sweep.wmin_values = {1, 0}; }},
+        };
+    for (const auto& [what, spoil] : spoilers) {
+        SCOPED_TRACE(what);
+        TempDir dir;
+        auto cfg = small_campaign(dir.path());
+        spoil(cfg);
+        std::atomic<int> instances{0};
+        cfg.sweep.progress = [&](long long, long long) { ++instances; };
+        cfg.sweep.record = [&](const ve::InstanceRecord&) { ++instances; };
+        EXPECT_THROW((void)ve::run_sweep(cfg.sweep, cfg.heuristics),
+                     std::invalid_argument);
+        EXPECT_THROW((void)ve::run_campaign(cfg), std::invalid_argument);
+        EXPECT_EQ(instances.load(), 0);
+        EXPECT_FALSE(std::filesystem::exists(dir.file("records.jsonl")));
     }
 }
 

@@ -13,8 +13,11 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,8 +27,8 @@
 #include "exp/index_sink.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
+#include "obs/registry.hpp"
 #include "support/golden.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ve = volsched::exp;
 namespace va = volsched::api;
@@ -190,20 +193,6 @@ TEST(Pipeline, NarrowestWindowDegeneratesSafely) {
               read_file(reference_dir.file("records.idx")));
 }
 
-TEST(Pipeline, RunsOnASharedPool) {
-    TempDir reference_dir, dir;
-    const auto reference =
-        ve::run_campaign(small_campaign(reference_dir.path()));
-    ASSERT_TRUE(reference.complete);
-
-    volsched::util::ThreadPool pool(2);
-    auto cfg = small_campaign(dir.path());
-    cfg.pool = &pool;
-    EXPECT_TRUE(ve::run_campaign(cfg).complete);
-    EXPECT_EQ(read_file(dir.file("records.jsonl")),
-              read_file(reference_dir.file("records.jsonl")));
-}
-
 TEST(Pipeline, KilledAndResumedStaysByteIdentical) {
     TempDir uninterrupted_dir, interrupted_dir;
 
@@ -238,6 +227,105 @@ TEST(Pipeline, KilledAndResumedStaysByteIdentical) {
     EXPECT_EQ(healed.idx, reference.idx);
     EXPECT_EQ(healed.manifest, reference.manifest);
     expect_results_identical(resumed.tables, uninterrupted.tables);
+}
+
+namespace {
+
+/// What the failing hooks below throw.
+struct HookFailure : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/// A fresh process registry for one test, uninstalled on every exit, a
+/// failed assertion's early return included.
+struct ScopedRegistry {
+    volsched::obs::Registry reg;
+    volsched::obs::Registry* const prev =
+        volsched::obs::Registry::install(&reg);
+
+    ScopedRegistry() = default;
+    ScopedRegistry(const ScopedRegistry&) = delete;
+    ScopedRegistry& operator=(const ScopedRegistry&) = delete;
+    ~ScopedRegistry() { volsched::obs::Registry::install(prev); }
+
+    /// The completion pipeline's gauges: window, emitter lag, queue depth.
+    std::vector<long long> pipeline_gauges() {
+        return {reg.gauge("campaign.window").value(),
+                reg.gauge("campaign.emitter_lag").value(),
+                reg.gauge("campaign.queue_depth").value()};
+    }
+};
+
+/// Installs a hook that throws HookFailure once `armed()` says so.
+using FailingHook =
+    std::function<void(ve::SweepConfig&, std::function<bool()> armed)>;
+
+/// A throwing hook fails both drivers the same way: its exception comes out
+/// of the driver, the pipeline takes its occupancy back out of the registry
+/// gauges, and a campaign that failed past its first checkpoint resumes
+/// from its MANIFEST to the bytes of an uninterrupted run.
+void expect_clean_failure(const FailingHook& install) {
+    ScopedRegistry registry;
+    const std::vector<long long> idle = {0, 0, 0};
+
+    auto sweep = small_sweep();
+    std::atomic<int> calls{0};
+    install(sweep, [&calls] { return ++calls > 6; });
+    EXPECT_THROW((void)ve::run_sweep(sweep, kHeuristics), HookFailure);
+    EXPECT_EQ(registry.pipeline_gauges(), idle) << "run_sweep";
+
+    TempDir reference_dir, dir;
+    const auto uninterrupted =
+        ve::run_campaign(small_campaign(reference_dir.path()));
+    ASSERT_TRUE(uninterrupted.complete);
+    const auto reference = shard_bytes(reference_dir.path());
+
+    // Armed once the first checkpoint (3 of 8 jobs) is durable.
+    auto failing = small_campaign(dir.path());
+    const auto manifest_file = ve::manifest_path(dir.path());
+    install(failing.sweep,
+            [manifest_file] { return std::filesystem::exists(manifest_file); });
+    EXPECT_THROW((void)ve::run_campaign(failing), HookFailure);
+    EXPECT_EQ(registry.pipeline_gauges(), idle) << "run_campaign";
+    const auto checkpointed = ve::read_manifest(dir.path());
+    ASSERT_TRUE(checkpointed.has_value());
+    EXPECT_GE(checkpointed->jobs_done, 3);
+    EXPECT_FALSE(checkpointed->complete);
+
+    // The rerun computes only what the manifest does not vouch for.
+    auto rerun = small_campaign(dir.path());
+    std::mutex seen_mutex;
+    std::set<long long> seen;
+    rerun.sweep.progress = [&](long long done, long long) {
+        std::lock_guard lock(seen_mutex);
+        seen.insert(done);
+    };
+    EXPECT_TRUE(ve::run_campaign(rerun).complete);
+    ASSERT_FALSE(seen.empty());
+    EXPECT_EQ(*seen.begin(), checkpointed->instances_done + 1);
+    const auto healed = shard_bytes(dir.path());
+    EXPECT_EQ(healed.jsonl, reference.jsonl);
+    EXPECT_EQ(healed.idx, reference.idx);
+    EXPECT_EQ(healed.manifest, reference.manifest);
+    EXPECT_EQ(registry.pipeline_gauges(), idle) << "after the rerun";
+}
+
+} // namespace
+
+TEST(Pipeline, ProgressHookThrowingOnAWorkerFailsCleanly) {
+    expect_clean_failure([](ve::SweepConfig& cfg, std::function<bool()> armed) {
+        cfg.progress = [armed](long long, long long) {
+            if (armed()) throw HookFailure("progress hook");
+        };
+    });
+}
+
+TEST(Pipeline, RecordHookThrowingOnTheEmitterFailsCleanly) {
+    expect_clean_failure([](ve::SweepConfig& cfg, std::function<bool()> armed) {
+        cfg.record = [armed](const ve::InstanceRecord&) {
+            if (armed()) throw HookFailure("record hook");
+        };
+    });
 }
 
 TEST(ParallelCampaign, MatchesSeparateSequentialShardRuns) {

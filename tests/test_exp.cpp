@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -87,6 +90,14 @@ TEST(Dfb, RejectsBadInput) {
     EXPECT_THROW(table.add_instance({0, 5}), std::invalid_argument);
 }
 
+TEST(Dfb, RejectsAnInstanceWithNoMakespans) {
+    // Arity matches (0 == 0), so only the emptiness check stands between
+    // the reduction and the best-of-nothing read.
+    ve::DfbTable table(0);
+    EXPECT_THROW(table.add_instance({}), std::invalid_argument);
+    EXPECT_EQ(table.instances(), 0);
+}
+
 TEST(Dfb, MergeAccumulates) {
     ve::DfbTable a(2), b(2);
     a.add_instance({100, 200});
@@ -145,25 +156,66 @@ TEST(Sweep, TinySweepProducesConsistentTables) {
     EXPECT_GE(wins, result.overall.instances());
 }
 
-TEST(Sweep, DeterministicAcrossThreadCounts) {
+namespace {
+
+/// Bit-identical table comparison: exact ==, not almost-equal (mirrors
+/// test_campaign's shard-merge contract).
+void expect_tables_identical(const ve::DfbTable& a, const ve::DfbTable& b) {
+    ASSERT_EQ(a.num_heuristics(), b.num_heuristics());
+    EXPECT_EQ(a.instances(), b.instances());
+    for (std::size_t h = 0; h < a.num_heuristics(); ++h) {
+        EXPECT_EQ(a.mean_dfb(h), b.mean_dfb(h));
+        EXPECT_EQ(a.dfb(h).variance(), b.dfb(h).variance());
+        EXPECT_EQ(a.dfb(h).min(), b.dfb(h).min());
+        EXPECT_EQ(a.dfb(h).max(), b.dfb(h).max());
+        EXPECT_EQ(a.makespan(h).mean(), b.makespan(h).mean());
+        EXPECT_EQ(a.wins(h), b.wins(h));
+    }
+}
+
+template <typename Key>
+void expect_maps_identical(const std::map<Key, ve::DfbTable>& ma,
+                           const std::map<Key, ve::DfbTable>& mb) {
+    ASSERT_EQ(ma.size(), mb.size());
+    for (const auto& [key, table] : ma) {
+        const auto it = mb.find(key);
+        ASSERT_NE(it, mb.end()) << "missing key " << key;
+        expect_tables_identical(table, it->second);
+    }
+}
+
+} // namespace
+
+/// Thread count never leaks into results: every instance derives its RNG
+/// streams from (master_seed, seed_ordinal, trial) and per-job tables merge
+/// in job order, so every table at 2, 4 and 5 threads must equal the
+/// 1-thread one bit for bit.
+TEST(Sweep, BitIdenticalAcrossThreadCounts) {
     ve::SweepConfig cfg;
-    cfg.tasks_values = {4};
+    cfg.tasks_values = {3, 4};
     cfg.ncom_values = {2};
-    cfg.wmin_values = {1};
+    cfg.wmin_values = {1, 2};
     cfg.scenarios_per_cell = 2;
     cfg.trials_per_scenario = 2;
-    cfg.p = 5;
+    cfg.p = 4;
     cfg.run.iterations = 2;
-    cfg.master_seed = 7;
-    const std::vector<std::string> heuristics = {"mct", "emct*"};
+    cfg.master_seed = 2026;
+    const std::vector<std::string> heuristics = {"mct", "emct", "emct*"};
 
     cfg.threads = 1;
-    const auto a = ve::run_sweep(cfg, heuristics);
-    cfg.threads = 4;
-    const auto b = ve::run_sweep(cfg, heuristics);
-    for (std::size_t h = 0; h < heuristics.size(); ++h) {
-        EXPECT_DOUBLE_EQ(a.overall.mean_dfb(h), b.overall.mean_dfb(h));
-        EXPECT_EQ(a.overall.wins(h), b.overall.wins(h));
+    const ve::SweepResult serial = ve::run_sweep(cfg, heuristics);
+    ASSERT_EQ(serial.overall.instances(), 2 * 2 * 2 * 2);
+
+    for (std::size_t threads : {2u, 4u, 5u}) {
+        SCOPED_TRACE(threads);
+        cfg.threads = threads;
+        const ve::SweepResult parallel = ve::run_sweep(cfg, heuristics);
+        EXPECT_EQ(parallel.heuristics, serial.heuristics);
+        expect_tables_identical(parallel.overall, serial.overall);
+        expect_maps_identical(parallel.by_wmin, serial.by_wmin);
+        expect_maps_identical(parallel.by_tasks, serial.by_tasks);
+        expect_maps_identical(parallel.by_ncom, serial.by_ncom);
+        expect_maps_identical(parallel.by_checkpoint, serial.by_checkpoint);
     }
 }
 

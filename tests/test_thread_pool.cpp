@@ -4,17 +4,13 @@
 
 #include <atomic>
 #include <cmath>
-#include <map>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "exp/sweep.hpp"
 #include "util/rng.hpp"
 
 namespace vu = volsched::util;
-namespace ve = volsched::exp;
 
 TEST(ThreadPool, RunsAllSubmittedTasks) {
     vu::ThreadPool pool(4);
@@ -23,13 +19,6 @@ TEST(ThreadPool, RunsAllSubmittedTasks) {
         pool.submit([&counter] { ++counter; });
     pool.wait_idle();
     EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-    vu::ThreadPool pool(3);
-    std::vector<std::atomic<int>> hits(257);
-    pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
@@ -103,11 +92,13 @@ TEST(ThreadPool, OrderedReductionBitMatchesSerialUnderConcurrency) {
         std::vector<double> partial(kTasks, 0.0);
         std::vector<std::size_t> completion_order;
         std::mutex order_mutex;
-        pool.parallel_for(kTasks, [&](std::size_t i) {
-            partial[i] = busy_work(i);
-            std::lock_guard lock(order_mutex);
-            completion_order.push_back(i);
-        });
+        for (std::size_t i = 0; i < kTasks; ++i)
+            pool.submit([&, i] {
+                partial[i] = busy_work(i);
+                std::lock_guard lock(order_mutex);
+                completion_order.push_back(i);
+            });
+        pool.wait_idle();
         ASSERT_EQ(completion_order.size(), kTasks);
 
         // Ordered reduction: bit-identical, not just approximately equal.
@@ -118,93 +109,18 @@ TEST(ThreadPool, OrderedReductionBitMatchesSerialUnderConcurrency) {
     }
 }
 
-/// Repeated waves through one pool: parallel_for barriers followed by loose
-/// submit()s must not lose tasks or deadlock (exercises the idle/active
-/// bookkeeping under contention; run under the tsan preset).
+/// Repeated waves through one pool: bursts of submit()s, each drained by a
+/// wait_idle barrier, must not lose tasks or deadlock (exercises the
+/// idle/active bookkeeping under contention; run under the tsan preset).
 TEST(ThreadPool, RepeatedWavesRetainEveryTask) {
     vu::ThreadPool pool(4);
     std::atomic<long long> total{0};
     for (int wave = 0; wave < 20; ++wave) {
-        pool.parallel_for(50, [&](std::size_t) { ++total; });
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&total] { ++total; });
-        pool.wait_idle();
+        for (int burst : {50, 10}) {
+            for (int i = 0; i < burst; ++i)
+                pool.submit([&total] { ++total; });
+            pool.wait_idle();
+        }
     }
     EXPECT_EQ(total.load(), 20 * (50 + 10));
-}
-
-namespace {
-
-/// Bit-identical table comparison: exact ==, not almost-equal (mirrors
-/// test_campaign's shard-merge contract).
-void expect_tables_identical(const ve::DfbTable& a, const ve::DfbTable& b) {
-    ASSERT_EQ(a.num_heuristics(), b.num_heuristics());
-    EXPECT_EQ(a.instances(), b.instances());
-    for (std::size_t h = 0; h < a.num_heuristics(); ++h) {
-        EXPECT_EQ(a.mean_dfb(h), b.mean_dfb(h));
-        EXPECT_EQ(a.dfb(h).variance(), b.dfb(h).variance());
-        EXPECT_EQ(a.dfb(h).min(), b.dfb(h).min());
-        EXPECT_EQ(a.dfb(h).max(), b.dfb(h).max());
-        EXPECT_EQ(a.makespan(h).mean(), b.makespan(h).mean());
-        EXPECT_EQ(a.wins(h), b.wins(h));
-    }
-}
-
-template <typename Key>
-void expect_maps_identical(const std::map<Key, ve::DfbTable>& ma,
-                           const std::map<Key, ve::DfbTable>& mb) {
-    ASSERT_EQ(ma.size(), mb.size());
-    for (const auto& [key, table] : ma) {
-        const auto it = mb.find(key);
-        ASSERT_NE(it, mb.end()) << "missing key " << key;
-        expect_tables_identical(table, it->second);
-    }
-}
-
-} // namespace
-
-/// run_sweep over the pool is the seam the in-process parallel-campaign
-/// work will widen: pin that thread count never leaks into results.  Every
-/// instance derives its RNG streams from (master_seed, seed_ordinal, trial)
-/// and per-job tables merge in job order, so 1, 2, and 5 threads must
-/// produce bit-identical SweepResults.
-TEST(ThreadPool, RunSweepBitIdenticalAcrossThreadCounts) {
-    ve::SweepConfig cfg;
-    cfg.tasks_values = {3, 4};
-    cfg.ncom_values = {2};
-    cfg.wmin_values = {1, 2};
-    cfg.scenarios_per_cell = 2;
-    cfg.trials_per_scenario = 2;
-    cfg.p = 4;
-    cfg.run.iterations = 2;
-    cfg.master_seed = 2026;
-    const std::vector<std::string> heuristics = {"mct", "emct"};
-
-    cfg.threads = 1;
-    const ve::SweepResult serial = ve::run_sweep(cfg, heuristics);
-    ASSERT_GT(serial.overall.instances(), 0);
-
-    for (std::size_t threads : {2u, 5u}) {
-        cfg.threads = threads;
-        const ve::SweepResult parallel = ve::run_sweep(cfg, heuristics);
-        EXPECT_EQ(parallel.heuristics, serial.heuristics);
-        expect_tables_identical(parallel.overall, serial.overall);
-        expect_maps_identical(parallel.by_wmin, serial.by_wmin);
-        expect_maps_identical(parallel.by_tasks, serial.by_tasks);
-        expect_maps_identical(parallel.by_ncom, serial.by_ncom);
-        expect_maps_identical(parallel.by_checkpoint, serial.by_checkpoint);
-    }
-}
-
-TEST(ThreadPool, LargeReductionIsCorrect) {
-    vu::ThreadPool pool(4);
-    std::vector<long long> partial(1000, 0);
-    pool.parallel_for(partial.size(), [&partial](std::size_t i) {
-        partial[i] = static_cast<long long>(i) * i;
-    });
-    const long long total =
-        std::accumulate(partial.begin(), partial.end(), 0LL);
-    long long expect = 0;
-    for (long long i = 0; i < 1000; ++i) expect += i * i;
-    EXPECT_EQ(total, expect);
 }
