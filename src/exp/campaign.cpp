@@ -531,12 +531,12 @@ struct Occupancy {
 /// The completion pipeline, the one run-ahead loop of both grid drivers:
 /// compute(j) for j in [first, end) on `pool`, emit(j, outcome) on the
 /// calling thread in increasing j, at most max(min_window, 2 x pool size)
-/// jobs ahead — so compute overlaps the emitter's I/O, a straggler delays
-/// only emission, and record memory stays bounded.  The first exception
-/// either side throws stops submission and is rethrown once no job runs.
-/// Occupancy goes to `occ` and, as deltas (shards share them), to the
-/// registry's campaign.* gauges; every exit path takes this run's share
-/// back out.
+/// jobs ahead — so compute overlaps the emitter's I/O and record memory
+/// stays bounded; a straggler idles workers once the window fills behind
+/// it.  The first exception either side throws stops submission, drops
+/// the jobs still queued, and is rethrown once no job runs.  Occupancy
+/// goes to `occ` and, as deltas (shards share them), to the registry's
+/// campaign.* gauges; every exit path takes this run's share back out.
 void run_pipeline(util::ThreadPool& pool, std::size_t min_window,
                   std::size_t first, std::size_t end, Occupancy& occ,
                   const std::function<JobOutcome(std::size_t)>& compute,
@@ -564,12 +564,11 @@ void run_pipeline(util::ThreadPool& pool, std::size_t min_window,
     std::size_t in_flight = 0;
     std::size_t next_submit = first;
 
-    // Caller holds `mu`.  Tasks capture this stack frame by reference, which
-    // is why every exit path below drains `in_flight` to zero before
-    // unwinding.
+    // Caller holds `mu` and has seen no error.  Tasks capture this stack
+    // frame by reference, which is why every exit path below drains
+    // `in_flight` to zero before unwinding.
     auto submit_upto_window = [&](std::size_t emitted) {
-        while (next_submit < end && !first_error &&
-               next_submit - emitted < occ.window) {
+        while (next_submit < end && next_submit - emitted < occ.window) {
             const std::size_t j = next_submit++;
             ++in_flight;
             occupy(0, 1);
@@ -578,19 +577,22 @@ void run_pipeline(util::ThreadPool& pool, std::size_t min_window,
                 // (by unwinding this stack frame) the moment it observes
                 // in_flight == 0, and it cannot observe that until the lock
                 // is released — after the notify call has fully returned.
-                try {
-                    JobOutcome out = compute(j);
-                    std::lock_guard lock(mu);
-                    ready.emplace(j, std::move(out));
-                    occupy(1, 0);
-                    --in_flight;
-                    cv.notify_all();
-                } catch (...) {
-                    std::lock_guard lock(mu);
-                    if (!first_error) first_error = std::current_exception();
-                    --in_flight;
-                    cv.notify_all();
+                std::unique_lock lock(mu);
+                if (!first_error) { // else the job is dropped unrun
+                    lock.unlock();
+                    try {
+                        JobOutcome out = compute(j);
+                        lock.lock();
+                        ready.emplace(j, std::move(out));
+                        occupy(1, 0);
+                    } catch (...) {
+                        if (!lock.owns_lock()) lock.lock();
+                        if (!first_error)
+                            first_error = std::current_exception();
+                    }
                 }
+                --in_flight;
+                cv.notify_all();
             });
         }
     };
@@ -841,8 +843,11 @@ SweepResult run_sweep(const SweepConfig& cfg,
     SweepResult result(heuristics);
     util::ThreadPool pool(cfg.threads);
     Occupancy occupancy;
+    // The whole grid is queued at once (a window of its job count): a
+    // shorter window idles workers behind a slow job at its head, and a
+    // sweep has no sink whose pace should bound what it holds.
     run_pipeline(
-        pool, 1, 0, jobs.size(), occupancy,
+        pool, jobs.size(), 0, jobs.size(), occupancy,
         [&](std::size_t j) { return run_job(jobs[j]); },
         [&](std::size_t j, JobOutcome& out) {
             if (cfg.record)
@@ -866,6 +871,7 @@ ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base) {
         throw std::invalid_argument("campaign: shard count must be >= 1");
     if (base.directory.empty())
         throw std::invalid_argument("campaign: no output directory");
+    validate_sweep(base.sweep, base.heuristics);
     const int shards = base.shard_count;
     const int trials = base.sweep.trials_per_scenario;
 

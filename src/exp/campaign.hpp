@@ -165,8 +165,9 @@ struct ParallelCampaignResult {
 /// are byte-identical to N separate single-shard processes.  Progress is
 /// aggregated across shards before reaching base.sweep.progress; the
 /// base.sweep.record hook, if any, is serialized across the shard emitters
-/// (records arrive shard-interleaved, each shard in order).  The first
-/// shard failure (by shard index) is rethrown after all drivers stop.
+/// (records arrive shard-interleaved, each shard in order).  Rejects what
+/// validate_sweep rejects before any shard starts; the first shard failure
+/// (by shard index) is rethrown after all drivers stop.
 ParallelCampaignResult run_parallel_campaign(const CampaignConfig& base);
 
 /// Reads shard JSONL files (headers must agree on the fingerprint) and

@@ -37,15 +37,19 @@ void validate_sweep(const SweepConfig& cfg,
                     const std::vector<std::string>& heuristics) {
     // Spec typos fail here with the registries' did-you-mean messages
     // instead of mid-grid on a worker thread.
-    if (heuristics.empty()) reject("no heuristics to race");
+    if (heuristics.empty())
+        reject("no heuristics to race; pass at least one scheduler spec "
+               "(ExperimentBuilder: .heuristics({...}), .all_heuristics() "
+               "or .greedy_heuristics())");
     for (const auto& spec : heuristics)
         api::SchedulerRegistry::instance().validate(spec);
     require_axis("tasks", cfg.tasks_values);
     require_axis("ncom", cfg.ncom_values);
     require_axis("wmin", cfg.wmin_values);
     if (cfg.checkpoint_values.empty())
-        reject("checkpoint axis is empty; it needs at least one policy spec "
-               "(\"none\" is the paper's model)");
+        reject("checkpoint axis is empty; pass at least one policy spec "
+               "(ExperimentBuilder: .checkpoints({...}); \"none\" is the "
+               "paper's model)");
     for (const auto& spec : cfg.checkpoint_values)
         ckpt::CheckpointRegistry::instance().validate(spec);
     require_positive("processors", cfg.p);

@@ -93,11 +93,11 @@ struct SweepResult {
         : heuristics(std::move(names)), overall(heuristics.size()) {}
 };
 
-/// The one grid check, made by run_sweep, run_campaign and
-/// api::ExperimentBuilder before any job runs: heuristic specs and a
-/// checkpoint axis that resolve in their registries, non-empty axes of
-/// positive values, positive counts and finite non-negative factors.
-/// Throws std::invalid_argument.
+/// The one grid check, made by run_sweep, run_campaign,
+/// run_parallel_campaign and api::ExperimentBuilder before any job runs:
+/// heuristic specs and a checkpoint axis that resolve in their registries,
+/// non-empty axes of positive values, positive counts and finite
+/// non-negative factors.  Throws std::invalid_argument.
 void validate_sweep(const SweepConfig& cfg,
                     const std::vector<std::string>& heuristics);
 

@@ -548,6 +548,8 @@ TEST(Campaign, DriversRejectDegenerateGridsBeforeAnyJobRuns) {
             {"no checkpoint policy",
              [](auto& c) { c.sweep.checkpoint_values.clear(); }},
             {"wmin 0", [](auto& c) { c.sweep.wmin_values = {1, 0}; }},
+            {"negative scenario count",
+             [](auto& c) { c.sweep.scenarios_per_cell = -1; }},
         };
     for (const auto& [what, spoil] : spoilers) {
         SCOPED_TRACE(what);
@@ -560,8 +562,12 @@ TEST(Campaign, DriversRejectDegenerateGridsBeforeAnyJobRuns) {
         EXPECT_THROW((void)ve::run_sweep(cfg.sweep, cfg.heuristics),
                      std::invalid_argument);
         EXPECT_THROW((void)ve::run_campaign(cfg), std::invalid_argument);
+        cfg.shard_count = 2;
+        EXPECT_THROW((void)ve::run_parallel_campaign(cfg),
+                     std::invalid_argument);
         EXPECT_EQ(instances.load(), 0);
         EXPECT_FALSE(std::filesystem::exists(dir.file("records.jsonl")));
+        EXPECT_TRUE(ve::find_shard_directories(dir.path()).empty());
     }
 }
 

@@ -328,6 +328,20 @@ TEST(Pipeline, RecordHookThrowingOnTheEmitterFailsCleanly) {
     });
 }
 
+TEST(Pipeline, FailureDropsTheJobsStillQueued) {
+    // A sweep queues its whole grid at once; on one worker, the job that
+    // fails first is the only one that starts.
+    auto sweep = small_sweep();
+    sweep.threads = 1;
+    int calls = 0;
+    sweep.progress = [&calls](long long, long long) {
+        ++calls;
+        throw HookFailure("progress hook");
+    };
+    EXPECT_THROW((void)ve::run_sweep(sweep, kHeuristics), HookFailure);
+    EXPECT_EQ(calls, 1);
+}
+
 TEST(ParallelCampaign, MatchesSeparateSequentialShardRuns) {
     constexpr int kShards = 3;
     const auto sweep = small_sweep();

@@ -418,6 +418,20 @@ TEST(ExperimentBuilder, ValidatesHeuristicsAndGrid) {
     va::ExperimentBuilder negative;
     negative.heuristics({"mct"}).trials(0);
     EXPECT_THROW((void)negative.run(), std::invalid_argument);
+
+    // The two empty-list rejections name the builder call that fills them.
+    const std::string no_heuristics =
+        message_of([] { (void)va::ExperimentBuilder().run(); });
+    EXPECT_NE(no_heuristics.find(".all_heuristics()"), std::string::npos)
+        << no_heuristics;
+    const std::string no_policy = message_of([] {
+        (void)va::ExperimentBuilder()
+            .heuristics({"mct"})
+            .checkpoints({})
+            .sweep_config();
+    });
+    EXPECT_NE(no_policy.find(".checkpoints({...})"), std::string::npos)
+        << no_policy;
 }
 
 TEST(ExperimentBuilder, RunMatchesRawSweep) {
