@@ -55,16 +55,29 @@ sim::ProcId RandomScheduler::select(const sim::SchedView& view,
                                     std::span<const sim::ProcId> eligible,
                                     std::span<const int> nq, util::Rng& rng) {
     (void)nq;
-    weights_.resize(eligible.size());
     refresh_weights(view);
-    for (std::size_t i = 0; i < eligible.size(); ++i)
-        weights_[i] = weight_by_proc_[static_cast<std::size_t>(eligible[i])];
-    const std::size_t idx = rng.weighted_index(weights_.data(), weights_.size());
-    if (idx >= eligible.size()) {
+    // util::Rng::weighted_index over the candidates' weights, read in
+    // place: the same sums, draws and fallbacks in the same order.
+    const auto weight = [this](sim::ProcId q) {
+        return weight_by_proc_[static_cast<std::size_t>(q)];
+    };
+    double total = 0.0;
+    for (const sim::ProcId q : eligible)
+        if (weight(q) > 0.0) total += weight(q);
+    if (total <= 0.0) {
         // All weights zero (e.g. pi_u == 0 everywhere): fall back to uniform.
         return eligible[rng.uniform_int(0, eligible.size() - 1)];
     }
-    return eligible[idx];
+    double r = rng.uniform() * total;
+    sim::ProcId last_positive = sim::kNoProc;
+    for (const sim::ProcId q : eligible) {
+        if (weight(q) <= 0.0) continue;
+        r -= weight(q);
+        if (r < 0.0) return q;
+        last_positive = q;
+    }
+    // Floating-point slack: the last positive-weight candidate.
+    return last_positive;
 }
 
 // ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@
 ///
 /// A processor's weight depends only on its belief chain and speed, both
 /// fixed for a whole run (sim/scheduler.hpp), so the weights are computed
-/// once per SchedView::run and select() merely gathers them — same
-/// weights, same RNG draws, decisions bit-identical to evaluating
-/// weight_of per pick.  A hand-built view (run 0) is weighed afresh on
-/// every call.
+/// once per SchedView::run.  select() then reads them through the
+/// candidates in place, with util::Rng::weighted_index's exact arithmetic
+/// and draws (the sum of positive weights, one uniform(), sequential
+/// subtraction, the uniform_int and last-positive fallbacks) — decisions
+/// and RNG state bit-identical to weighted_index over the gathered
+/// weights, without the copy.  A hand-built view (run 0) is weighed afresh
+/// on every call.
 
 #include <cstdint>
 #include <string>
@@ -53,7 +56,6 @@ private:
     RandomWeight weight_;
     bool divide_by_speed_;
     std::string name_;
-    std::vector<double> weights_; // scratch, sized per call
     /// Per-processor weights of run weights_run_ (0: none yet, or a
     /// hand-built view).
     std::vector<double> weight_by_proc_;

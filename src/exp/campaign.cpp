@@ -409,6 +409,14 @@ CampaignHeader parse_campaign_header(const std::string& line) {
         throw std::invalid_argument(
             "campaign: header fingerprint does not match its configuration "
             "(tampered or version-skewed shard file)");
+    // A fingerprint recomputed by hand matches any grid, so the grid's
+    // shape is checked too, before a reader sizes anything from it.
+    try {
+        validate_grid(sw);
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string("campaign: header: ") +
+                                    e.what());
+    }
     return header;
 }
 

@@ -117,7 +117,9 @@ struct CampaignHeader {
 
 /// Strict inverse of campaign_header_line; recomputes the fingerprint from
 /// the parsed configuration and throws std::invalid_argument when it does
-/// not match the stored one (tampered or version-skewed file).
+/// not match the stored one (tampered or version-skewed file), or when the
+/// grid fails exp::validate_grid (an axis or count a reader cannot size;
+/// the message names the field).
 CampaignHeader parse_campaign_header(const std::string& line);
 
 /// Compact progress manifest, replaced atomically at every checkpoint.

@@ -33,6 +33,28 @@ void require_axis(const char* what, const std::vector<int>& values) {
 
 } // namespace
 
+void validate_grid(const SweepConfig& cfg) {
+    require_axis("tasks", cfg.tasks_values);
+    require_axis("ncom", cfg.ncom_values);
+    require_axis("wmin", cfg.wmin_values);
+    if (cfg.checkpoint_values.empty())
+        reject("checkpoint axis is empty; pass at least one policy spec "
+               "(ExperimentBuilder: .checkpoints({...}); \"none\" is the "
+               "paper's model)");
+    require_positive("p (processors)", cfg.p);
+    require_positive("scenarios_per_cell", cfg.scenarios_per_cell);
+    require_positive("trials_per_scenario", cfg.trials_per_scenario);
+    require_positive("iterations", cfg.run.iterations);
+    require_positive("max_slots", cfg.run.max_slots);
+    if (cfg.run.replica_cap < 0) reject("replica_cap is negative");
+    if (cfg.run.checkpoint_cost < 0) reject("checkpoint_cost is negative");
+    // isfinite also rejects NaN, which every < comparison would wave
+    // through — and which would poison the JSONL campaign headers.
+    if (!std::isfinite(cfg.tdata_factor) || cfg.tdata_factor < 0 ||
+        !std::isfinite(cfg.tprog_factor) || cfg.tprog_factor < 0)
+        reject("tdata/tprog factors must be finite and non-negative");
+}
+
 void validate_sweep(const SweepConfig& cfg,
                     const std::vector<std::string>& heuristics) {
     // Spec typos fail here with the registries' did-you-mean messages
@@ -43,27 +65,9 @@ void validate_sweep(const SweepConfig& cfg,
                "or .greedy_heuristics())");
     for (const auto& spec : heuristics)
         api::SchedulerRegistry::instance().validate(spec);
-    require_axis("tasks", cfg.tasks_values);
-    require_axis("ncom", cfg.ncom_values);
-    require_axis("wmin", cfg.wmin_values);
-    if (cfg.checkpoint_values.empty())
-        reject("checkpoint axis is empty; pass at least one policy spec "
-               "(ExperimentBuilder: .checkpoints({...}); \"none\" is the "
-               "paper's model)");
+    validate_grid(cfg);
     for (const auto& spec : cfg.checkpoint_values)
         ckpt::CheckpointRegistry::instance().validate(spec);
-    require_positive("processors", cfg.p);
-    require_positive("scenarios_per_cell", cfg.scenarios_per_cell);
-    require_positive("trials", cfg.trials_per_scenario);
-    require_positive("iterations", cfg.run.iterations);
-    require_positive("max_slots", cfg.run.max_slots);
-    if (cfg.run.replica_cap < 0) reject("replica_cap is negative");
-    if (cfg.run.checkpoint_cost < 0) reject("checkpoint_cost is negative");
-    // isfinite also rejects NaN, which every < comparison would wave
-    // through — and which would poison the JSONL campaign headers.
-    if (!std::isfinite(cfg.tdata_factor) || cfg.tdata_factor < 0 ||
-        !std::isfinite(cfg.tprog_factor) || cfg.tprog_factor < 0)
-        reject("tdata/tprog factors must be finite and non-negative");
 }
 
 std::vector<GridJob> grid_jobs(const SweepConfig& cfg) {

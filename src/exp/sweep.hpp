@@ -96,10 +96,16 @@ struct SweepResult {
 /// The one grid check, made by run_sweep, run_campaign,
 /// run_parallel_campaign and api::ExperimentBuilder before any job runs:
 /// heuristic specs and a checkpoint axis that resolve in their registries,
-/// non-empty axes of positive values, positive counts and finite
-/// non-negative factors.  Throws std::invalid_argument.
+/// plus validate_grid.  Throws std::invalid_argument.
 void validate_sweep(const SweepConfig& cfg,
                     const std::vector<std::string>& heuristics);
+
+/// validate_sweep's checks of the grid's shape, without resolving a spec:
+/// non-empty axes of positive values, a non-empty checkpoint axis,
+/// positive counts, non-negative replica cap and checkpoint cost, and
+/// finite non-negative factors.  parse_campaign_header makes them on every
+/// header it reads.  Throws std::invalid_argument naming the field.
+void validate_grid(const SweepConfig& cfg);
 
 /// Runs the sweep; deterministic for a fixed config regardless of threads.
 SweepResult run_sweep(const SweepConfig& cfg,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -138,7 +137,8 @@ public:
         view_stale_.assign(static_cast<std::size_t>(p), 0);
         nq_.assign(static_cast<std::size_t>(p), 0);
         // Every worker's state is read at slot 0.
-        for (int q = 0; q < p; ++q) state_changes_.emplace_back(0, q);
+        change_at_.assign(static_cast<std::size_t>(p), 0);
+        up_since_.assign(static_cast<std::size_t>(p), 0);
         cursors_.reserve(p);
         for (int q = 0; q < p; ++q)
             cursors_.emplace_back(traces.trace(q));
@@ -213,6 +213,7 @@ public:
                 metrics_.completed = true;
                 metrics_.makespan = t + 1;
                 metrics_.iterations_completed = config_.iterations;
+                settle_up_slots(t + 1);
                 for (EngineObserver* o : config_.observers) o->end_run(t + 1);
                 return metrics_;
             }
@@ -221,6 +222,7 @@ public:
         metrics_.completed = false;
         metrics_.makespan = config_.max_slots;
         metrics_.iterations_completed = iterations_done_;
+        settle_up_slots(config_.max_slots);
         for (EngineObserver* o : config_.observers)
             o->end_run(config_.max_slots);
         return metrics_;
@@ -251,44 +253,57 @@ private:
 
     // ---- slot phases --------------------------------------------------
 
-    /// Phase 1: worker states advance.  Only the workers whose RLE segment
-    /// ended by slot t (the front of state_changes_; at slot 0, all) are
-    /// re-read, in processor order, and eligible_ follows their
-    /// transitions.
+    /// Phase 1: worker states advance.  Each worker's change slot is where
+    /// its RLE segment ends as far as it was realized when read, so a slot
+    /// before their minimum changes nothing.  At any other slot (at slot 0,
+    /// all workers are due) one scan in processor order re-reads the
+    /// workers whose change slot has come, and eligible_ follows their
+    /// transitions.  A worker's UP slots are added when it leaves UP (and
+    /// by settle_up_slots at the run's end), not per slot.
     void advance_states(long long t) {
-        changed_.clear();
-        while (!state_changes_.empty() && state_changes_.front().first <= t) {
-            std::pop_heap(state_changes_.begin(), state_changes_.end(),
-                          std::greater<>{});
-            changed_.push_back(state_changes_.back().second);
-            state_changes_.pop_back();
-        }
-        std::sort(changed_.begin(), changed_.end());
-        for (const ProcId q : changed_) {
-            const ProcState prev = workers_[q].state;
-            const ProcState next = cursors_[q].state_at(t);
-            state_changes_.emplace_back(cursors_[q].segment_end(), q);
-            std::push_heap(state_changes_.begin(), state_changes_.end(),
-                           std::greater<>{});
-            if (t > 0 && next == prev) continue; // the segment only grew
-            workers_[q].state = next;
-            mark_view(q);
-            if (t > 0 && prev == ProcState::Up)
-                eligible_.erase(std::lower_bound(eligible_.begin(),
-                                                 eligible_.end(), q));
-            else if (next == ProcState::Up)
-                eligible_.insert(std::lower_bound(eligible_.begin(),
-                                                  eligible_.end(), q),
-                                 q);
-            emit(EventKind::StateChange, q, -1, false, next);
-            if (next == ProcState::Down) {
-                ++metrics_.down_events;
-                ++metrics_.per_proc[q].down_events;
-                handle_down(q);
+        if (t < next_change_) return;
+        long long next_change = std::numeric_limits<long long>::max();
+        for (int q = 0; q < pf_.size(); ++q) {
+            if (change_at_[q] <= t) {
+                const ProcState prev = workers_[q].state;
+                const ProcState next = cursors_[q].state_at(t);
+                change_at_[q] = cursors_[q].segment_end();
+                if (t == 0 || next != prev) // else the segment only grew
+                    change_state(q, t, prev, next);
             }
+            next_change = std::min(next_change, change_at_[q]);
         }
+        next_change_ = next_change;
         up_count_ = static_cast<int>(eligible_.size());
-        for (const ProcId q : eligible_) ++metrics_.per_proc[q].up_slots;
+    }
+
+    /// Worker q's availability goes from `prev` to `next` at slot t (at
+    /// slot 0, from nothing).
+    void change_state(ProcId q, long long t, ProcState prev, ProcState next) {
+        workers_[q].state = next;
+        mark_view(q);
+        if (t > 0 && prev == ProcState::Up) {
+            eligible_.erase(
+                std::lower_bound(eligible_.begin(), eligible_.end(), q));
+            metrics_.per_proc[q].up_slots += t - up_since_[q];
+        } else if (next == ProcState::Up) {
+            eligible_.insert(
+                std::lower_bound(eligible_.begin(), eligible_.end(), q), q);
+            up_since_[q] = t;
+        }
+        emit(EventKind::StateChange, q, -1, false, next);
+        if (next == ProcState::Down) {
+            ++metrics_.down_events;
+            ++metrics_.per_proc[q].down_events;
+            handle_down(q);
+        }
+    }
+
+    /// Adds the UP slots of the workers still UP when the run ends at
+    /// `end` (its makespan).
+    void settle_up_slots(long long end) {
+        for (const ProcId q : eligible_)
+            metrics_.per_proc[q].up_slots += end - up_since_[q];
     }
 
     /// First slot after `s` at which some worker's availability state
@@ -333,18 +348,14 @@ private:
     /// allocation is the first ncom UP entries of the bandwidth FIFO, which
     /// no inert slot reorders.
     long long steady_horizon(long long t) {
-        // Bandwidth allocation for the stretch: the leftover budget feeds
-        // the act-now checks.  min_rem over ALL transfers to/from UP
-        // workers lower-bounds the remainder of the advancing subset, so it
-        // bounds the first possible drain.
-        int in_flight = 0;
-        int min_rem = std::numeric_limits<int>::max();
+        // Bandwidth allocation for the stretch: the first ncom transfers
+        // to/from UP workers advance, and the leftover budget feeds the
+        // act-now checks.
+        int advancing = 0;
         for (const ActiveTransfer& tr : fifo_) {
-            if (workers_[tr.proc].state != ProcState::Up) continue;
-            ++in_flight;
-            min_rem = std::min(min_rem, remaining(tr));
+            if (advancing == pf_.ncom) break;
+            if (workers_[tr.proc].state == ProcState::Up) ++advancing;
         }
-        const int advancing = std::min(pf_.ncom, in_flight);
         const int budget = pf_.ncom - advancing;
 
         // Scheduler decision point this slot?  Checked first: in dense
@@ -370,10 +381,15 @@ private:
         }
 
         // Transfer completions: each advancing transfer drains to zero —
-        // and must be simulated — in slot t + remaining - 1.  min_rem is a
-        // lower bound over any advancing subset, so the pushed slot is at
-        // or before the true first drain (a conservative, still-inert cap).
+        // and must be simulated — in slot t + remaining - 1.  min_rem over
+        // ALL transfers to/from UP workers lower-bounds the remainder of
+        // the advancing subset, so the pushed slot is at or before the true
+        // first drain (a conservative, still-inert cap).
         if (advancing > 0) {
+            int min_rem = std::numeric_limits<int>::max();
+            for (const ActiveTransfer& tr : fifo_)
+                if (workers_[tr.proc].state == ProcState::Up)
+                    min_rem = std::min(min_rem, remaining(tr));
             if (min_rem <= 1) return t;
             next.push(t + min_rem - 1, EventCause::Transfer);
         }
@@ -509,12 +525,12 @@ private:
     /// Advances the steady stretch [from, to) arithmetically: states are
     /// frozen, the first ncom transfers to/from UP workers in the FIFO and
     /// every unobstructed computation drain one unit per slot (none to
-    /// zero, so the FIFO keeps its entries and order), and observers
-    /// receive the stretch's one activity row through one on_inert call.
-    /// Precondition: steady_horizon(from) >= to.  With no worker UP this is
-    /// the dead-stretch skip of both cores: the row holds no activity, and
-    /// the stretch counts in dead_slots_skipped.  Callers count
-    /// slots_elided.
+    /// zero, so the FIFO keeps its entries and order), the drained units
+    /// leave the workers' view delays, and observers receive the stretch's
+    /// one activity row through one on_inert call.  Precondition:
+    /// steady_horizon(from) >= to.  With no worker UP this is the
+    /// dead-stretch skip of both cores: the row holds no activity, and the
+    /// stretch counts in dead_slots_skipped.  Callers count slots_elided.
     void fast_forward(long long from, long long to) {
         const long long n = to - from;
         if (config_.audit) audit_steady_range(from, to);
@@ -524,6 +540,7 @@ private:
             Worker& w = workers_[tr.proc];
             if (w.state != ProcState::Up) continue;
             ++advancing;
+            views_[tr.proc].delay -= static_cast<int>(n);
             if (tr.kind == TransferKind::Prog) {
                 w.prog_remaining -= static_cast<int>(n);
                 row_[tr.proc].recv = -2;
@@ -541,9 +558,9 @@ private:
         }
         for (const ProcId q : eligible_) {
             Worker& w = workers_[q];
-            metrics_.per_proc[q].up_slots += n;
             if (w.computing == -1 || w.ckpt_in_flight) continue;
             w.compute_remaining -= static_cast<int>(n);
+            views_[q].delay -= static_cast<int>(n);
             w.since_ckpt += static_cast<int>(n);
             metrics_.compute_slots += n;
             metrics_.per_proc[q].compute_slots += n;
@@ -651,6 +668,7 @@ private:
         Instance& inst = instances_[id];
         const ProcId q = inst.proc;
         Worker& w = workers_[q];
+        mark_view(q); // frees the buffer or the compute slot
         if (inst.data_started)
             metrics_.wasted_transfer_slots += pf_.t_data - inst.data_remaining;
         if (w.computing == id) {
@@ -696,9 +714,6 @@ private:
                 unwait(q);
             w.staged = -1;
             w.data_start = -1;
-            // A freed buffer puts no one on the due list (the computing
-            // branch above does, through mark_due), so mark the row here.
-            mark_view(q);
         }
         inst.proc = kNoProc;
         inst.planned = kNoProc;
@@ -750,23 +765,24 @@ private:
     }
 
     /// Puts worker q on this slot's due list: something happened to it that
-    /// end_of_slot may have to materialize.  What end_of_slot writes may
-    /// change q's scheduler view, so the row is marked too.
+    /// end_of_slot may have to materialize (and end_of_slot marks its view
+    /// row after its pass).
     void mark_due(ProcId q) {
-        mark_view(q);
         if (due_flag_[q]) return;
         due_flag_[q] = 1;
         due_.push_back(q);
     }
 
-    /// Notes that worker q's scheduler-view row may be stale.  Every round
-    /// rewrites the UP workers' rows, so only a worker that is not UP is
-    /// listed.  Such a worker's view inputs change only at its own state
-    /// change, when release_instance takes its task, or in end_of_slot
-    /// (which visits due workers only): advance_states, release_instance
-    /// and mark_due call this.
+    /// Notes that worker q's scheduler-view row is stale; the next round
+    /// rebuilds it.  The contract that keeps every other row exact: every
+    /// write to a view input (state, has_program, staged, and the counters
+    /// behind Delay(q)) either decrements the row's delay in step — a
+    /// program, data, checkpoint or compute counter draining one unit per
+    /// slot, or n units in fast_forward — or marks the row here: a state
+    /// change, staging, a data, program or checkpoint start,
+    /// release_instance, and each due worker after end_of_slot's pass.
     void mark_view(ProcId q) {
-        if (workers_[q].state == ProcState::Up || view_stale_[q]) return;
+        if (view_stale_[q]) return;
         view_stale_[q] = 1;
         stale_views_.push_back(q);
     }
@@ -803,6 +819,7 @@ private:
             }
             ++transfers_this_slot_;
             --budget;
+            --views_[tr.proc].delay;
             if (--remaining(tr) > 0) {
                 ++i;
             } else {
@@ -847,6 +864,7 @@ private:
             w.ckpt_start = t;
             w.ckpt_progress = progress;
             w.since_ckpt = 0;
+            mark_view(q);
             if (w.ckpt_remaining > 0)
                 fifo_insert({t, q, TransferKind::Ckpt});
             else
@@ -961,17 +979,21 @@ private:
         enrolled_.clear();
         if (config_.audit) audit_round_counts();
         replica_plan_.clear();
+        // Every commit needs an UP worker with a free buffer (try_commit's
+        // first check), and so does every replica candidate.  Nothing below
+        // frees or fills a buffer before the commit sweep.
+        const bool any_free_buffer =
+            std::any_of(eligible_.begin(), eligible_.end(),
+                        [this](ProcId q) { return workers_[q].staged == -1; });
 
         if (must_plan) {
             // The heuristic's snapshot: views_ persists across rounds, and
-            // only the UP workers' rows and the rows marked since the last
-            // round can be stale.
+            // only the rows marked since the last round are stale.
             for (const ProcId q : stale_views_) {
                 views_[q] = view_of(q);
                 view_stale_[q] = 0;
             }
             stale_views_.clear();
-            for (const ProcId q : eligible_) views_[q] = view_of(q);
             if (config_.audit) audit_views();
             SchedView view;
             view.platform = &pf_;
@@ -1011,8 +1033,9 @@ private:
             // 2. Replica candidates (Section 6.1): only when UP processors
             // outnumber remaining tasks; at most `replica_cap` extras per
             // logical task; restricted to buffer-free processors so that a
-            // committed replica starts transferring immediately.
-            if (may_replicate) {
+            // committed replica starts transferring immediately (without
+            // one, no task finds a candidate).
+            if (may_replicate && any_free_buffer) {
                 planned_logical_.assign(
                     static_cast<std::size_t>(pf_.size()), -1);
                 for (int lt = 0; lt < config_.tasks_per_iteration; ++lt) {
@@ -1047,24 +1070,27 @@ private:
         }
 
         // 3. Commit transfers in plan order: originals first (by plan_seq),
-        // then replicas in planning order.  Every commit needs an UP worker
-        // with a free buffer (try_commit's first check), and replicas were
-        // planned on such workers only: without one the sweep commits
-        // nothing, so it is skipped.
-        const auto buffer_free = [this](ProcId q) {
-            return workers_[q].staged == -1;
-        };
-        if (std::none_of(eligible_.begin(), eligible_.end(), buffer_free)) {
+        // then replicas in planning order.  Without an UP worker with a
+        // free buffer the sweep commits nothing, so it is skipped.
+        if (!any_free_buffer) {
             if (config_.audit) audit_no_free_buffer();
             return;
         }
         commit_order_.clear();
         for (int id : pool_)
             if (instances_[id].planned != kNoProc) commit_order_.push_back(id);
-        std::sort(commit_order_.begin(), commit_order_.end(),
-                  [this](int a, int b) {
-                      return instances_[a].plan_seq < instances_[b].plan_seq;
-                  });
+        // The other classes re-planned the whole pool this round, in pool
+        // order, so their plan_seq already ascends; Passive plans persist
+        // across rounds.
+        const auto by_plan_seq = [this](int a, int b) {
+            return instances_[a].plan_seq < instances_[b].plan_seq;
+        };
+        if (config_.plan_class == SchedulerClass::Passive)
+            std::sort(commit_order_.begin(), commit_order_.end(), by_plan_seq);
+        else if (config_.audit &&
+                 !std::is_sorted(commit_order_.begin(), commit_order_.end(),
+                                 by_plan_seq))
+            throw std::logic_error("audit: commit order out of plan order");
         for (int id : commit_order_) {
             if (budget == 0 && pf_.t_data > 0 && pf_.t_prog > 0) break;
             try_commit(id, instances_[id].planned, t, budget);
@@ -1185,9 +1211,11 @@ private:
             // will follow once the program is complete.
             if (pf_.t_prog == 0) {
                 w.has_program = true;
+                mark_view(q);
                 return try_commit(id, q, t, budget);
             }
             if (budget == 0) return false;
+            mark_view(q);
             w.prog_in_flight = true;
             w.prog_remaining = pf_.t_prog - 1; // this slot transfers already
             w.prog_start = t;
@@ -1222,6 +1250,7 @@ private:
         inst.proc = q;
         inst.commit_slot = t;
         workers_[q].staged = id;
+        mark_view(q);
     }
 
     /// Starts the data transfer of q's staged instance; this slot already
@@ -1229,6 +1258,7 @@ private:
     void start_data(Instance& inst, ProcId q, long long t) {
         inst.data_started = true;
         workers_[q].data_start = t;
+        mark_view(q);
         if (--inst.data_remaining > 0)
             fifo_insert({t, q, TransferKind::Data});
         else
@@ -1242,6 +1272,7 @@ private:
             // Computation pauses while the worker's snapshot uploads — the
             // classic checkpoint overhead the policies must amortize.
             if (w.ckpt_in_flight) continue;
+            --views_[q].delay;
             if (--w.compute_remaining <= 0) mark_due(q);
             ++w.since_ckpt;
             ++metrics_.compute_slots;
@@ -1301,9 +1332,12 @@ private:
             std::sort(due_.begin(), due_.end());
         if (config_.audit) audit_due(/*promotion_only=*/true);
         // Promotions: a data-complete staged task starts computing next slot.
+        // Every due worker's view row is marked here, after the pass wrote
+        // to it (a round earlier in the slot may have rebuilt the row).
         for (const ProcId q : due_) {
             Worker& w = workers_[q];
             due_flag_[q] = 0;
+            mark_view(q);
             if (w.computing != -1 || w.staged == -1) continue;
             Instance& inst = instances_[w.staged];
             if (!inst.data_done) continue;
@@ -1509,20 +1543,23 @@ private:
     }
 
     /// Audit cross-check of the incremental slot bookkeeping after slot t:
-    /// recomputes the worker states, the state-change schedule, the
-    /// bandwidth FIFO, the pool list, the UP list, the data-waiting list
-    /// and the due set from scratch and throws on any drift.
+    /// recomputes the worker states, the minimum change slot, the view rows
+    /// not marked stale, the bandwidth FIFO, the pool list, the UP list,
+    /// the data-waiting list and the due set from scratch and throws on any
+    /// drift.
     void audit_incremental(long long t) {
-        // A schedule entry may lie at or before t: a segment that was the
+        // A change slot may lie at or before t: a segment that was the
         // trace's open frontier when read may have grown since, and is
         // re-read at the next simulated slot.
-        std::vector<int> scheduled(static_cast<std::size_t>(pf_.size()), 0);
-        for (const auto& entry : state_changes_)
-            ++scheduled[static_cast<std::size_t>(entry.second)];
         for (int q = 0; q < pf_.size(); ++q)
-            if (scheduled[static_cast<std::size_t>(q)] != 1 ||
-                workers_[q].state != cursors_[q].state_at(t))
+            if (workers_[q].state != cursors_[q].state_at(t))
                 throw std::logic_error("audit: worker state drift");
+        if (next_change_ != *std::min_element(change_at_.begin(),
+                                              change_at_.end()))
+            throw std::logic_error("audit: change slot minimum drift");
+        for (int q = 0; q < pf_.size(); ++q)
+            if (!view_stale_[q] && !(views_[q] == view_of(q)))
+                throw std::logic_error("audit: scheduler view drift");
         std::vector<ActiveTransfer> fifo;
         for (int q = 0; q < pf_.size(); ++q) {
             const Worker& w = workers_[q];
@@ -1653,11 +1690,14 @@ private:
     std::vector<Worker> workers_;
     std::vector<ProcId> eligible_; ///< UP workers in processor order
     int up_count_ = 0;             ///< eligible_.size()
-    /// Min-heap of (slot, worker): the slot at which the worker's current
-    /// RLE segment ends as far as it was realized when read (a lower bound
-    /// of the true end), so advance_states re-reads only workers whose
-    /// state can have changed.  One entry per worker.
-    std::vector<std::pair<long long, ProcId>> state_changes_;
+    /// Per worker, its change slot: where its current RLE segment ends as
+    /// far as it was realized when read (a lower bound of the true end), so
+    /// advance_states re-reads only workers whose state can have changed.
+    std::vector<long long> change_at_;
+    long long next_change_ = 0; ///< min of change_at_
+    /// Per UP worker, the slot it came UP (its UP slots are added when it
+    /// leaves UP or the run ends).
+    std::vector<long long> up_since_;
     /// This iteration's task copies: the originals are instances 0..m-1
     /// (instance id == logical task), replicas are appended after them.
     std::vector<Instance> instances_;
@@ -1686,9 +1726,10 @@ private:
     /// This slot's activity per worker, written by the slot phases (or by
     /// fast_forward for a whole stretch) and handed to the observers.
     std::vector<SlotActivity> row_;
-    /// The scheduler view, one row per worker, kept across rounds: a round
-    /// rewrites the UP workers' rows and the listed stale ones
-    /// (view_stale_ dedupes; see mark_view).
+    /// The scheduler view, one row per worker, kept exact through the
+    /// events that change it: a drain decrements the row's delay in step,
+    /// and any other change lists the row as stale (view_stale_ dedupes;
+    /// see mark_view), which the next round rebuilds.
     std::vector<ProcView> views_;
     std::vector<ProcId> stale_views_;
     std::vector<std::uint8_t> view_stale_;
@@ -1696,7 +1737,6 @@ private:
     RunMetrics metrics_;
 
     // Scratch buffers reused across slots to avoid per-slot allocation.
-    std::vector<ProcId> changed_;
     std::vector<ProcId> pending_;
     /// Instances assigned to each worker this round; nonzero only for the
     /// workers in enrolled_, which plan_and_commit resets.

@@ -16,6 +16,7 @@
 #include "api/campaign_builder.hpp"
 #include "api/experiment_builder.hpp"
 #include "exp/campaign.hpp"
+#include "exp/index_sink.hpp"
 #include "exp/sink.hpp"
 #include "exp/sweep.hpp"
 #include "support/golden.hpp"
@@ -539,6 +540,67 @@ TEST(Campaign, MergeRejectsAShardThatListsNoHeuristics) {
     write_file(file, ve::campaign_header_line(cfg) + "\n" +
                          ve::JsonlSink::format_record(rec) + "\n");
     EXPECT_THROW((void)ve::merge_shards({file}), std::invalid_argument);
+}
+
+TEST(Campaign, ReadersRejectAHeaderWithADegenerateGrid) {
+    // Crafted one-job shards: the header's grid is spoiled under a
+    // fingerprint recomputed to match, and the one record is the unspoiled
+    // grid's job.  Both readers must reject the header and name the field,
+    // instead of sizing the grid from it (a negative count threw
+    // std::length_error from a reserve) or reading on (p 0 merged, and an
+    // empty axis or no trials blamed the records).
+    const std::pair<const char*, std::function<void(ve::SweepConfig&)>>
+        spoilers[] = {
+            {"scenarios_per_cell", [](auto& s) { s.scenarios_per_cell = -1; }},
+            {"p (processors)", [](auto& s) { s.p = 0; }},
+            {"trials_per_scenario", [](auto& s) { s.trials_per_scenario = 0; }},
+            {"trials_per_scenario",
+             [](auto& s) { s.trials_per_scenario = -2; }},
+            {"tasks axis", [](auto& s) { s.tasks_values.clear(); }},
+        };
+    for (const auto& [field, spoil] : spoilers) {
+        SCOPED_TRACE(field);
+        TempDir dir;
+        auto cfg = small_campaign(dir.path());
+        cfg.sweep.tasks_values = {3};
+        cfg.sweep.wmin_values = {1};
+        cfg.sweep.scenarios_per_cell = 1;
+        cfg.sweep.trials_per_scenario = 1;
+        const ve::GridJob job = ve::grid_jobs(cfg.sweep).front();
+        ve::InstanceRecord rec;
+        rec.scenario_ordinal = job.ordinal;
+        rec.scenario = job.scenario;
+        rec.makespans = {10, 12};
+        spoil(cfg.sweep);
+        const auto file = dir.file("records.jsonl");
+        write_file(file, ve::campaign_header_line(cfg) + "\n" +
+                             ve::JsonlSink::format_record(rec) + "\n");
+        std::string merge_error;
+        try {
+            (void)ve::merge_shards({file});
+        } catch (const std::invalid_argument& e) {
+            merge_error = e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "merge threw a non-argument error: " << e.what();
+        }
+        EXPECT_NE(merge_error.find(field), std::string::npos)
+            << "merge: '" << merge_error << "'";
+        // query_shards reports an unreadable shard as std::runtime_error,
+        // with the header's reason in the message.
+        std::string query_error;
+        int emitted = 0;
+        try {
+            (void)ve::query_shards({file}, {},
+                                   [&](const std::string&) { ++emitted; });
+        } catch (const std::runtime_error& e) {
+            query_error = e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "query threw an unexpected error: " << e.what();
+        }
+        EXPECT_NE(query_error.find(field), std::string::npos)
+            << "query: '" << query_error << "'";
+        EXPECT_EQ(emitted, 0);
+    }
 }
 
 TEST(Campaign, DriversRejectDegenerateGridsBeforeAnyJobRuns) {

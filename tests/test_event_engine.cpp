@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "core/factory.hpp"
 #include "exp/scenario.hpp"
 #include "markov/availability.hpp"
+#include "markov/realized_trace.hpp"
 #include "sim/action_trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/events.hpp"
@@ -312,7 +314,7 @@ struct SweepConfig {
     std::uint64_t seed = 0;
     vs::SchedulerClass plan_class = vs::SchedulerClass::Dynamic;
     int replica_cap = 0;
-    bool daly = false;
+    std::string checkpoint = "none"; ///< policy spec; "none" attaches none
     int ncom = 1;
     bool dead_start = false;
 };
@@ -325,7 +327,7 @@ std::string describe(const SweepConfig& c) {
     std::ostringstream os;
     os << "sweep config seed=0x" << std::hex << c.seed << std::dec
        << " class=" << cls << " cap=" << c.replica_cap
-       << " ckpt=" << (c.daly ? "daly" : "none") << " ncom=" << c.ncom
+       << " ckpt=" << c.checkpoint << " ncom=" << c.ncom
        << (c.dead_start ? " dead-start" : "");
     return os.str();
 }
@@ -338,16 +340,43 @@ struct SweepCoverage {
     long long replicas = 0;
     long long checkpoints = 0;
     long long proactive = 0;
+    long long cut = 0; ///< runs that ended at the horizon
 };
 
 constexpr int kSweepProcs = 4;
+
+/// The 21 specs: the 17 paper heuristics and the four extensions.
+const std::vector<std::string>& sweep_specs() {
+    static const std::vector<std::string> specs = [] {
+        auto names = vc::all_heuristic_names();
+        const auto& ext = vc::extension_heuristic_names();
+        names.insert(names.end(), ext.begin(), ext.end());
+        return names;
+    }();
+    return specs;
+}
+
+/// Worker q's UP slots over [0, end), counted from the RLE segments of the
+/// realization rather than by the engine.
+long long realized_up_slots(vm::RealizedTraces& traces, int q,
+                            long long end) {
+    traces.ensure(end);
+    long long up = 0;
+    for (const auto& seg : traces.trace(q).segments()) {
+        if (seg.begin >= end) break;
+        if (seg.state == vm::ProcState::Up)
+            up += std::min(seg.end, end) - seg.begin;
+    }
+    return up;
+}
 
 /// Runs one sweep config with audit on in three arms — the slot loop with
 /// its dead-stretch skip, the event core, and the slot loop with the skip
 /// off — and checks full metrics, timeline and action-trace equality of
 /// the first arm with each of the other two.  The third arm is the one
 /// independent check of fast_forward's dead path: it steps every dead slot
-/// through the real phases.
+/// through the real phases.  Every arm's per-worker UP time must equal the
+/// realization's UP slots up to the makespan.
 void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
     volsched::util::Rng rng(c.seed);
     vs::Platform pf;
@@ -367,11 +396,12 @@ void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
         chains.push_back(vt::chain3(uu, ur, ru, rr, du, dr));
     }
     const int tasks = static_cast<int>(rng.uniform_int(1, kSweepProcs + 2));
-    static const std::vector<std::string> specs = {
-        "mct", "emct", "emct*", "lw", "ud*", "random", "random1w"};
+    const auto& specs = sweep_specs();
     const std::string& spec = specs[rng.uniform_int(0, specs.size() - 1)];
     const auto policy =
-        c.daly ? vk::CheckpointRegistry::instance().make("daly") : nullptr;
+        c.checkpoint == "none"
+            ? nullptr
+            : vk::CheckpointRegistry::instance().make(c.checkpoint);
     vs::EngineConfig cfg = vt::audited_config(2, tasks, c.replica_cap,
                                               /*max_slots=*/200'000);
     cfg.plan_class = c.plan_class;
@@ -393,6 +423,10 @@ void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
             traces.push_back(std::move(tr));
         }
     }
+    // One run in four is cut by a short horizon, so the UP time the run
+    // settles at that exit is checked too.
+    if (rng.bernoulli(0.25))
+        cfg.max_slots = static_cast<long long>(rng.uniform_int(1, 300));
     const std::string label = describe(c) + " spec=" + spec;
     static const char* const kArms[3] = {" (slot loop)", " (event core)",
                                          " (unskipped slot loop)"};
@@ -418,6 +452,11 @@ void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
         } catch (const std::exception& e) {
             FAIL() << label << kArms[arm] << ": " << e.what();
         }
+        const auto traces = sim.realization();
+        for (int q = 0; q < kSweepProcs; ++q)
+            EXPECT_EQ(out[arm].m.per_proc[q].up_slots,
+                      realized_up_slots(*traces, q, out[arm].m.makespan))
+                << label << kArms[arm] << " q" << q;
     }
     EXPECT_EQ(out[0].m.slots_elided, 0) << label;
     expect_same_metrics(out[1].m, out[0].m, label);
@@ -438,14 +477,16 @@ void run_sweep_config(const SweepConfig& c, SweepCoverage& cov) {
     cov.replicas += out[1].m.replicas_committed;
     cov.checkpoints += out[1].m.checkpoints_committed;
     cov.proactive += out[1].m.proactive_cancellations;
+    cov.cut += out[1].m.completed ? 0 : 1;
 }
 
 } // namespace
 
 TEST(EventEngine, SeededSweepMatchesSlotLoopAcrossConfigSpace) {
-    // Every plan class x replica cap 0..2 x checkpoint none/daly x ncom
-    // 1..p x Markov-or-all-dead start, each with its own seed-derived
-    // platform, chains and spec.  A failure prints the config's label, a
+    // Every plan class x replica cap 0..2 x checkpoint policy x ncom 1..p x
+    // Markov-or-all-dead start, each with its own seed-derived platform,
+    // chains, checkpoint cost, spec (one of all 21) and, for one run in
+    // four, a short horizon.  A failure prints the config's label, a
     // one-line reproducer.
     constexpr std::uint64_t kMasterSeed = 0x5745455053ULL; // "SWEEP"
     SweepCoverage cov;
@@ -454,7 +495,8 @@ TEST(EventEngine, SeededSweepMatchesSlotLoopAcrossConfigSpace) {
          {vs::SchedulerClass::Dynamic, vs::SchedulerClass::Passive,
           vs::SchedulerClass::Proactive})
         for (int cap = 0; cap <= 2; ++cap)
-            for (const bool daly : {false, true})
+            for (const char* ckpt : {"none", "periodic3", "periodic8", "daly",
+                                     "risk10", "risk40"})
                 for (int ncom = 1; ncom <= kSweepProcs; ++ncom)
                     for (const bool dead : {false, true}) {
                         SweepConfig c;
@@ -462,7 +504,7 @@ TEST(EventEngine, SeededSweepMatchesSlotLoopAcrossConfigSpace) {
                                                           index++);
                         c.plan_class = cls;
                         c.replica_cap = cap;
-                        c.daly = daly;
+                        c.checkpoint = ckpt;
                         c.ncom = ncom;
                         c.dead_start = dead;
                         run_sweep_config(c, cov);
@@ -474,6 +516,7 @@ TEST(EventEngine, SeededSweepMatchesSlotLoopAcrossConfigSpace) {
     EXPECT_GT(cov.replicas, 0) << "no replica was ever committed";
     EXPECT_GT(cov.checkpoints, 0) << "no checkpoint was ever committed";
     EXPECT_GT(cov.proactive, 0) << "the proactive class never un-enrolled";
+    EXPECT_GT(cov.cut, 0) << "no run ended at the horizon";
 }
 
 TEST(EventEngine, SiblingCancellationPromotesStagedTaskInTheSameSlot) {
