@@ -23,11 +23,6 @@ CampaignBuilder& CampaignBuilder::checkpoint_every(int jobs) {
     return *this;
 }
 
-CampaignBuilder& CampaignBuilder::csv(bool on) {
-    config_.write_csv = on;
-    return *this;
-}
-
 CampaignBuilder& CampaignBuilder::fresh() {
     config_.resume = false;
     return *this;

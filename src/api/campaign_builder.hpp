@@ -39,8 +39,6 @@ public:
     CampaignBuilder& shard(int index, int count);
     /// Durable-checkpoint cadence in scenario draws.
     CampaignBuilder& checkpoint_every(int jobs);
-    /// Also stream records.csv next to the JSONL file.
-    CampaignBuilder& csv(bool on = true);
     /// Discard any previous output instead of resuming from it.
     CampaignBuilder& fresh();
     /// Stop after N checkpoints (time-sliced operation); 0 runs to the end.

@@ -78,7 +78,7 @@ public:
     ExperimentBuilder& threads(std::size_t n);
     ExperimentBuilder&
     progress(std::function<void(long long, long long)> callback);
-    /// Per-instance record hook; wire an exp::ResultSink here to stream raw
+    /// Per-instance record hook; wire an exp::JsonlSink here to stream raw
     /// distributions (see API.md "Campaigns").
     ExperimentBuilder&
     record(std::function<void(const exp::InstanceRecord&)> sink);

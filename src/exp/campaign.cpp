@@ -139,15 +139,8 @@ std::string json_int_array(const std::vector<int>& xs) {
 class ShardStream {
 public:
     explicit ShardStream(const std::filesystem::path& file)
-        : path_(file), in_(file) {
-        if (!in_)
-            fail("cannot open '" + file.string() + "'");
-        std::string line;
-        if (!std::getline(in_, line))
-            fail("'" + path_.string() + "' is empty");
-        offset_ = line.size() + 1;
-        header_ = parse_campaign_header(line);
-    }
+        : path_(file), in_(file), header_(read_campaign_header(in_, file)),
+          offset_(static_cast<std::uint64_t>(in_.tellg())) {}
 
     [[nodiscard]] const CampaignHeader& header() const noexcept {
         return header_;
@@ -420,6 +413,20 @@ CampaignHeader parse_campaign_header(const std::string& line) {
     return header;
 }
 
+CampaignHeader read_campaign_header(std::istream& in,
+                                    const std::filesystem::path& jsonl_file) {
+    if (!in) fail("cannot open '" + jsonl_file.string() + "'");
+    std::string line;
+    if (!std::getline(in, line))
+        fail("'" + jsonl_file.string() + "' is empty");
+    try {
+        return parse_campaign_header(line);
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument("campaign: '" + jsonl_file.string() +
+                                    "': " + e.what());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Manifest
 // ---------------------------------------------------------------------------
@@ -438,7 +445,6 @@ void write_manifest(const std::filesystem::path& dir,
            std::to_string(m.jobs_total) + "\n";
     out += "instances " + std::to_string(m.instances_done) + "\n";
     out += "jsonl " + std::to_string(m.jsonl_bytes) + "\n";
-    out += "csv " + std::to_string(m.csv_bytes) + "\n";
     out += "complete " + std::string(m.complete ? "1" : "0") + "\n";
     util::write_file_atomic(manifest_path(dir), out);
 }
@@ -469,7 +475,10 @@ read_manifest(const std::filesystem::path& dir) {
         } else if (key == "jsonl") {
             ok = read_number(in, m.jsonl_bytes);
         } else if (key == "csv") {
-            ok = read_number(in, m.csv_bytes);
+            // The records.csv offset that manifests carried while campaigns
+            // could stream CSV: still one whole number, no longer used.
+            std::uint64_t ignored = 0;
+            ok = read_number(in, ignored);
         } else if (key == "complete") {
             int c = 0;
             ok = read_number(in, c);
@@ -536,15 +545,23 @@ struct Occupancy {
     std::atomic<long long> lagging{0}; ///< submitted, not yet taken to emit
 };
 
+/// Jobs each pool worker may run ahead of the emitter.  At 2, Table 2 at
+/// 2 scenarios x 2 trials on 4 threads ran about x1.15 slower than with
+/// its whole grid queued: the next cell's cheap jobs filled the window
+/// behind an expensive job at its head, and the other workers idled
+/// (BENCH_2026-10-19d.jsonl; BENCH_2026-10-19h.jsonl for the campaign).
+constexpr std::size_t kRunAheadPerWorker = 8;
+
 /// The completion pipeline, the one run-ahead loop of both grid drivers:
 /// compute(j) for j in [first, end) on `pool`, emit(j, outcome) on the
-/// calling thread in increasing j, at most max(min_window, 2 x pool size)
-/// jobs ahead — so compute overlaps the emitter's I/O and record memory
-/// stays bounded; a straggler idles workers once the window fills behind
-/// it.  The first exception either side throws stops submission, drops
-/// the jobs still queued, and is rethrown once no job runs.  Occupancy
-/// goes to `occ` and, as deltas (shards share them), to the registry's
-/// campaign.* gauges; every exit path takes this run's share back out.
+/// calling thread in increasing j, at most max(min_window,
+/// kRunAheadPerWorker x pool size) jobs ahead — so compute overlaps the
+/// emitter's I/O and record memory stays bounded; a straggler idles
+/// workers once the window fills behind it.  The first exception either
+/// side throws stops submission, drops the jobs still queued, and is
+/// rethrown once no job runs.  Occupancy goes to `occ` and, as deltas
+/// (shards share them), to the registry's campaign.* gauges; every exit
+/// path takes this run's share back out.
 void run_pipeline(util::ThreadPool& pool, std::size_t min_window,
                   std::size_t first, std::size_t end, Occupancy& occ,
                   const std::function<JobOutcome(std::size_t)>& compute,
@@ -562,7 +579,7 @@ void run_pipeline(util::ThreadPool& pool, std::size_t min_window,
         if (g_queue) g_queue->add(queued);
         if (g_lag) g_lag->add(lagging);
     };
-    occ.window = std::max(min_window, 2 * pool.size());
+    occ.window = std::max(min_window, kRunAheadPerWorker * pool.size());
     if (g_window) g_window->add(static_cast<long long>(occ.window));
 
     std::mutex mu;
@@ -651,7 +668,6 @@ CampaignResult run_shard(const CampaignConfig& cfg, util::ThreadPool& pool) {
 
     std::filesystem::create_directories(cfg.directory);
     const auto jsonl_file = cfg.directory / "records.jsonl";
-    const auto csv_file = cfg.directory / "records.csv";
 
     std::optional<CampaignManifest> previous;
     if (cfg.resume) previous = read_manifest(cfg.directory);
@@ -661,7 +677,6 @@ CampaignResult run_shard(const CampaignConfig& cfg, util::ThreadPool& pool) {
         // un-checkpointed records must not survive).
         std::filesystem::remove(manifest_path(cfg.directory));
         std::filesystem::remove(jsonl_file);
-        std::filesystem::remove(csv_file);
         std::filesystem::remove(index_path(jsonl_file));
     }
 
@@ -685,15 +700,9 @@ CampaignResult run_shard(const CampaignConfig& cfg, util::ThreadPool& pool) {
                  std::to_string(previous->jobs_done) + " of " +
                  std::to_string(previous->jobs_total) +
                  " jobs, which is impossible (corrupted manifest?)");
-        if (cfg.write_csv != (previous->csv_bytes > 0))
-            fail("the CSV sink cannot be toggled across a resume");
     }
 
     JsonlSink jsonl(jsonl_file, campaign_header_line(cfg));
-    std::optional<CsvSink> csv;
-    if (cfg.write_csv)
-        csv.emplace(csv_file, cfg.heuristics,
-                    has_checkpoint_axis(cfg.sweep));
     // The index sidecar is derived data: started fresh on every run and
     // refilled from the replay on resume, so it never participates in the
     // truncate-to-manifest contract.
@@ -705,12 +714,11 @@ CampaignResult run_shard(const CampaignConfig& cfg, util::ThreadPool& pool) {
 
     long long jobs_done = 0;
     if (previous) {
-        // The resume contract: truncate each sink to the last durable
-        // checkpoint, then rebuild the shard-local tables by replaying the
-        // surviving records — streamed one line at a time — through the
-        // canonical reduction.
+        // The resume contract: truncate the JSONL stream to the last
+        // durable checkpoint, then rebuild the shard-local tables by
+        // replaying the surviving records — streamed one line at a time —
+        // through the canonical reduction.
         jsonl.resume_at(previous->jsonl_bytes);
-        if (csv) csv->resume_at(previous->csv_bytes);
         jobs_done = previous->jobs_done;
         replay_shard_stream(result.tables, index, jsonl_file, fingerprint,
                             jobs, jobs_done, trials);
@@ -783,12 +791,10 @@ CampaignResult run_shard(const CampaignConfig& cfg, util::ThreadPool& pool) {
     auto checkpoint = [&](long long done_now) {
         const std::int64_t start_us = timed ? obs::now_us() : 0;
         jsonl.flush();
-        if (csv) csv->flush();
         index.flush(jsonl.offset());
         manifest.jobs_done = done_now;
         manifest.instances_done = done_now * trials;
         manifest.jsonl_bytes = jsonl.offset();
-        manifest.csv_bytes = csv ? csv->offset() : 0;
         manifest.complete = done_now == jobs_total;
         write_manifest(cfg.directory, manifest);
         stage_sample(stage_fsync, h_fsync, start_us);
@@ -813,13 +819,12 @@ CampaignResult run_shard(const CampaignConfig& cfg, util::ThreadPool& pool) {
             return out;
         },
         // Records leave in (ordinal, trial) order whichever worker
-        // finished first, from the one thread every ResultSink expects.
+        // finished first, from the one thread the sinks expect.
         [&](std::size_t j, JobOutcome& out) {
             const std::int64_t start_us = timed ? obs::now_us() : 0;
             for (const InstanceRecord& rec : out.records) {
                 index.add(rec.scenario_ordinal, rec.trial, jsonl.offset());
                 jsonl.write(rec);
-                if (csv) csv->write(rec);
                 if (cfg.sweep.record) cfg.sweep.record(rec);
             }
             merge_job_tables(result.tables, jobs[j].scenario, out.local);

@@ -30,13 +30,14 @@
 ///
 /// Durability model: after every `checkpoint_jobs` scenario draws the
 /// runner flushes the sinks and atomically replaces the MANIFEST file
-/// (fingerprint, jobs done, per-sink byte offsets).  On resume the sinks
-/// are truncated to the manifest's offsets, discarding any torn tail a
-/// killed process left behind, and the shard-local tables are rebuilt by
+/// (fingerprint, jobs done, the JSONL byte offset).  On resume the JSONL
+/// stream is truncated to the manifest's offset, discarding any torn tail
+/// a killed process left behind, and the shard-local tables are rebuilt by
 /// replaying the surviving records.
 
 #include <cstdint>
 #include <filesystem>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -51,17 +52,16 @@ namespace volsched::exp {
 struct CampaignConfig {
     SweepConfig sweep;
     std::vector<std::string> heuristics;
-    /// Shard output directory; receives records.jsonl, optionally
-    /// records.csv, and MANIFEST.
+    /// Shard output directory; receives records.jsonl, records.idx and
+    /// MANIFEST (plus status.json with `heartbeat`).
     std::filesystem::path directory;
     int shard_index = 1; ///< 1-based k of shard_count
     int shard_count = 1;
     /// Checkpoint cadence in scenario draws (jobs); also the unit of work
     /// lost on a kill.  Larger batches amortize the flush + manifest write.
-    /// Workers run at most max(checkpoint_jobs, 2 x pool size) jobs ahead
+    /// Workers run at most max(checkpoint_jobs, 8 x pool size) jobs ahead
     /// of the emitter, which bounds the records held in memory.
     int checkpoint_jobs = 8;
-    bool write_csv = false; ///< records.csv next to the JSONL stream
     /// Pick up an existing MANIFEST in `directory` (fingerprint-checked);
     /// false starts fresh, discarding previous outputs.
     bool resume = true;
@@ -122,6 +122,14 @@ struct CampaignHeader {
 /// the message names the field).
 CampaignHeader parse_campaign_header(const std::string& line);
 
+/// The header of the shard file `jsonl_file`, read from `in`, the stream
+/// just opened on it: parse_campaign_header on its first line, with every
+/// message naming the file.  Leaves `in` at the first record line.  Throws
+/// std::invalid_argument on a rejected header and std::runtime_error when
+/// the file cannot be opened or is empty.
+CampaignHeader read_campaign_header(std::istream& in,
+                                    const std::filesystem::path& jsonl_file);
+
 /// Compact progress manifest, replaced atomically at every checkpoint.
 struct CampaignManifest {
     std::uint64_t fingerprint = 0;
@@ -131,14 +139,16 @@ struct CampaignManifest {
     long long jobs_total = 0;
     long long instances_done = 0;
     std::uint64_t jsonl_bytes = 0;
-    std::uint64_t csv_bytes = 0; ///< 0 when the CSV sink is disabled
     bool complete = false;
 };
 
 std::filesystem::path manifest_path(const std::filesystem::path& dir);
 void write_manifest(const std::filesystem::path& dir,
                     const CampaignManifest& m);
-/// std::nullopt when no manifest exists; throws on a malformed one.
+/// std::nullopt when no manifest exists; throws on a malformed one.  A
+/// `csv <bytes>` line, which manifests carried while campaigns could also
+/// stream records.csv, must hold one whole number and is ignored, so such
+/// shards still resume.
 std::optional<CampaignManifest>
 read_manifest(const std::filesystem::path& dir);
 

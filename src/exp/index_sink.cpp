@@ -221,20 +221,6 @@ void write_index_file(const std::filesystem::path& path,
 
 namespace {
 
-/// Parses the header line of the shard file `in` has just opened.
-CampaignHeader read_shard_header(std::istream& in,
-                                 const std::filesystem::path& jsonl_file) {
-    if (!in) fail("cannot open '" + jsonl_file.string() + "'");
-    std::string header_line;
-    if (!std::getline(in, header_line))
-        fail("'" + jsonl_file.string() + "' is empty");
-    try {
-        return parse_campaign_header(header_line);
-    } catch (const std::invalid_argument& e) {
-        fail("'" + jsonl_file.string() + "': " + e.what());
-    }
-}
-
 /// load_or_rebuild_index for a shard whose header names `fingerprint`.
 std::vector<IndexEntry> load_or_rebuild(const std::filesystem::path& jsonl_file,
                                         std::uint64_t fingerprint,
@@ -263,7 +249,7 @@ load_or_rebuild_index(const std::filesystem::path& jsonl_file,
                       bool* rebuilt) {
     std::ifstream in(jsonl_file);
     return load_or_rebuild(jsonl_file,
-                           read_shard_header(in, jsonl_file).fingerprint,
+                           read_campaign_header(in, jsonl_file).fingerprint,
                            rebuilt);
 }
 
@@ -309,7 +295,11 @@ query_shards(const std::vector<std::filesystem::path>& jsonl_files,
         auto shard = std::make_unique<ShardIndex>();
         shard->path = file;
         shard->in.open(file);
-        shard->header = read_shard_header(shard->in, file);
+        try {
+            shard->header = read_campaign_header(shard->in, file);
+        } catch (const std::invalid_argument& e) {
+            fail(e.what()); // a query reports every unreadable shard alike
+        }
         bool rebuilt = false;
         shard->entries =
             load_or_rebuild(file, shard->header.fingerprint, &rebuilt);

@@ -51,9 +51,10 @@ struct IndexEntry {
 std::filesystem::path index_path(const std::filesystem::path& jsonl_file);
 
 /// Append-side writer, driven by the campaign emitter thread (single-threaded
-/// like every ResultSink).  Entries buffer in memory until flush(), which
-/// appends them, rewrites the header to vouch for the JSONL length, and
-/// fsyncs — called at every durable checkpoint, right before the manifest.
+/// like the JsonlSink it indexes).  Entries buffer in memory until flush(),
+/// which appends them, rewrites the header to vouch for the JSONL length,
+/// and fsyncs — called at every durable checkpoint, right before the
+/// manifest.
 class IndexSink {
 public:
     /// Creates (or truncates) the sidecar and writes an empty header.
@@ -110,7 +111,8 @@ void write_index_file(const std::filesystem::path& path,
 
 /// The query read path: returns a valid entry set for `jsonl_file`, loading
 /// the sidecar when it validates and otherwise rebuilding *and re-persisting*
-/// it.  `rebuilt` (optional) reports which path was taken.
+/// it.  `rebuilt` (optional) reports which path was taken.  A rejected
+/// header throws as in read_campaign_header.
 std::vector<IndexEntry>
 load_or_rebuild_index(const std::filesystem::path& jsonl_file,
                       bool* rebuilt = nullptr);

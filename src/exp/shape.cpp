@@ -5,6 +5,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/factory.hpp"
+#include "exp/campaign.hpp"
+
 namespace volsched::exp {
 namespace {
 
@@ -31,6 +34,15 @@ double family_dfb(const SweepResult& result,
 
 ShapeCheck less_than(std::string description, double lhs, double rhs) {
     return {std::move(description), lhs < rhs, lhs, rhs};
+}
+
+/// The heuristic with the lowest overall mean dfb (the first on a tie).
+const std::string& best_name(const SweepResult& result) {
+    std::size_t best = 0;
+    for (std::size_t h = 1; h < result.heuristics.size(); ++h)
+        if (result.overall.mean_dfb(h) < result.overall.mean_dfb(best))
+            best = h;
+    return result.heuristics[best];
 }
 
 } // namespace
@@ -118,34 +130,84 @@ std::vector<ShapeCheck> check_figure2_shape(const SweepResult& result) {
     return checks;
 }
 
-std::vector<ShapeCheck> check_table3_shape(const SweepResult& x5,
-                                           const SweepResult& x10) {
-    std::vector<ShapeCheck> checks;
-    auto best_name = [](const SweepResult& r) {
-        std::size_t best = 0;
-        for (std::size_t h = 1; h < r.heuristics.size(); ++h)
-            if (r.overall.mean_dfb(h) < r.overall.mean_dfb(best)) best = h;
-        return r.heuristics[best];
-    };
-    const auto b5 = best_name(x5);
-    checks.push_back({"x5: an EMCT-family member is best (got " + b5 + ")",
-                      b5 == "emct" || b5 == "emct*", 0, 0});
-    const auto b10 = best_name(x10);
-    checks.push_back({"x10: a UD-family member is best (got " + b10 + ")",
-                      b10 == "ud" || b10 == "ud*", 0, 0});
+std::vector<ShapeCheck> check_table3_x5_shape(const SweepResult& result) {
+    const std::string& best = best_name(result);
+    return {{"x5: an EMCT-family member is best (got " + best + ")",
+             best == "emct" || best == "emct*", 0, 0}};
+}
 
-    const double mct10 = dfb_of(x10, "mct");
-    double worst_other = 0.0, best10 = 1e300;
-    for (const auto& h : x10.heuristics) {
-        best10 = std::min(best10, dfb_of(x10, h));
+std::vector<ShapeCheck> check_table3_x10_shape(const SweepResult& result) {
+    std::vector<ShapeCheck> checks;
+    const std::string& best = best_name(result);
+    checks.push_back({"x10: a UD-family member is best (got " + best + ")",
+                      best == "ud" || best == "ud*", 0, 0});
+
+    const double mct = dfb_of(result, "mct");
+    double worst_other = 0.0, best_dfb = 1e300;
+    for (const auto& h : result.heuristics) {
+        best_dfb = std::min(best_dfb, dfb_of(result, h));
         if (h != "mct" && h != "mct*")
-            worst_other = std::max(worst_other, dfb_of(x10, h));
+            worst_other = std::max(worst_other, dfb_of(result, h));
     }
     checks.push_back(less_than("x10: plain MCT worse than every non-MCT",
-                               worst_other, mct10));
+                               worst_other, mct));
     checks.push_back(less_than("x10: plain MCT at least 2x the best dfb",
-                               2.0 * best10, mct10));
+                               2.0 * best_dfb, mct));
     return checks;
+}
+
+namespace {
+
+/// A paper experiment with the heuristic list and grid that define it.
+struct ExperimentGrid {
+    PaperExperiment experiment;
+    std::vector<std::string> heuristics;
+    SweepConfig grid;
+};
+
+SweepConfig table3_grid(double factor) {
+    SweepConfig grid;
+    grid.tasks_values = {20};
+    grid.ncom_values = {5};
+    grid.wmin_values = {1};
+    grid.tdata_factor = factor;
+    grid.tprog_factor = 5.0 * factor;
+    return grid;
+}
+
+const std::vector<ExperimentGrid>& experiment_grids() {
+    static const std::vector<ExperimentGrid> grids = {
+        {{"Table 2", check_table2_shape}, core::all_heuristic_names(), {}},
+        {{"Figure 2", check_figure2_shape},
+         {"mct", "mct*", "emct", "emct*", "ud*", "lw*"},
+         {}},
+        {{"Table 3 (x5)", check_table3_x5_shape},
+         core::greedy_heuristic_names(),
+         table3_grid(5.0)},
+        {{"Table 3 (x10)", check_table3_x10_shape},
+         core::greedy_heuristic_names(),
+         table3_grid(10.0)},
+    };
+    return grids;
+}
+
+} // namespace
+
+const PaperExperiment* find_paper_experiment(const CampaignHeader& header) {
+    // parse_campaign_header has checked header.fingerprint against the
+    // header's own grid and heuristics.
+    for (const ExperimentGrid& e : experiment_grids()) {
+        if (header.heuristics != e.heuristics) continue;
+        // Size and seed pick a run of the experiment; every other
+        // fingerprinted field defines it.
+        SweepConfig grid = e.grid;
+        grid.scenarios_per_cell = header.sweep.scenarios_per_cell;
+        grid.trials_per_scenario = header.sweep.trials_per_scenario;
+        grid.master_seed = header.sweep.master_seed;
+        if (campaign_fingerprint(grid, e.heuristics) == header.fingerprint)
+            return &e.experiment;
+    }
+    return nullptr;
 }
 
 std::string render_checks(const std::vector<ShapeCheck>& checks) {

@@ -22,40 +22,40 @@ namespace {
 } // namespace
 
 // ---------------------------------------------------------------------------
-// FileResultSink
+// JsonlSink
 // ---------------------------------------------------------------------------
 
-FileResultSink::FileResultSink(std::filesystem::path path,
-                               const std::string& header)
+JsonlSink::JsonlSink(std::filesystem::path path,
+                     const std::string& header_line)
     : path_(std::move(path)) {
     if (path_.has_parent_path())
         std::filesystem::create_directories(path_.parent_path());
     open_append();
-    if (offset_ == 0 && !header.empty()) append(header + "\n");
+    if (offset_ == 0 && !header_line.empty()) append(header_line + "\n");
 }
 
-FileResultSink::~FileResultSink() {
+JsonlSink::~JsonlSink() {
     if (file_) std::fclose(file_);
 }
 
-void FileResultSink::open_append() {
+void JsonlSink::open_append() {
     file_ = std::fopen(path_.string().c_str(), "ab");
     if (!file_) io_fail(path_, "cannot open");
     offset_ = static_cast<std::uint64_t>(
         std::filesystem::file_size(path_));
 }
 
-void FileResultSink::append(std::string_view text) {
+void JsonlSink::append(std::string_view text) {
     if (std::fwrite(text.data(), 1, text.size(), file_) != text.size())
         io_fail(path_, "write error on");
     offset_ += text.size();
 }
 
-void FileResultSink::write(const InstanceRecord& rec) {
-    append(format(rec));
+void JsonlSink::write(const InstanceRecord& rec) {
+    append(format_record(rec) + "\n");
 }
 
-void FileResultSink::flush() {
+void JsonlSink::flush() {
     if (std::fflush(file_) != 0) io_fail(path_, "flush error on");
 #ifndef _WIN32
     // The checkpoint manifest is fsync'd before its atomic rename; the
@@ -65,7 +65,7 @@ void FileResultSink::flush() {
 #endif
 }
 
-void FileResultSink::resume_at(std::uint64_t offset) {
+void JsonlSink::resume_at(std::uint64_t offset) {
     // Validate before touching the open handle: a caller that catches the
     // throw below still holds a usable sink.
     std::fflush(file_);
@@ -81,14 +81,6 @@ void FileResultSink::resume_at(std::uint64_t offset) {
     if (size > offset) std::filesystem::resize_file(path_, offset);
     open_append();
 }
-
-// ---------------------------------------------------------------------------
-// JsonlSink
-// ---------------------------------------------------------------------------
-
-JsonlSink::JsonlSink(std::filesystem::path path,
-                     const std::string& header_line)
-    : FileResultSink(std::move(path), header_line) {}
 
 std::string JsonlSink::format_record(const InstanceRecord& rec) {
     std::string out = "{\"ordinal\":";
@@ -144,16 +136,12 @@ InstanceRecord JsonlSink::parse_record(std::string_view line) {
     return rec;
 }
 
-std::string JsonlSink::format(const InstanceRecord& rec) const {
-    return format_record(rec) + "\n";
-}
-
 // ---------------------------------------------------------------------------
-// CsvSink
+// CSV rows
 // ---------------------------------------------------------------------------
 
-std::string CsvSink::header_row(const std::vector<std::string>& heuristics,
-                                bool with_checkpoint) {
+std::string csv_header_row(const std::vector<std::string>& heuristics,
+                           bool with_checkpoint) {
     std::string out = "ordinal,trial,p,tasks,ncom,wmin,tdata_factor,"
                       "tprog_factor,seed";
     if (with_checkpoint) out += ",checkpoint";
@@ -166,14 +154,7 @@ std::string CsvSink::header_row(const std::vector<std::string>& heuristics,
     return out;
 }
 
-CsvSink::CsvSink(std::filesystem::path path,
-                 const std::vector<std::string>& heuristics,
-                 bool with_checkpoint)
-    : FileResultSink(std::move(path), header_row(heuristics, with_checkpoint)),
-      with_checkpoint_(with_checkpoint) {}
-
-std::string CsvSink::format_row(const InstanceRecord& rec,
-                                bool with_checkpoint) {
+std::string csv_row(const InstanceRecord& rec, bool with_checkpoint) {
     std::string out = std::to_string(rec.scenario_ordinal);
     out += ',';
     out += std::to_string(rec.trial);
@@ -200,10 +181,6 @@ std::string CsvSink::format_row(const InstanceRecord& rec,
         out += std::to_string(m);
     }
     return out;
-}
-
-std::string CsvSink::format(const InstanceRecord& rec) const {
-    return format_row(rec, with_checkpoint_) + "\n";
 }
 
 } // namespace volsched::exp

@@ -1,11 +1,11 @@
 #pragma once
 /// \file sink.hpp
-/// Streaming result sinks for experiment campaigns.  Instead of holding
-/// every per-instance makespan vector in memory, a sweep streams one
-/// InstanceRecord per (scenario, trial) instance into a ResultSink; the
-/// JSONL sink is the campaign's durable, self-describing record (and the
-/// input to shard merging and resume), the CSV sink is a spreadsheet-
-/// friendly export.
+/// The campaign's record stream.  Instead of holding every per-instance
+/// makespan vector in memory, a campaign streams one InstanceRecord per
+/// (scenario, trial) instance into a JsonlSink: the durable,
+/// self-describing record that shard merging, resume and queries read
+/// back.  The CSV formatters render the same records as a spreadsheet
+/// table (`volsched_campaign query --csv`).
 ///
 /// The JSONL line format is canonical — fixed field order, shortest
 /// round-trip numbers — so two runs that produce the same instances produce
@@ -33,36 +33,35 @@ struct InstanceRecord {
     std::vector<long long> makespans;
 };
 
-/// Abstract streaming consumer of instance records.  Implementations are
-/// called from one thread at a time (the sweep/campaign drivers serialize
-/// emission) and need no locking.
-class ResultSink {
+/// JSON-lines sink: one self-contained object per instance, preceded by a
+/// caller-supplied header line (the campaign writes its metadata there),
+/// appended with byte-offset accounting (the checkpoint currency) and
+/// truncate-to-offset resume.  Called from one thread at a time (the
+/// drivers serialize emission); no locking.
+///
+///   {"ordinal":12,"trial":0,"p":20,"tasks":5,"ncom":5,"wmin":1,
+///    "tdata_factor":1,"tprog_factor":5,"seed":123,"makespans":[100,120]}
+class JsonlSink {
 public:
-    virtual ~ResultSink() = default;
-    virtual void write(const InstanceRecord& rec) = 0;
-    /// Makes everything written so far durable (file sinks fsync): called
+    /// Opens `path` for appending, creating it (plus parent directories)
+    /// when absent; `header_line` (without trailing newline) is written
+    /// first iff the file is new or empty.  Pass "" for a headerless stream.
+    explicit JsonlSink(std::filesystem::path path,
+                       const std::string& header_line = {});
+    ~JsonlSink();
+
+    JsonlSink(const JsonlSink&) = delete;
+    JsonlSink& operator=(const JsonlSink&) = delete;
+
+    /// Appends the record's canonical line.
+    void write(const InstanceRecord& rec);
+    /// Makes everything written so far durable (fflush + fsync): called
     /// once per checkpoint batch, right before the manifest is replaced.
-    virtual void flush() = 0;
-};
-
-/// Shared append-to-file machinery: byte-offset accounting (the checkpoint
-/// currency) and truncate-to-offset resume.
-class FileResultSink : public ResultSink {
-public:
-    ~FileResultSink() override;
-
-    FileResultSink(const FileResultSink&) = delete;
-    FileResultSink& operator=(const FileResultSink&) = delete;
-
-    void write(const InstanceRecord& rec) override;
-    void flush() override;
+    void flush();
 
     /// Bytes in the file so far (header included); what a campaign
-    /// checkpoint manifest records per sink.
+    /// checkpoint manifest records.
     [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
-    [[nodiscard]] const std::filesystem::path& path() const noexcept {
-        return path_;
-    }
 
     /// The resume contract: truncates the file to `offset` bytes — exactly
     /// the state of the last durable checkpoint — and continues appending
@@ -72,14 +71,12 @@ public:
     /// is shorter than `offset`.
     void resume_at(std::uint64_t offset);
 
-protected:
-    /// Opens `path` for appending, creating it (plus parent directories)
-    /// when absent; `header` is written first iff the file is new/empty.
-    FileResultSink(std::filesystem::path path, const std::string& header);
-
-    /// Formats one record as a complete line/row (newline included).
-    [[nodiscard]] virtual std::string format(const InstanceRecord& rec)
-        const = 0;
+    /// Canonical record line (no trailing newline).
+    static std::string format_record(const InstanceRecord& rec);
+    /// Strict inverse of format_record; throws std::invalid_argument on
+    /// malformed input.  The scenario's chain recipe is the paper default
+    /// (records do not carry it).
+    static InstanceRecord parse_record(std::string_view line);
 
 private:
     void open_append();
@@ -90,52 +87,13 @@ private:
     std::uint64_t offset_ = 0;
 };
 
-/// JSON-lines sink: one self-contained object per instance, preceded by a
-/// caller-supplied header line (the campaign writes its metadata there).
-///
-///   {"ordinal":12,"trial":0,"p":20,"tasks":5,"ncom":5,"wmin":1,
-///    "tdata_factor":1,"tprog_factor":5,"seed":123,"makespans":[100,120]}
-class JsonlSink final : public FileResultSink {
-public:
-    /// `header_line` (without trailing newline) is written first when the
-    /// file is new; pass "" for a headerless stream.
-    explicit JsonlSink(std::filesystem::path path,
-                       const std::string& header_line = {});
-
-    /// Canonical record line (no trailing newline).
-    static std::string format_record(const InstanceRecord& rec);
-    /// Strict inverse of format_record; throws std::invalid_argument on
-    /// malformed input.  The scenario's chain recipe is the paper default
-    /// (records do not carry it).
-    static InstanceRecord parse_record(std::string_view line);
-
-protected:
-    std::string format(const InstanceRecord& rec) const override;
-};
-
-/// CSV sink: header row names the scenario columns and one makespan column
-/// per heuristic spec.  `with_checkpoint` adds a checkpoint-policy column
-/// (campaigns enable it exactly when their checkpoint axis is non-trivial,
-/// so classic-campaign CSVs keep their historical shape).
-class CsvSink final : public FileResultSink {
-public:
-    CsvSink(std::filesystem::path path,
-            const std::vector<std::string>& heuristics,
-            bool with_checkpoint = false);
-
-    static std::string header_row(const std::vector<std::string>& heuristics,
-                                  bool with_checkpoint = false);
-    /// One record as a CSV row (no trailing newline) — exactly what the
-    /// sink writes; public so `volsched_campaign query --csv` can re-format
-    /// JSONL records without a sink instance.
-    static std::string format_row(const InstanceRecord& rec,
-                                  bool with_checkpoint = false);
-
-protected:
-    std::string format(const InstanceRecord& rec) const override;
-
-private:
-    bool with_checkpoint_ = false;
-};
+/// CSV header row: the scenario columns, then one makespan column per
+/// heuristic spec.  `with_checkpoint` adds a checkpoint-policy column
+/// (wanted exactly when the campaign's checkpoint axis is not the single
+/// "none", so classic-campaign tables keep their historical shape).
+std::string csv_header_row(const std::vector<std::string>& heuristics,
+                           bool with_checkpoint = false);
+/// One record as a CSV row under csv_header_row (no trailing newline).
+std::string csv_row(const InstanceRecord& rec, bool with_checkpoint = false);
 
 } // namespace volsched::exp

@@ -50,7 +50,7 @@ struct SweepConfig {
     /// job's trials in order), the same sequence at every thread count, so
     /// implementations need no locking; run_parallel_campaign wraps it in a
     /// shared mutex across its shard emitters.  A throw fails the run.
-    /// Wire a ResultSink here to export full distributions:
+    /// Wire a JsonlSink here to export full distributions:
     ///   cfg.record = [&](const InstanceRecord& r) { sink.write(r); };
     std::function<void(const InstanceRecord&)> record;
 };

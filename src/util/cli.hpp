@@ -1,6 +1,6 @@
 #pragma once
 /// \file cli.hpp
-/// Tiny command-line argument parser for the bench and example binaries.
+/// Tiny command-line argument parser for the tools, benches and examples.
 /// Supports `--name value`, `--name=value`, and boolean `--flag` options,
 /// with typed getters and automatic `--help` text generation.
 
@@ -35,9 +35,9 @@ bool parse_whole(std::string_view text, T& out) {
 /// Declarative option set + parsed values.
 ///
 /// Usage:
-///   Cli cli("bench_table2", "Reproduces Table 2");
-///   cli.add_int("trials", 10, "trials per scenario");
-///   cli.add_flag("full", "run the full paper-scale sweep");
+///   Cli cli("volsched_campaign run", "run (or resume) one shard");
+///   cli.add_int("trials", 3, "trials per scenario");
+///   cli.add_flag("quiet", "no progress output");
 ///   if (!cli.parse(argc, argv)) return cli.exit_code();
 ///   int trials = cli.get_int("trials");
 class Cli {

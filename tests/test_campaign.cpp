@@ -146,25 +146,18 @@ TEST(Sink, JsonlRecordRoundTrips) {
                  std::invalid_argument);
 }
 
-TEST(Sink, CsvSinkWritesHeaderAndRows) {
-    TempDir dir;
-    const auto path = dir.file("records.csv");
-    {
-        ve::CsvSink sink(path, {"mct", "emct"});
-        ve::InstanceRecord rec;
-        rec.scenario_ordinal = 3;
-        rec.trial = 1;
-        rec.scenario.p = 4;
-        rec.scenario.tasks = 3;
-        rec.scenario.ncom = 2;
-        rec.scenario.wmin = 1;
-        rec.scenario.seed = 42;
-        rec.makespans = {100, 120};
-        sink.write(rec);
-        sink.flush();
-    }
-    const std::string text = read_file(path);
-    EXPECT_EQ(text,
+TEST(Sink, CsvFormattersRenderHeaderAndRows) {
+    ve::InstanceRecord rec;
+    rec.scenario_ordinal = 3;
+    rec.trial = 1;
+    rec.scenario.p = 4;
+    rec.scenario.tasks = 3;
+    rec.scenario.ncom = 2;
+    rec.scenario.wmin = 1;
+    rec.scenario.seed = 42;
+    rec.makespans = {100, 120};
+    EXPECT_EQ(ve::csv_header_row({"mct", "emct"}) + "\n" +
+                  ve::csv_row(rec) + "\n",
               "ordinal,trial,p,tasks,ncom,wmin,tdata_factor,tprog_factor,"
               "seed,mct,emct\n"
               "3,1,4,3,2,1,1,5,42,100,120\n");
@@ -253,7 +246,6 @@ TEST(Campaign, ManifestRoundTripsAtomically) {
     m.jobs_total = 8;
     m.instances_done = 6;
     m.jsonl_bytes = 1234;
-    m.csv_bytes = 0;
     m.complete = false;
     ve::write_manifest(dir.path(), m);
     const auto back = ve::read_manifest(dir.path());
@@ -371,16 +363,13 @@ TEST(Campaign, SingleShardMatchesSweepAndRerunIsNoOp) {
 TEST(Campaign, KilledAndResumedProducesIdenticalOutput) {
     TempDir uninterrupted_dir, interrupted_dir;
 
-    auto cfg = small_campaign(uninterrupted_dir.path());
-    cfg.write_csv = true;
+    const auto cfg = small_campaign(uninterrupted_dir.path());
     const auto uninterrupted = ve::run_campaign(cfg);
     ASSERT_TRUE(uninterrupted.complete);
     const auto jsonl = read_file(uninterrupted.jsonl_path);
-    const auto csv = read_file(uninterrupted_dir.file("records.csv"));
 
     // First slice: stop after one checkpoint (3 of 8 jobs durable)...
     auto sliced = small_campaign(interrupted_dir.path());
-    sliced.write_csv = true;
     sliced.stop_after_batches = 1;
     const auto first = ve::run_campaign(sliced);
     EXPECT_FALSE(first.complete);
@@ -391,17 +380,13 @@ TEST(Campaign, KilledAndResumedProducesIdenticalOutput) {
         std::ofstream torn(interrupted_dir.file("records.jsonl"),
                            std::ios::app | std::ios::binary);
         torn << "{\"ordinal\":999,\"trial\":0,\"p\":4,\"tas";
-        std::ofstream torn_csv(interrupted_dir.file("records.csv"),
-                               std::ios::app | std::ios::binary);
-        torn_csv << "999,0,4";
     }
 
-    // Resume to completion: torn tails truncated, zero duplicates.
+    // Resume to completion: torn tail truncated, zero duplicates.
     sliced.stop_after_batches = 0;
     const auto resumed = ve::run_campaign(sliced);
     EXPECT_TRUE(resumed.complete);
     EXPECT_EQ(read_file(resumed.jsonl_path), jsonl);
-    EXPECT_EQ(read_file(interrupted_dir.file("records.csv")), csv);
     expect_results_identical(resumed.tables, uninterrupted.tables);
 
     // The record stream parses back with each instance exactly once.
@@ -421,6 +406,37 @@ TEST(Campaign, KilledAndResumedProducesIdenticalOutput) {
     EXPECT_EQ(records, resumed.instances_done);
 }
 
+TEST(Campaign, ResumesAManifestThatCarriesACsvOffset) {
+    // Manifests once carried a `csv <bytes>` line for a records.csv stream
+    // (0 when it was off).  A shard checkpointed that way still resumes to
+    // the bytes of an uninterrupted run.
+    TempDir uninterrupted_dir, interrupted_dir;
+    const auto uninterrupted =
+        ve::run_campaign(small_campaign(uninterrupted_dir.path()));
+    ASSERT_TRUE(uninterrupted.complete);
+
+    auto sliced = small_campaign(interrupted_dir.path());
+    sliced.stop_after_batches = 1;
+    ASSERT_FALSE(ve::run_campaign(sliced).complete);
+    {
+        std::ofstream manifest(ve::manifest_path(interrupted_dir.path()),
+                               std::ios::app | std::ios::binary);
+        manifest << "csv 0\n";
+    }
+    const auto manifest = ve::read_manifest(interrupted_dir.path());
+    ASSERT_TRUE(manifest.has_value());
+    EXPECT_EQ(manifest->jobs_done, 3);
+
+    sliced.stop_after_batches = 0;
+    const auto resumed = ve::run_campaign(sliced);
+    EXPECT_TRUE(resumed.complete);
+    for (const char* file : {"records.jsonl", "records.idx", "MANIFEST"})
+        EXPECT_EQ(read_file(interrupted_dir.file(file)),
+                  read_file(uninterrupted_dir.file(file)))
+            << file;
+    expect_results_identical(resumed.tables, uninterrupted.tables);
+}
+
 TEST(Campaign, ResumeRejectsAMismatchedConfiguration) {
     TempDir dir;
     auto cfg = small_campaign(dir.path());
@@ -435,11 +451,6 @@ TEST(Campaign, ResumeRejectsAMismatchedConfiguration) {
     reshard.shard_index = 1;
     reshard.shard_count = 2;
     EXPECT_THROW(ve::run_campaign(reshard), std::runtime_error);
-
-    // CSV cannot appear or vanish across a resume.
-    auto toggled = cfg;
-    toggled.write_csv = true;
-    EXPECT_THROW(ve::run_campaign(toggled), std::runtime_error);
 
     // A fresh (non-resuming) run with the new config is fine.
     auto fresh = other;
@@ -575,16 +586,30 @@ TEST(Campaign, ReadersRejectAHeaderWithADegenerateGrid) {
         const auto file = dir.file("records.jsonl");
         write_file(file, ve::campaign_header_line(cfg) + "\n" +
                              ve::JsonlSink::format_record(rec) + "\n");
-        std::string merge_error;
-        try {
-            (void)ve::merge_shards({file});
-        } catch (const std::invalid_argument& e) {
-            merge_error = e.what();
-        } catch (const std::exception& e) {
-            ADD_FAILURE() << "merge threw a non-argument error: " << e.what();
+        // merge (whose ShardStream also serves resume) and the tool's own
+        // header reads throw std::invalid_argument naming the file.
+        const std::pair<const char*, std::function<void()>> readers[] = {
+            {"merge", [&] { (void)ve::merge_shards({file}); }},
+            {"read_campaign_header",
+             [&] {
+                 std::ifstream in(file);
+                 (void)ve::read_campaign_header(in, file);
+             }}};
+        for (const auto& [who, read] : readers) {
+            std::string error;
+            try {
+                read();
+            } catch (const std::invalid_argument& e) {
+                error = e.what();
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << who << " threw a non-argument error: "
+                              << e.what();
+            }
+            EXPECT_NE(error.find(field), std::string::npos)
+                << who << ": '" << error << "'";
+            EXPECT_NE(error.find(file.string()), std::string::npos)
+                << who << ": '" << error << "'";
         }
-        EXPECT_NE(merge_error.find(field), std::string::npos)
-            << "merge: '" << merge_error << "'";
         // query_shards reports an unreadable shard as std::runtime_error,
         // with the header's reason in the message.
         std::string query_error;
@@ -663,15 +688,13 @@ TEST(CampaignBuilder, ComposesAndResolvesTheShardDirectory) {
                        .campaign()
                        .directory(root.path())
                        .shard(2, 3)
-                       .checkpoint_every(5)
-                       .csv();
+                       .checkpoint_every(5);
     const auto cfg = builder.config();
     EXPECT_EQ(cfg.directory,
               root.path() / ve::shard_directory_name(2, 3));
     EXPECT_EQ(cfg.shard_index, 2);
     EXPECT_EQ(cfg.shard_count, 3);
     EXPECT_EQ(cfg.checkpoint_jobs, 5);
-    EXPECT_TRUE(cfg.write_csv);
 
     EXPECT_THROW(va::ExperimentBuilder()
                      .heuristics(kHeuristics)

@@ -152,13 +152,11 @@ TEST(Pipeline, OutputsMatchAcrossThreadCounts) {
     TempDir one_dir, four_dir;
 
     auto one = small_campaign(one_dir.path());
-    one.write_csv = true;
     one.sweep.threads = 1;
     const auto a = ve::run_campaign(one);
     ASSERT_TRUE(a.complete);
 
     auto four = small_campaign(four_dir.path());
-    four.write_csv = true;
     four.sweep.threads = 4;
     const auto b = ve::run_campaign(four);
     ASSERT_TRUE(b.complete);
@@ -168,22 +166,23 @@ TEST(Pipeline, OutputsMatchAcrossThreadCounts) {
     EXPECT_EQ(pa.jsonl, pb.jsonl);
     EXPECT_EQ(pa.idx, pb.idx);
     EXPECT_EQ(pa.manifest, pb.manifest);
-    EXPECT_EQ(read_file(one_dir.file("records.csv")),
-              read_file(four_dir.file("records.csv")));
     expect_results_identical(a.tables, b.tables);
 }
 
 TEST(Pipeline, NarrowestWindowDegeneratesSafely) {
     // One pool thread and a checkpoint after every job give the narrowest
-    // window auto-sizing produces, max(1, 2 x 1) = 2 jobs: near lock-step
-    // submit/emit, the pipeline's worst case, must still produce the
-    // canonical bytes.
+    // window auto-sizing produces, max(1, 8 x 1) = 8 jobs, here on a
+    // 24-job grid so the window refills on every emission: submit/emit in
+    // step, the pipeline's worst case, must still produce the canonical
+    // bytes.
     TempDir reference_dir, narrow_dir;
-    const auto reference =
-        ve::run_campaign(small_campaign(reference_dir.path()));
+    auto wide = small_campaign(reference_dir.path());
+    wide.sweep.scenarios_per_cell = 6;
+    const auto reference = ve::run_campaign(wide);
     ASSERT_TRUE(reference.complete);
 
     auto narrow = small_campaign(narrow_dir.path());
+    narrow.sweep.scenarios_per_cell = 6;
     narrow.sweep.threads = 1;
     narrow.checkpoint_jobs = 1;
     ASSERT_TRUE(ve::run_campaign(narrow).complete);
@@ -274,14 +273,21 @@ void expect_clean_failure(const FailingHook& install) {
     EXPECT_THROW((void)ve::run_sweep(sweep, kHeuristics), HookFailure);
     EXPECT_EQ(registry.pipeline_gauges(), idle) << "run_sweep";
 
+    // 24 jobs: the first checkpoint (3 jobs) is durable before the pipeline
+    // submits the 20th, as at most 16 jobs (8 per pool thread) run ahead of
+    // the emitter.
+    const auto campaign = [](const std::filesystem::path& dir) {
+        auto cfg = small_campaign(dir);
+        cfg.sweep.scenarios_per_cell = 6;
+        return cfg;
+    };
     TempDir reference_dir, dir;
-    const auto uninterrupted =
-        ve::run_campaign(small_campaign(reference_dir.path()));
+    const auto uninterrupted = ve::run_campaign(campaign(reference_dir.path()));
     ASSERT_TRUE(uninterrupted.complete);
     const auto reference = shard_bytes(reference_dir.path());
 
-    // Armed once the first checkpoint (3 of 8 jobs) is durable.
-    auto failing = small_campaign(dir.path());
+    // Armed once the first checkpoint is durable.
+    auto failing = campaign(dir.path());
     const auto manifest_file = ve::manifest_path(dir.path());
     install(failing.sweep,
             [manifest_file] { return std::filesystem::exists(manifest_file); });
@@ -293,7 +299,7 @@ void expect_clean_failure(const FailingHook& install) {
     EXPECT_FALSE(checkpointed->complete);
 
     // The rerun computes only what the manifest does not vouch for.
-    auto rerun = small_campaign(dir.path());
+    auto rerun = campaign(dir.path());
     std::mutex seen_mutex;
     std::set<long long> seen;
     rerun.sweep.progress = [&](long long done, long long) {

@@ -1,36 +1,40 @@
 /// \file volsched_campaign.cpp
 /// Campaign driver for paper-scale (and beyond) sweeps: shard the Table-1
-/// grid across machines, stream per-instance records to durable JSONL/CSV
-/// sinks, checkpoint progress, resume after interruption, and merge shard
+/// grid across machines, stream per-instance records to a durable JSONL
+/// sink, checkpoint progress, resume after interruption, and merge shard
 /// outputs into the paper's dfb tables — bit-identically to an unsharded
-/// in-memory sweep.
+/// in-memory sweep.  It is the front end of the paper's experiments: when
+/// a campaign runs Table 2, Figure 2 or one of Table 3's settings
+/// (exp::find_paper_experiment), merge prints the shape verdicts.
 ///
 ///   volsched_campaign run    --out camp --shard 1/4 --scenarios 247 --trials 10
 ///   volsched_campaign run    --out camp --shard 1/4        # again: resumes
 ///   volsched_campaign run    --out camp --parallel 4       # all 4 in-process
 ///   volsched_campaign status --out camp
-///   volsched_campaign merge  --out camp --breakdown
+///   volsched_campaign merge  --out camp --breakdown --csv tables.csv
 ///   volsched_campaign query  --out camp --wmin 2-4 --tasks 10
 ///   volsched_campaign run    --out smoke --smoke            # tiny CI grid
 ///
 /// Every shard directory (<out>/shard-k-of-N/) is self-describing: the
 /// first JSONL line carries the full grid configuration and a fingerprint,
 /// so merge, status, and query need no flags beyond --out.  See API.md
-/// ("Campaigns") for the sharding, resume, and index contracts.
+/// ("Campaigns") for the sharding, resume, and index contracts, and for
+/// the commands that run each paper experiment.
 ///
 /// All wall-clock access (progress rate/ETA) goes through obs/stopwatch —
 /// the rulebook's one sanctioned monotonic-clock seam; nothing here feeds
 /// records or tables.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
-#include "report.hpp" // bench/: shared dfb-table rendering
 #include "volsched/volsched.hpp"
 
 namespace {
@@ -127,30 +131,85 @@ private:
     std::atomic<long long> base_done_{-1};
 };
 
-void print_tables(const exp::SweepResult& result, bool breakdown) {
-    benchtool::print_dfb_table("overall — all problem instances",
-                               result.heuristics, result.overall,
-                               /*show_wins=*/true);
-    if (!breakdown) return;
+/// Prints a paper-style "Algorithm / Average dfb / #wins" table, sorted by
+/// ascending mean dfb (best first), like the paper's Table 2 and Table 3.
+void print_dfb_table(const std::string& title,
+                     const std::vector<std::string>& heuristics,
+                     const exp::DfbTable& table, bool show_wins) {
+    std::vector<std::size_t> order(heuristics.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return table.mean_dfb(a) < table.mean_dfb(b);
+    });
+
+    std::vector<std::string> header = {"Algorithm", "Average dfb", "+/-95%"};
+    if (show_wins) header.push_back("#wins");
+    util::TextTable out(header);
+    for (std::size_t c = 1; c < header.size(); ++c) out.align_right(c);
+    for (std::size_t h : order) {
+        std::vector<std::string> row = {
+            heuristics[h], util::TextTable::num(table.mean_dfb(h), 2),
+            util::TextTable::num(util::ci95_halfwidth(table.dfb(h)), 2)};
+        if (show_wins) row.push_back(std::to_string(table.wins(h)));
+        out.add_row(std::move(row));
+    }
+    std::printf("%s", out.render(title).c_str());
+    std::printf("(%lld problem instances)\n\n", table.instances());
+}
+
+/// One table merge prints: its CSV key ("overall", "wmin=3", ...), its
+/// title, and its dfb table.
+struct MergedTable {
+    std::string key;
+    std::string title;
+    const exp::DfbTable* table;
+};
+
+/// The tables merge prints, in order: the overall table, then with
+/// `breakdown` the by-wmin, by-n and by-ncom tables and, when the
+/// checkpoint axis was swept, one per policy.
+std::vector<MergedTable> merged_tables(const exp::SweepResult& result,
+                                       bool breakdown) {
+    std::vector<MergedTable> tables = {
+        {"overall", "overall — all problem instances", &result.overall}};
+    if (!breakdown) return tables;
+    const auto add = [&](const std::string& axis, const std::string& value,
+                         const exp::DfbTable& table) {
+        tables.push_back(
+            {axis + "=" + value, "by " + axis + " = " + value, &table});
+    };
     for (const auto& [wmin, table] : result.by_wmin)
-        benchtool::print_dfb_table("by wmin = " + std::to_string(wmin),
-                                   result.heuristics, table,
-                                   /*show_wins=*/false);
+        add("wmin", std::to_string(wmin), table);
     for (const auto& [n, table] : result.by_tasks)
-        benchtool::print_dfb_table("by n = " + std::to_string(n),
-                                   result.heuristics, table,
-                                   /*show_wins=*/false);
+        add("n", std::to_string(n), table);
     for (const auto& [ncom, table] : result.by_ncom)
-        benchtool::print_dfb_table("by ncom = " + std::to_string(ncom),
-                                   result.heuristics, table,
-                                   /*show_wins=*/false);
+        add("ncom", std::to_string(ncom), table);
     // A single-key map is the classic checkpoint-free grid; a breakdown
     // line per policy only makes sense when the axis was swept.
     if (result.by_checkpoint.size() > 1)
         for (const auto& [ckpt, table] : result.by_checkpoint)
-            benchtool::print_dfb_table("by checkpoint = " + ckpt,
-                                       result.heuristics, table,
-                                       /*show_wins=*/false);
+            add("checkpoint", ckpt, table);
+    return tables;
+}
+
+/// Writes one row per (table, heuristic), heuristics in campaign order.
+void write_tables_csv(const std::string& path,
+                      const std::vector<std::string>& heuristics,
+                      const std::vector<MergedTable>& tables) {
+    std::ofstream out(path);
+    if (!out) throw std::runtime_error("merge: cannot open '" + path + "'");
+    util::CsvWriter csv(out, {"table", "heuristic", "mean_dfb", "ci95",
+                              "wins", "mean_makespan", "instances"});
+    for (const MergedTable& t : tables)
+        for (std::size_t h = 0; h < heuristics.size(); ++h)
+            csv.row({t.key, heuristics[h],
+                     util::CsvWriter::cell(t.table->mean_dfb(h)),
+                     util::CsvWriter::cell(
+                         util::ci95_halfwidth(t.table->dfb(h))),
+                     util::CsvWriter::cell(t.table->wins(h)),
+                     util::CsvWriter::cell(t.table->makespan(h).mean()),
+                     util::CsvWriter::cell(t.table->instances())});
+    std::printf("wrote %s\n", path.c_str());
 }
 
 int cmd_run(int argc, char** argv) {
@@ -185,7 +244,6 @@ int cmd_run(int argc, char** argv) {
     cli.add_int("parallel", 0,
                 "drive all N shards of an N-way campaign from this process "
                 "over one shared worker pool (replaces --shard; 0: off)");
-    cli.add_flag("csv", "also stream records.csv");
     cli.add_flag("fresh", "discard previous output instead of resuming");
     cli.add_flag("quiet", "no progress output");
     cli.add_flag("smoke", "tiny fixed CI grid; overrides the axes, "
@@ -285,7 +343,6 @@ int cmd_run(int argc, char** argv) {
                                                   : static_cast<int>(
                                                         cli.get_int(
                                                             "checkpoint-every")))
-                            .csv(cli.get_flag("csv"))
                             .stop_after_batches(
                                 static_cast<int>(cli.get_int("batches")))
                             .heartbeat();
@@ -404,16 +461,14 @@ int cmd_query(int argc, char** argv) {
         bool with_checkpoint = false;
         if (as_csv) {
             // The self-describing shard header names the heuristic columns.
-            std::ifstream first(files.front());
-            std::string header_line;
-            std::getline(first, header_line);
-            const auto header = exp::parse_campaign_header(header_line);
+            std::ifstream in(files.front());
+            const auto header = exp::read_campaign_header(in, files.front());
             with_checkpoint =
                 header.sweep.checkpoint_values.size() != 1 ||
                 header.sweep.checkpoint_values.front() != "none";
             std::fprintf(dest, "%s\n",
-                         exp::CsvSink::header_row(header.heuristics,
-                                                  with_checkpoint)
+                         exp::csv_header_row(header.heuristics,
+                                             with_checkpoint)
                              .c_str());
         }
 
@@ -422,9 +477,7 @@ int cmd_query(int argc, char** argv) {
                 if (as_csv) {
                     const auto rec = exp::JsonlSink::parse_record(line);
                     std::fprintf(dest, "%s\n",
-                                 exp::CsvSink::format_row(rec,
-                                                          with_checkpoint)
-                                     .c_str());
+                                 exp::csv_row(rec, with_checkpoint).c_str());
                 } else {
                     std::fprintf(dest, "%s\n", line.c_str());
                 }
@@ -449,7 +502,9 @@ int cmd_merge(int argc, char** argv) {
                   "combine shard outputs into the paper's dfb tables");
     cli.add_string("out", "", "campaign root directory (required)");
     cli.add_flag("breakdown", "also print by-wmin/by-n/by-ncom tables");
-    cli.add_string("csv", "", "write the overall table to this CSV path");
+    cli.add_string("csv", "",
+                   "write every printed table to this CSV path, one row "
+                   "per (table, heuristic)");
     if (!cli.parse(argc, argv)) return cli.exit_code();
 
     if (cli.get_string("out").empty()) {
@@ -470,12 +525,23 @@ int cmd_merge(int argc, char** argv) {
         files.reserve(dirs.size());
         for (const auto& dir : dirs) files.push_back(dir / "records.jsonl");
         const auto result = exp::merge_shards(files);
+        std::ifstream in(files.front());
+        const exp::PaperExperiment* experiment = exp::find_paper_experiment(
+            exp::read_campaign_header(in, files.front()));
         std::printf("merged %zu shard(s), %lld instances\n\n", files.size(),
                     result.overall.instances());
-        print_tables(result, cli.get_flag("breakdown"));
+        const auto tables = merged_tables(result, cli.get_flag("breakdown"));
+        for (std::size_t t = 0; t < tables.size(); ++t) {
+            print_dfb_table(tables[t].title, result.heuristics,
+                            *tables[t].table, /*show_wins=*/t == 0);
+            if (t == 0 && experiment)
+                std::printf("shape verdicts vs the paper's %s claims:\n%s\n",
+                            experiment->name,
+                            exp::render_checks(experiment->check(result))
+                                .c_str());
+        }
         if (const auto& path = cli.get_string("csv"); !path.empty())
-            benchtool::write_dfb_csv(path, result.heuristics,
-                                     result.overall);
+            write_tables_csv(path, result.heuristics, tables);
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
@@ -572,6 +638,7 @@ void usage() {
               "          <out>/shard-k-of-N/{records.jsonl,records.idx,\n"
               "          MANIFEST}\n"
               "  merge   combine all shard outputs into the dfb tables\n"
+              "          (and the shape verdicts of a paper experiment)\n"
               "  status  per-shard progress from the checkpoint manifests\n"
               "  query   select records by ordinal/wmin/tasks/ncom ranges\n"
               "          through the sidecar index, as JSONL or CSV\n"
