@@ -155,13 +155,12 @@ public:
 
     /// Next record, or std::nullopt at end of stream.
     std::optional<InstanceRecord> next() {
-        std::string line;
-        while (std::getline(in_, line)) {
+        while (std::getline(in_, line_)) {
             const std::uint64_t at = offset_;
-            offset_ += line.size() + 1;
-            if (line.empty()) continue;
+            offset_ += line_.size() + 1;
+            if (line_.empty()) continue;
             try {
-                InstanceRecord rec = JsonlSink::parse_record(line);
+                InstanceRecord rec = JsonlSink::parse_record(line_);
                 record_offset_ = at;
                 return rec;
             } catch (const std::invalid_argument& e) {
@@ -180,6 +179,7 @@ private:
     CampaignHeader header_;
     std::uint64_t offset_ = 0;
     std::uint64_t record_offset_ = 0;
+    std::string line_; ///< reused by every next(), so reading allocates once
 };
 
 /// The caller's words in the per-job record checks: every message starts

@@ -272,12 +272,49 @@ bool job_matches(const GridJob& job, const QueryFilter& f) {
 }
 
 /// One shard's read state: validated header, (loaded or rebuilt) index, and
-/// an open stream to seek record lines out of.
+/// an open stream to read record lines out of.
 struct ShardIndex {
     std::filesystem::path path;
     CampaignHeader header;
     std::vector<IndexEntry> entries;
     std::ifstream in;
+    std::uint64_t next_offset = 0; ///< where `in` reads from next
+
+    /// The record line `entry` names.  Seeks only when the entry does not
+    /// start where the previous line ended, and throws unless the line
+    /// parses as the record the entry names: a sidecar that vouches for the
+    /// file's fingerprint and length still goes stale when a same-length
+    /// edit moves a line boundary.
+    void read(const IndexEntry& entry, std::string& line) {
+        if (entry.offset != next_offset) {
+            in.clear();
+            in.seekg(static_cast<std::streamoff>(entry.offset));
+        }
+        if (!std::getline(in, line)) stale(entry, "holds no line");
+        next_offset = entry.offset + line.size() + 1;
+        try {
+            const InstanceRecord rec = JsonlSink::parse_record(line);
+            if (rec.scenario_ordinal == entry.ordinal &&
+                rec.trial == entry.trial)
+                return;
+            stale(entry, "holds (ordinal " +
+                             std::to_string(rec.scenario_ordinal) +
+                             ", trial " + std::to_string(rec.trial) + ")");
+        } catch (const std::invalid_argument& e) {
+            stale(entry, std::string("holds no record (") + e.what() + ")");
+        }
+    }
+
+    [[noreturn]] void stale(const IndexEntry& entry,
+                            const std::string& found) const {
+        fail("query: '" + path.string() + "' at byte " +
+             std::to_string(entry.offset) + " " + found +
+             " where its sidecar '" + index_path(path).string() +
+             "' names (ordinal " + std::to_string(entry.ordinal) +
+             ", trial " + std::to_string(entry.trial) +
+             "); the sidecar is stale: delete it and the next query "
+             "rebuilds it");
+    }
 };
 
 } // namespace
@@ -300,6 +337,7 @@ query_shards(const std::vector<std::filesystem::path>& jsonl_files,
         } catch (const std::invalid_argument& e) {
             fail(e.what()); // a query reports every unreadable shard alike
         }
+        shard->next_offset = static_cast<std::uint64_t>(shard->in.tellg());
         bool rebuilt = false;
         shard->entries =
             load_or_rebuild(file, shard->header.fingerprint, &rebuilt);
@@ -313,8 +351,9 @@ query_shards(const std::vector<std::filesystem::path>& jsonl_files,
 
     // Walk the grid in global (ordinal, trial) order — the unsharded
     // emission order — filtering on grid axes without touching records,
-    // then seek only the matching lines.  Jobs not yet durable in a
-    // still-running campaign simply have no index entries and are skipped.
+    // then read only the matching lines, seeking only past the lines in
+    // between.  Jobs not yet durable in a still-running campaign simply
+    // have no index entries and are skipped.
     const std::vector<GridJob> grid = grid_jobs(ref.sweep);
     std::string line;
     for (const GridJob& job : grid) {
@@ -332,11 +371,7 @@ query_shards(const std::vector<std::filesystem::path>& jsonl_files,
                 return ord < e.ordinal;
             });
         for (auto it = lo; it != hi; ++it) {
-            shard.in.clear();
-            shard.in.seekg(static_cast<std::streamoff>(it->offset));
-            if (!std::getline(shard.in, line))
-                fail("query: '" + shard.path.string() +
-                     "' is shorter than its index (stale sidecar?)");
+            shard.read(*it, line);
             emit(line);
             ++stats.matched;
         }

@@ -24,8 +24,9 @@
 ///
 /// Queries filter by ordinal/wmin/tasks/ncom ranges.  The scenario axes of
 /// every ordinal are recomputed from the self-describing JSONL header's
-/// grid enumeration — O(grid jobs), no record I/O — so a query touches
-/// exactly the matching record lines, never the whole file.
+/// grid enumeration — O(grid jobs), no record I/O — so a query reads
+/// exactly the matching record lines, never the whole file, and checks each
+/// against its entry before handing it out.
 
 #include <cstdint>
 #include <cstdio>
@@ -137,8 +138,15 @@ struct QueryStats {
 /// order an unsharded campaign would have emitted them, and byte-for-byte
 /// the lines a full-file scan would select.  Shard headers are
 /// cross-validated like merge_shards; sidecars are loaded or rebuilt per
-/// load_or_rebuild_index.  Throws std::runtime_error on inconsistent or
-/// unreadable shards.
+/// load_or_rebuild_index.  Each shard is read front to back, with a seek
+/// only where the next matching line does not follow the last one read.
+/// Before a line is emitted it must parse as the record its index entry
+/// names: a sidecar whose fingerprint, vouched-for length and entry order
+/// all check out is still stale after a same-length edit of the JSONL that
+/// moves a line boundary.  Such a line throws std::runtime_error naming the
+/// shard, the byte offset and the sidecar (deleting the sidecar makes the
+/// next query rebuild it); the lines emitted before it stand.  Also throws
+/// std::runtime_error on inconsistent or unreadable shards.
 QueryStats
 query_shards(const std::vector<std::filesystem::path>& jsonl_files,
              const QueryFilter& filter,

@@ -6,6 +6,7 @@
 #include <unistd.h>
 #endif
 
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
 
@@ -117,22 +118,155 @@ std::string JsonlSink::format_record(const InstanceRecord& rec) {
     return out;
 }
 
+namespace {
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// One pass over a record line in the layout format_record writes: each
+/// call consumes the next piece of that layout, or throws
+/// std::invalid_argument naming the byte where the line departs from it.
+class RecordScanner {
+public:
+    explicit RecordScanner(std::string_view line) : line_(line) {}
+
+    /// Consumes `text` (punctuation and key) if the line continues with it.
+    bool skip(std::string_view text) {
+        if (line_.substr(pos_, text.size()) != text) return false;
+        pos_ += text.size();
+        return true;
+    }
+
+    void expect(std::string_view text) {
+        if (!skip(text)) fail("expected '" + std::string(text) + "'");
+    }
+
+    void expect_end() const {
+        if (pos_ != line_.size()) fail("trailing characters");
+    }
+
+    /// An integer token read whole into T, so a value that does not fit T
+    /// throws instead of wrapping.
+    template <typename T>
+    T integer() {
+        const std::size_t start = pos_;
+        while (pos_ < line_.size() &&
+               (is_digit(line_[pos_]) || line_[pos_] == '-'))
+            ++pos_;
+        T v{};
+        if (!util::parse_whole(line_.substr(start, pos_ - start), v))
+            fail_at(start, "bad integer");
+        return v;
+    }
+
+    /// A JSON number token, read with std::from_chars as
+    /// util::json::Value::as_double reads it.
+    double number() {
+        const std::size_t start = pos_;
+        skip("-");
+        bool ok = digits();
+        if (ok && skip(".")) ok = digits();
+        if (ok && (skip("e") || skip("E"))) {
+            if (!skip("+")) skip("-");
+            ok = digits();
+        }
+        double v = 0.0;
+        if (!ok || !util::parse_whole(line_.substr(start, pos_ - start), v))
+            fail_at(start, "bad number");
+        return v;
+    }
+
+    /// The rest of a string literal whose opening quote is consumed,
+    /// decoding exactly the escapes util::json::escape writes.
+    std::string string() {
+        std::string out;
+        for (;;) {
+            if (pos_ >= line_.size()) fail("unterminated string");
+            const char c = line_[pos_++];
+            if (c == '"') return out;
+            if (c != '\\') {
+                out += c;
+                continue;
+            }
+            const char e = pos_ < line_.size() ? line_[pos_++] : '\0';
+            switch (e) {
+            case '"': out += '"'; break;
+            case '\\': out += '\\'; break;
+            case 'b': out += '\b'; break;
+            case 'f': out += '\f'; break;
+            case 'n': out += '\n'; break;
+            case 'r': out += '\r'; break;
+            case 't': out += '\t'; break;
+            case 'u': out += control_escape(); break;
+            default: fail("bad escape");
+            }
+        }
+    }
+
+private:
+    [[noreturn]] void fail_at(std::size_t at, const std::string& what) const {
+        throw std::invalid_argument("record: " + what + " at byte " +
+                                    std::to_string(at));
+    }
+    [[noreturn]] void fail(const std::string& what) const {
+        fail_at(pos_, what);
+    }
+
+    bool digits() {
+        const std::size_t start = pos_;
+        while (pos_ < line_.size() && is_digit(line_[pos_])) ++pos_;
+        return pos_ > start;
+    }
+
+    /// The "00XX" after "\u": a control byte, XX in lowercase hex.
+    char control_escape() {
+        constexpr std::string_view hex = "0123456789abcdef";
+        const std::string_view code = line_.substr(pos_, 4);
+        const std::size_t low =
+            code.size() == 4 ? hex.find(code[3]) : std::string_view::npos;
+        if (low == std::string_view::npos || code.substr(0, 2) != "00" ||
+            (code[2] != '0' && code[2] != '1'))
+            fail("bad \\u escape");
+        pos_ += 4;
+        return static_cast<char>((code[2] - '0') * 16 + low);
+    }
+
+    std::string_view line_;
+    std::size_t pos_ = 0;
+};
+
+} // namespace
+
 InstanceRecord JsonlSink::parse_record(std::string_view line) {
-    const auto v = util::json::Value::parse(line);
+    RecordScanner in(line);
     InstanceRecord rec;
-    rec.scenario_ordinal = v.at("ordinal").as_u64();
-    rec.trial = v.at("trial").as_int();
-    rec.scenario.p = v.at("p").as_int();
-    rec.scenario.tasks = v.at("tasks").as_int();
-    rec.scenario.ncom = v.at("ncom").as_int();
-    rec.scenario.wmin = v.at("wmin").as_int();
-    rec.scenario.tdata_factor = v.at("tdata_factor").as_double();
-    rec.scenario.tprog_factor = v.at("tprog_factor").as_double();
-    rec.scenario.seed = v.at("seed").as_u64();
-    if (const auto* ckpt = v.find("checkpoint"))
-        rec.scenario.checkpoint = ckpt->as_string();
-    for (const auto& m : v.at("makespans").items())
-        rec.makespans.push_back(m.as_i64());
+    in.expect("{\"ordinal\":");
+    rec.scenario_ordinal = in.integer<std::uint64_t>();
+    in.expect(",\"trial\":");
+    rec.trial = in.integer<int>();
+    in.expect(",\"p\":");
+    rec.scenario.p = in.integer<int>();
+    in.expect(",\"tasks\":");
+    rec.scenario.tasks = in.integer<int>();
+    in.expect(",\"ncom\":");
+    rec.scenario.ncom = in.integer<int>();
+    in.expect(",\"wmin\":");
+    rec.scenario.wmin = in.integer<int>();
+    in.expect(",\"tdata_factor\":");
+    rec.scenario.tdata_factor = in.number();
+    in.expect(",\"tprog_factor\":");
+    rec.scenario.tprog_factor = in.number();
+    in.expect(",\"seed\":");
+    rec.scenario.seed = in.integer<std::uint64_t>();
+    if (in.skip(",\"checkpoint\":\"")) rec.scenario.checkpoint = in.string();
+    in.expect(",\"makespans\":[");
+    if (!in.skip("]")) {
+        do {
+            rec.makespans.push_back(in.integer<long long>());
+        } while (in.skip(","));
+        in.expect("]");
+    }
+    in.expect("}");
+    in.expect_end();
     return rec;
 }
 

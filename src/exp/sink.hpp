@@ -73,8 +73,20 @@ public:
 
     /// Canonical record line (no trailing newline).
     static std::string format_record(const InstanceRecord& rec);
-    /// Strict inverse of format_record; throws std::invalid_argument on
-    /// malformed input.  The scenario's chain recipe is the paper default
+    /// Strict inverse of format_record, read in one pass with no JSON
+    /// DOM.  It accepts exactly the layout format_record writes:
+    ///
+    ///   {"ordinal":U,"trial":I,"p":I,"tasks":I,"ncom":I,"wmin":I,
+    ///    "tdata_factor":N,"tprog_factor":N,"seed":U[,"checkpoint":"S"],
+    ///    "makespans":[L,...]}
+    ///
+    /// with no whitespace and the keys in this order; the makespan list
+    /// may be empty.  Integers are read whole into their field's type, so
+    /// a value that would wrap throws; N is a JSON number token; S decodes
+    /// the escapes util::json::escape writes.  Anything else throws
+    /// std::invalid_argument naming the byte: whitespace, another key
+    /// order, an unknown or repeated key, or "checkpoint" after
+    /// "makespans".  The scenario's chain recipe is the paper default
     /// (records do not carry it).
     static InstanceRecord parse_record(std::string_view line);
 

@@ -3,9 +3,15 @@
 /// Minimal JSON support for the campaign result streams: canonical writers
 /// (stable field order, shortest round-trip numbers, no locale dependence)
 /// plus a strict recursive-descent parser.  This is deliberately not a
-/// general-purpose JSON library — it covers exactly what the JSONL sinks
-/// and campaign manifests emit, and rejects anything malformed loudly so a
-/// truncated or hand-edited record cannot be half-read.
+/// general-purpose JSON library — it covers exactly what the campaign
+/// writes, and rejects anything malformed loudly so a truncated or
+/// hand-edited file cannot be half-read.
+///
+/// The writers serve every campaign format.  The DOM parser (Value) reads
+/// the campaign header line (exp::parse_campaign_header) and `status.json`
+/// (exp::read_status); record lines are read by
+/// exp::JsonlSink::parse_record, a one-pass scanner of the one layout
+/// format_record writes, without this DOM.
 ///
 /// Numbers keep their raw token text, so 64-bit integers (RNG seeds use the
 /// full range) survive a round trip exactly instead of being squeezed

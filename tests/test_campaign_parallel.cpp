@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <fstream>
 #include <functional>
 #include <mutex>
@@ -34,6 +35,7 @@ namespace ve = volsched::exp;
 namespace va = volsched::api;
 using volsched::test::TempDir;
 using volsched::test::read_file;
+using volsched::test::write_file;
 
 namespace {
 
@@ -584,4 +586,91 @@ TEST(IndexedQuery, RebuildsStaleOrMissingSidecarsTransparently) {
     const auto entries = ve::load_or_rebuild_index(files[0], &rebuilt);
     EXPECT_TRUE(rebuilt);
     EXPECT_EQ(entries, ve::build_index_entries(files[0]));
+}
+
+TEST(IndexedQuery, StaleSidecarThatPassesItsChecksThrowsNamingTheFile) {
+    TempDir root;
+    auto base = small_campaign(root.path());
+    base.shard_count = 2;
+    ASSERT_TRUE(ve::run_parallel_campaign(base).complete);
+    std::vector<std::filesystem::path> files;
+    for (const auto& dir : ve::find_shard_directories(root.path()))
+        files.push_back(dir / "records.jsonl");
+    const auto sidecar = ve::index_path(files[0]);
+
+    // Shorten the first record's first makespan by one digit and lengthen
+    // the second's by one: the file keeps its length, so the sidecar still
+    // validates, but the second record now starts one byte earlier.
+    std::vector<std::string> lines;
+    {
+        std::istringstream in(read_file(files[0]));
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    ASSERT_GE(lines.size(), 3u);
+    const auto first_makespan_end = [](const std::string& line) {
+        std::size_t pos = line.find("\"makespans\":[") + 13;
+        while (std::isdigit(static_cast<unsigned char>(line[pos]))) ++pos;
+        return pos;
+    };
+    const std::size_t second_at = lines[0].size() + 1 + lines[1].size() + 1;
+    const std::size_t cut = first_makespan_end(lines[1]) - 1;
+    ASSERT_TRUE(std::isdigit(static_cast<unsigned char>(lines[1][cut - 1])));
+    lines[1].erase(cut, 1);
+    lines[2].insert(first_makespan_end(lines[2]), "7");
+    std::string edited;
+    for (const auto& line : lines) edited += line + "\n";
+    ASSERT_EQ(edited.size(), read_file(files[0]).size());
+    write_file(files[0], edited);
+
+    ve::QueryFilter first_job;
+    first_job.ordinal = {0, 0};
+    const auto query_error = [&](std::vector<std::string>& emitted) {
+        try {
+            (void)ve::query_shards(files, first_job,
+                                   [&](const std::string& line) {
+                                       emitted.push_back(line);
+                                   });
+        } catch (const std::runtime_error& e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    std::vector<std::string> emitted;
+    const std::string error = query_error(emitted);
+    ASSERT_FALSE(error.empty()) << "a fragment was emitted as a record";
+    EXPECT_EQ(emitted, std::vector<std::string>{lines[1]});
+    EXPECT_NE(error.find("'" + files[0].string() + "'"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("at byte " + std::to_string(second_at)),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("'" + sidecar.string() + "'"), std::string::npos)
+        << error;
+
+    // Deleting the sidecar, as the message says, heals the shard.
+    std::filesystem::remove(sidecar);
+    ve::QueryStats stats;
+    EXPECT_EQ(query_lines(files, first_job, &stats),
+              (std::vector<std::string>{lines[1], lines[2]}));
+    EXPECT_EQ(stats.indexes_rebuilt, 1);
+
+    // A line that parses as a different record is caught too: point the
+    // second entry at the third record and drop the third's own entry.
+    std::ifstream in(files[0]);
+    const auto header = ve::read_campaign_header(in, files[0]);
+    auto entries = ve::build_index_entries(files[0]);
+    ASSERT_GE(entries.size(), 3u);
+    const ve::IndexEntry third = entries[2];
+    entries[1].offset = third.offset;
+    entries.erase(entries.begin() + 2);
+    ve::write_index_file(sidecar, header.fingerprint,
+                         std::filesystem::file_size(files[0]), entries);
+    emitted.clear();
+    const std::string mismatch = query_error(emitted);
+    EXPECT_EQ(emitted, std::vector<std::string>{lines[1]});
+    EXPECT_NE(mismatch.find("holds (ordinal " +
+                            std::to_string(third.ordinal) + ", trial " +
+                            std::to_string(third.trial) + ")"),
+              std::string::npos)
+        << mismatch;
 }
